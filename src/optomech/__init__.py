@@ -21,7 +21,6 @@ from .decoupling import (
 from .engine import StateRecord, evaluate_point, evaluate_trajectory, quadrature_trajectory
 from .errors import (
     ConfigError,
-    ConsistencyError,
     ConvergenceError,
     CutoffInsufficientError,
     DomainError,
@@ -56,7 +55,6 @@ from .profiles import (
     SqueezingProfile,
     SystemParams,
     TabulatedSignal,
-    TabulatedSqueezing,
 )
 from .squeezing import (
     QuadraticSolution,
@@ -72,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "ConsistencyError",
     "ConstantSqueezing",
     "ConvergenceError",
     "Coupling",
@@ -92,7 +89,6 @@ __all__ = [
     "StateRecord",
     "SystemParams",
     "TabulatedSignal",
-    "TabulatedSqueezing",
     "UnsupportedRegimeError",
     "ValidationError",
     "ValidityWarning",

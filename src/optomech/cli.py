@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,7 +89,6 @@ class RunConfig:
     n_m: int = 0
     dt: float = 0.0
     tol: float = 1e-3
-    workers: int = 0
     out: str = ""
 
     def system(self) -> SystemParams:
@@ -185,7 +183,6 @@ _PARSERS = {
     "n_m": _parse_int,
     "dt": _parse_float,
     "tol": _parse_float,
-    "workers": _parse_int,
 }
 
 
@@ -241,7 +238,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -253,31 +250,29 @@ def run_evolve(cfg: RunConfig) -> int:
     init = cfg.initial_state()
     taus = np.linspace(0.0, cfg.tau_max, cfg.points)
     resolution = cfg.resolution if cfg.resolution > 0 else None
-    records = evaluate_trajectory(system, init, taus, resolution=resolution)
+    rec = evaluate_trajectory(system, init, taus, resolution=resolution)
 
-    rows = []
-    for rec in records:
-        a = rec.moments.a
-        if cfg.lab_frame:
-            a *= np.exp(-1j * system.omega_c * rec.tau)
-        rows.append(
+    a = rec.moments.a
+    if cfg.lab_frame:
+        a = a * np.exp(-1j * system.omega_c * rec.tau)
+    r = rec.report
+    _write_csv(
+        cfg.out,
+        ["tau", "re_a", "im_a", "x1", "p1", "nu_op", "nu_me", "delta", "delta_min", "delta_max"],
+        np.column_stack(
             [
                 rec.tau,
                 a.real,
                 a.imag,
                 np.sqrt(2.0) * a.real,
                 np.sqrt(2.0) * a.imag,
-                rec.report.nu_op,
-                rec.report.nu_me,
-                rec.report.delta,
-                rec.report.delta_min,
-                rec.report.delta_max,
+                r.nu_op,
+                r.nu_me,
+                r.delta,
+                r.delta_min,
+                r.delta_max,
             ]
-        )
-    _write_csv(
-        cfg.out,
-        ["tau", "re_a", "im_a", "x1", "p1", "nu_op", "nu_me", "delta", "delta_min", "delta_max"],
-        rows,
+        ),
     )
     return _EXIT_OK
 
@@ -299,29 +294,31 @@ def _sweep_grid(cfg: RunConfig) -> tuple[list[str], list[tuple[float, ...]]]:
 def run_sweep(cfg: RunConfig) -> int:
     names, combos = _sweep_grid(cfg)
     init = cfg.initial_state()
+    resolution = cfg.resolution if cfg.resolution > 0 else None
 
-    def eval_combo(combo: tuple[float, ...]) -> list[float]:
-        point = dict(zip(names, combo))
-        local = replace(
-            cfg,
-            g0=point.get("g0", cfg.g0),
-            d2=point.get("d2", cfg.d2),
-            tau=point.get("tau", cfg.tau),
-        )
-        rec = evaluate_point(
-            local.system(),
+    # cells sharing (g0, d2) share one system: evaluate their times together
+    cells = [dict(zip(names, combo)) for combo in combos]
+    groups: dict[tuple[float, float], list[int]] = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault((cell.get("g0", cfg.g0), cell.get("d2", cfg.d2)), []).append(i)
+
+    measures = np.empty((len(combos), 3))
+    for (g0, d2), rows in groups.items():
+        rec = evaluate_trajectory(
+            replace(cfg, g0=g0, d2=d2).system(),
             init,
-            local.tau,
-            resolution=cfg.resolution if cfg.resolution > 0 else None,
+            [cells[i].get("tau", cfg.tau) for i in rows],
+            resolution=resolution,
         )
-        return list(combo) + [rec.report.delta, rec.report.delta_min, rec.report.delta_max]
+        measures[rows] = np.column_stack(
+            [rec.report.delta, rec.report.delta_min, rec.report.delta_max]
+        )
 
-    workers = cfg.workers if cfg.workers > 0 else min(8, len(combos))
-    # points are independent and pure; gather keeps the row-major order
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        rows = list(pool.map(eval_combo, combos))
-
-    _write_csv(cfg.out, names + ["delta", "delta_min", "delta_max"], rows)
+    _write_csv(
+        cfg.out,
+        names + ["delta", "delta_min", "delta_max"],
+        np.column_stack([np.array(combos), measures]),
+    )
     return _EXIT_OK
 
 
@@ -336,17 +333,14 @@ def run_mathieu(cfg: RunConfig) -> int:
     )
     taus = np.linspace(0.0, cfg.tau_max, cfg.points)
     cos_ts, sin_ts = two_scale_solution(cfg.d2, taus)
-    rows = []
-    for i, t in enumerate(taus):
-        xi = sol.mode(t)
-        rows.append([t, xi.real, -xi.imag, cos_ts[i], sin_ts[i]])
+    xi = sol.mode(taus)
     _write_csv(
         cfg.out,
         ["tau", "cos_sol", "sin_sol", "cos_two_scale", "sin_two_scale"],
-        rows,
+        np.column_stack([taus, xi.real, -xi.imag, cos_ts, sin_ts]),
     )
-    dev_cos = max(abs(r[1] - r[3]) for r in rows)
-    dev_sin = max(abs(r[2] - r[4]) for r in rows)
+    dev_cos = np.max(np.abs(xi.real - cos_ts))
+    dev_sin = np.max(np.abs(-xi.imag - sin_ts))
     print(
         f"mathieu: a={_fmt(a)} q={_fmt(q)} "
         f"max|cos dev|={dev_cos:.3e} max|sin dev|={dev_sin:.3e}"
@@ -453,8 +447,11 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            key = unknown[0].lstrip("-").split("=")[0]
+            raise ConfigError(f"{key}: unknown configuration key")
         file_values = parse_config_file(args.config) if args.config else {}
         overrides = {key: getattr(args, key.replace("-", "_")) for key in _PARSERS}
         cfg = build_config(args.mode, file_values, overrides, args.out)

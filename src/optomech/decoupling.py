@@ -25,7 +25,9 @@ from .squeezing import QuadraticSolution, zeta
 
 @dataclass(frozen=True)
 class DecouplingCoefficients:
-    """Coefficients of the six decoupling generators at a single time.
+    """Coefficients of the six decoupling generators at one time, or arrays
+    of them over a grid of times (a field that vanishes at every time may
+    stay the scalar 0).
 
     ``num`` and ``num_sq`` multiply N and N^2; ``pos``/``mom`` multiply the
     bare position/momentum generators, and ``num_pos``/``num_mom`` their
@@ -109,13 +111,14 @@ class DecouplingTables:
             "num_mom": (cum(g_im), g_im),
         }
 
-    def at(self, tau: float) -> DecouplingCoefficients:
+    def at(self, tau) -> DecouplingCoefficients:
+        """Coefficients at one time or, elementwise, at an array of times."""
         self._sol._check_span(tau)
         vals = {
-            name: float(hermite_eval(self._step, y, dy, float(tau)))
+            name: hermite_eval(self._step, y, dy, tau)
             for name, (y, dy) in self._tables.items()
         }
-        return DecouplingCoefficients(tau=float(tau), **vals)
+        return DecouplingCoefficients(tau=tau, **vals)
 
 
 def decoupling_coefficients(
@@ -130,10 +133,13 @@ def _sinc(x):
     return np.sinc(np.asarray(x, dtype=float) / np.pi)
 
 
-def constant_coefficients(g0: float, d2: float, tau: float) -> DecouplingCoefficients:
-    """Closed-form coefficients for constant squeezing and coupling, zero drive."""
+def constant_coefficients(g0: float, d2: float, tau) -> DecouplingCoefficients:
+    """Closed-form coefficients for constant squeezing and coupling, zero drive.
+
+    ``tau`` may be a scalar or an array of times.
+    """
     z = zeta(d2)
-    t = float(tau)
+    t = np.asarray(tau, dtype=float)
     zt = z * t
     return DecouplingCoefficients(
         num=0.0,

@@ -4,13 +4,22 @@ Given system parameters and an initial coherent state, produce the
 decoupling coefficients, Bogoliubov pair, moments, covariance matrix and
 non-Gaussianity report on a time grid.  Constant squeezing with a constant
 coupling and no drive dispatches to the closed forms; everything else runs
-through the adaptive solver and the quadrature tables.  All evaluation is
-pure, so grid points may be computed concurrently.
+through the adaptive solver and the quadrature tables.  Each stage runs
+once over the whole array of times, so a trajectory is one record whose
+fields are arrays over tau.
+
+The measure and the subsystem eigenvalues come from the covariance in the
+squeezing frame (alpha = 1, beta = 0).  The lab-frame mechanical mode is the
+image of that frame's mode under the Bogoliubov map (alpha, beta), a local
+Gaussian unitary, so both frames share their symplectic spectrum; but the
+lab-frame entries grow like |beta|^2 under parametric resonance and make the
+eigenvalue problem ill-conditioned, while the squeezing-frame entries stay
+of order one.  The lab-frame moments and covariance are kept for reporting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -27,7 +36,9 @@ from .squeezing import constant_bogoliubov, solve_quadratic
 
 @dataclass(frozen=True)
 class StateRecord:
-    """Everything the pipeline knows about the state at one time."""
+    """Everything the pipeline knows about the state, at one time or as
+    arrays over a grid of times (``covariance.sigma`` then has shape
+    (n, 4, 4))."""
 
     tau: float
     coeffs: DecouplingCoefficients
@@ -52,57 +63,34 @@ def evaluate_trajectory(
     taus,
     *,
     resolution: float | None = None,
-) -> list[StateRecord]:
-    """Evaluate the full pipeline at each requested time."""
+) -> StateRecord:
+    """Evaluate the full pipeline at the requested times, all at once."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if taus.size == 0:
-        return []
     if np.any(taus < 0.0):
         raise ValueError("times must be non-negative")
 
     if _closed_form_applies(system):
         d2 = system.squeezing.d2
-        g0 = float(system.coupling.g)
-
-        def point(tau: float):
-            coeffs = constant_coefficients(g0, d2, tau)
-            alpha, beta = constant_bogoliubov(d2, tau)
-            return coeffs, complex(alpha), complex(beta)
-
+        coeffs = constant_coefficients(float(system.coupling.g), d2, taus)
+        alpha, beta = constant_bogoliubov(d2, taus)
     else:
-        tau_max = float(np.max(taus))
-        sol = solve_quadratic(system.squeezing, max(tau_max, 1e-6), resolution)
-        tables = DecouplingTables(sol, system.coupling)
+        sol = solve_quadratic(system.squeezing, float(np.max(taus, initial=1e-6)), resolution)
+        coeffs = DecouplingTables(sol, system.coupling).at(taus)
+        alpha, beta = sol.bogoliubov(taus)
 
-        def point(tau: float):
-            coeffs = tables.at(tau)
-            alpha, beta = sol.bogoliubov(tau)
-            return coeffs, complex(alpha), complex(beta)
+    m = moments(coeffs, alpha, beta, init)
+    frame = covariance(moments(coeffs, 1.0, 0.0, init))
+    report = non_gaussianity(
+        frame.sigma, number_displacement=coeffs.number_displacement, mu_c=init.mu_c
+    )
+    return StateRecord(taus, coeffs, alpha, beta, m, covariance(m), report)
 
-    records = []
-    for tau in taus:
-        coeffs, alpha, beta = point(float(tau))
-        m = moments(coeffs, alpha, beta, init, tau=float(tau))
-        cm = covariance(m)
-        report = non_gaussianity(
-            cm.optical_block(),
-            cm.mechanical_block(),
-            cm.sigma,
-            number_displacement=coeffs.number_displacement,
-            mu_c=init.mu_c,
-        )
-        records.append(
-            StateRecord(
-                tau=float(tau),
-                coeffs=coeffs,
-                alpha=alpha,
-                beta=beta,
-                moments=m,
-                covariance=cm,
-                report=report,
-            )
-        )
-    return records
+
+def _at(value, i: int):
+    """The i-th time of an array-valued record; scalar fields pass through."""
+    if is_dataclass(value):
+        return replace(value, **{f.name: _at(getattr(value, f.name), i) for f in fields(value)})
+    return value[i] if np.ndim(value) else value
 
 
 def evaluate_point(
@@ -112,8 +100,8 @@ def evaluate_point(
     *,
     resolution: float | None = None,
 ) -> StateRecord:
-    """Single-time convenience wrapper around :func:`evaluate_trajectory`."""
-    return evaluate_trajectory(system, init, [tau], resolution=resolution)[0]
+    """Single-time view of :func:`evaluate_trajectory`, with scalar fields."""
+    return _at(evaluate_trajectory(system, init, [tau], resolution=resolution), 0)
 
 
 def quadrature_trajectory(
@@ -129,12 +117,8 @@ def quadrature_trajectory(
     Rotating-frame by default; ``lab_frame`` restores the cavity rotation
     phase on the optical amplitude.
     """
-    records = evaluate_trajectory(system, init, taus, resolution=resolution)
-    out = np.empty((len(records), 2))
-    for i, rec in enumerate(records):
-        a = rec.moments.a
-        if lab_frame:
-            a *= np.exp(-1j * system.omega_c * rec.tau)
-        out[i, 0] = np.sqrt(2.0) * a.real
-        out[i, 1] = np.sqrt(2.0) * a.imag
-    return out
+    rec = evaluate_trajectory(system, init, taus, resolution=resolution)
+    a = rec.moments.a
+    if lab_frame:
+        a = a * np.exp(-1j * system.omega_c * rec.tau)
+    return np.sqrt(2.0) * np.column_stack([a.real, a.imag])

@@ -18,10 +18,6 @@ class SingularFactorError(OptomechError):
     """A closed form hits a singular parameter value."""
 
 
-class ConsistencyError(OptomechError):
-    """Inputs that must refer to the same evaluation disagree."""
-
-
 class ValidationError(OptomechError):
     """A supplied or computed object violates a required identity."""
 

@@ -4,7 +4,10 @@ For a pure global state the measure is the von Neumann entropy of the
 Gaussian reference sharing the state's first and second moments, computed
 from the symplectic eigenvalues of the covariance matrix.  Subsystem
 eigenvalues give computable lower/upper bounds through the Araki-Lieb
-inequality.
+inequality.  Symplectic eigenvalues, and so the measure and its bounds, do
+not change under local Gaussian unitaries, so the covariance may be taken
+in any frame that differs from the lab frame by a local Bogoliubov map.
+All functions accept stacks of covariance matrices (shape (..., 2n, 2n)).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .decoupling import DecouplingCoefficients
-from .errors import ConsistencyError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 
 _CLAMP = 1e-6
 _BOUND_SLACK = 1e-9
@@ -24,15 +27,16 @@ _BOUND_SLACK = 1e-9
 @dataclass(frozen=True)
 class NonGaussianityReport:
     """Non-Gaussianity measure with its Araki-Lieb bounds and the symplectic
-    eigenvalues it was computed from.
+    eigenvalues it was computed from, at one time or as arrays over tau.
 
-    ``nu_full`` is 1 for a Gaussian evolution and above 1 otherwise, with
-    ``delta`` the sum of their mode entropies (the global state is pure)."""
+    ``nu_full`` (last axis of length 2) is 1 for a Gaussian evolution and
+    above 1 otherwise, with ``delta`` the sum of their mode entropies (the
+    global state is pure)."""
 
     delta: float
     delta_min: float
     delta_max: float
-    nu_full: tuple[float, float]
+    nu_full: np.ndarray
     nu_op: float
     nu_me: float
     regime: str
@@ -44,22 +48,23 @@ def _symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def symplectic_eigenvalues(sigma: np.ndarray, *, hermitian_tol: float = 1e-8) -> np.ndarray:
-    """Symplectic eigenvalues |eig(i Omega sigma)|, sorted descending.
+    """Symplectic eigenvalues |eig(i Omega sigma)|, sorted descending along
+    the last axis; ``sigma`` may be one matrix or a stack of them.
 
     Each eigenvalue of i*Omega*sigma appears twice up to sign; degenerate
     pairs are averaged.  Physical covariance matrices give values >= 1.
     """
     sigma = np.asarray(sigma, dtype=complex)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
+    if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2] or sigma.shape[-1] % 2:
         raise ValidationError("covariance matrix must be square with even dimension")
-    scale = max(np.max(np.abs(sigma)), 1.0)
-    defect = np.max(np.abs(sigma - sigma.conj().T))
-    if defect > hermitian_tol * scale:
-        raise ValidationError(f"covariance matrix not Hermitian (defect {defect:.3g})")
-    n = sigma.shape[0] // 2
+    scale = np.maximum(np.max(np.abs(sigma), axis=(-2, -1)), 1.0)
+    defect = np.max(np.abs(sigma - np.conj(np.swapaxes(sigma, -1, -2))), axis=(-2, -1))
+    if np.any(defect > hermitian_tol * scale):
+        raise ValidationError(f"covariance matrix not Hermitian (defect {np.max(defect):.3g})")
+    n = sigma.shape[-1] // 2
     lam = np.linalg.eigvals(1j * _symplectic_form(n) @ sigma)
-    nus = np.sort(np.abs(lam))[::-1]
-    return 0.5 * (nus[0::2] + nus[1::2])
+    nus = np.sort(np.abs(lam), axis=-1)[..., ::-1]
+    return 0.5 * (nus[..., 0::2] + nus[..., 1::2])
 
 
 def mode_entropy(nu):
@@ -95,7 +100,7 @@ def subsystem_eigenvalues(coeffs: DecouplingCoefficients, mu_c: complex) -> tupl
     k_sq = abs(coeffs.number_displacement) ** 2
     theta = coeffs.kerr_phase
 
-    nu_me = float(np.sqrt(1.0 + 4.0 * k_sq * nc))
+    nu_me = np.sqrt(1.0 + 4.0 * k_sq * nc)
 
     decay = np.exp(-4.0 * nc * np.sin(0.5 * theta) ** 2) * np.exp(-k_sq)
     cross = np.real(
@@ -115,18 +120,19 @@ def subsystem_eigenvalues(coeffs: DecouplingCoefficients, mu_c: complex) -> tupl
             + 2.0 * np.exp(-3.0 * k_sq) * cross
         )
     )
-    nu_op = float(np.sqrt(max(nu_op_sq, 0.0)))
+    nu_op = np.sqrt(np.maximum(nu_op_sq, 0.0))
 
     bound = np.sqrt(1.0 + 4.0 * nc + 4.0 * nc**2)
-    if nu_op > bound + _BOUND_SLACK:
+    if np.any(nu_op > bound + _BOUND_SLACK):
         raise ValidationError(
-            f"optical eigenvalue {nu_op:.12g} exceeds its bound {bound:.12g}"
+            f"optical eigenvalue {np.max(nu_op):.12g} exceeds its bound {bound:.12g}"
         )
     return nu_op, nu_me
 
 
-def classify_regime(number_displacement_mag: float, mu_c_mag: float) -> str:
-    """Coarse regime tag from |per-photon displacement| against 2|mu_c|.
+def classify_regime(number_displacement_mag, mu_c_mag: float):
+    """Coarse regime tag from |per-photon displacement| against 2|mu_c|,
+    elementwise over an array of displacements.
 
     Within a factor of 2 the two scales are comparable ("balanced");
     otherwise the smaller-displacement side leaves the optical subsystem
@@ -134,56 +140,49 @@ def classify_regime(number_displacement_mag: float, mu_c_mag: float) -> str:
     the dominated regimes only become quantitative once the separation
     reaches a factor of about 5.
     """
-    k = abs(number_displacement_mag)
+    k = np.abs(number_displacement_mag)
     two_mu = 2.0 * abs(mu_c_mag)
-    if k < 1e-12 and two_mu < 1e-12:
-        return "balanced"
     if two_mu < 1e-12:
-        return "mechanical-dominated"
-    ratio = k / two_mu
-    if 0.5 <= ratio <= 2.0:
-        return "balanced"
-    return "optical-dominated" if ratio < 1.0 else "mechanical-dominated"
+        tag = np.where(k < 1e-12, "balanced", "mechanical-dominated")
+    else:
+        ratio = k / two_mu
+        tag = np.where(
+            (0.5 <= ratio) & (ratio <= 2.0),
+            "balanced",
+            np.where(ratio < 1.0, "optical-dominated", "mechanical-dominated"),
+        )
+    return tag[()]
 
 
 def non_gaussianity(
-    sigma_op: np.ndarray,
-    sigma_me: np.ndarray,
-    sigma_full: np.ndarray,
+    sigma: np.ndarray,
     *,
     number_displacement: complex,
     mu_c: complex,
 ) -> NonGaussianityReport:
-    """Measure of non-Gaussianity with Araki-Lieb bounds.
+    """Measure of non-Gaussianity with Araki-Lieb bounds, from one 4x4
+    covariance matrix or a stack of them (shape (n, 4, 4)).
 
-    ``sigma_op``/``sigma_me`` must be the 2x2 subsystem blocks of
-    ``sigma_full``; supplying blocks from a different matrix raises
-    ConsistencyError.
+    Any frame related to the lab frame by a local Gaussian unitary gives the
+    same report; the engine passes the squeezing frame, whose entries stay
+    of order one where the lab-frame entries grow like |beta|^2.
     """
-    sigma_full = np.asarray(sigma_full, dtype=complex)
-    op_ref = sigma_full[np.ix_([0, 2], [0, 2])]
-    me_ref = sigma_full[np.ix_([1, 3], [1, 3])]
-    if np.max(np.abs(np.asarray(sigma_op, dtype=complex) - op_ref)) > 1e-12 or np.max(
-        np.abs(np.asarray(sigma_me, dtype=complex) - me_ref)
-    ) > 1e-12:
-        raise ConsistencyError("subsystem blocks do not match the full covariance matrix")
-
-    nu_full = symplectic_eigenvalues(sigma_full)
-    delta = float(np.sum(mode_entropy(nu_full)))
-    nu_op = float(symplectic_eigenvalues(op_ref)[0])
-    nu_me = float(symplectic_eigenvalues(me_ref)[0])
+    sigma = np.asarray(sigma, dtype=complex)
+    nu_full = symplectic_eigenvalues(sigma)
+    delta = np.sum(mode_entropy(nu_full), axis=-1)
+    nu_op = symplectic_eigenvalues(sigma[..., ::2, ::2])[..., 0]
+    nu_me = symplectic_eigenvalues(sigma[..., 1::2, 1::2])[..., 0]
     delta_min, delta_max = araki_lieb_bounds(nu_op, nu_me)
 
-    if delta < delta_min - _BOUND_SLACK or delta > delta_max + _BOUND_SLACK:
-        raise ValidationError(
-            f"measure {delta:.12g} escapes its bounds [{delta_min:.12g}, {delta_max:.12g}]"
-        )
+    excess = np.maximum(delta_min - delta, delta - delta_max)
+    if np.any(excess > _BOUND_SLACK):
+        raise ValidationError(f"measure escapes its bounds by {np.max(excess):.3g}")
     return NonGaussianityReport(
         delta=delta,
         delta_min=delta_min,
         delta_max=delta_max,
-        nu_full=(float(nu_full[0]), float(nu_full[1])),
+        nu_full=nu_full,
         nu_op=nu_op,
         nu_me=nu_me,
-        regime=classify_regime(abs(number_displacement), abs(mu_c)),
+        regime=classify_regime(number_displacement, mu_c),
     )

@@ -18,15 +18,6 @@ from .errors import DomainError
 _SPAN_SLACK = 1e-9
 
 
-def _check_table(tau: np.ndarray, values: np.ndarray) -> None:
-    if tau.ndim != 1 or values.shape != tau.shape or tau.size < 2:
-        raise DomainError("tabulated profile needs matching 1-d arrays with >= 2 samples")
-    if not np.all(np.isfinite(tau)) or not np.all(np.isfinite(values)):
-        raise DomainError("tabulated profile contains non-finite entries")
-    if np.any(np.diff(tau) <= 0):
-        raise DomainError("tabulated profile times must be strictly increasing")
-
-
 @dataclass(frozen=True)
 class ConstantSqueezing:
     """Constant squeezing strength D2(tau) = d2."""
@@ -61,8 +52,9 @@ class ModulatedSqueezing:
 
 
 @dataclass(frozen=True, eq=False)
-class TabulatedSqueezing:
-    """Squeezing sampled on a strictly increasing time grid.
+class TabulatedSignal:
+    """A real signal sampled on a strictly increasing time grid, usable as a
+    squeezing profile or as a coupling/drive signal.
 
     Values between samples come from a monotone piecewise-cubic (PCHIP)
     interpolant, which does not overshoot the tabulated range.
@@ -75,44 +67,12 @@ class TabulatedSqueezing:
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        _check_table(tau, values)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_interp", PchipInterpolator(tau, values, extrapolate=False))
-
-    def d2_at(self, tau):
-        t = np.asarray(tau, dtype=float)
-        out = self._interp(np.clip(t, self.tau[0], self.tau[-1]))
-        if np.any(t < self.tau[0] - _SPAN_SLACK) or np.any(t > self.tau[-1] + _SPAN_SLACK):
-            raise DomainError("requested time outside the tabulated squeezing span")
-        return out
-
-    def max_abs(self, tau_max: float) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def require_span(self, tau_max: float) -> None:
-        if self.tau[0] > _SPAN_SLACK or self.tau[-1] < tau_max - _SPAN_SLACK:
-            raise DomainError(
-                f"tabulated squeezing covers [{self.tau[0]:g}, {self.tau[-1]:g}], "
-                f"needed [0, {tau_max:g}]"
-            )
-
-
-SqueezingProfile = Union[ConstantSqueezing, ModulatedSqueezing, TabulatedSqueezing]
-
-
-@dataclass(frozen=True, eq=False)
-class TabulatedSignal:
-    """A generic real signal sampled on a strictly increasing time grid."""
-
-    tau: np.ndarray
-    values: np.ndarray
-    _interp: PchipInterpolator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        _check_table(tau, values)
+        if tau.ndim != 1 or values.shape != tau.shape or tau.size < 2:
+            raise DomainError("tabulated signal needs matching 1-d arrays with >= 2 samples")
+        if not np.all(np.isfinite(tau)) or not np.all(np.isfinite(values)):
+            raise DomainError("tabulated signal contains non-finite entries")
+        if np.any(np.diff(tau) <= 0):
+            raise DomainError("tabulated signal times must be strictly increasing")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_interp", PchipInterpolator(tau, values, extrapolate=False))
@@ -123,7 +83,9 @@ class TabulatedSignal:
             raise DomainError("requested time outside the tabulated signal span")
         return self._interp(np.clip(t, self.tau[0], self.tau[-1]))
 
-    def max_abs(self) -> float:
+    d2_at = at
+
+    def max_abs(self, tau_max: float) -> float:
         return float(np.max(np.abs(self.values)))
 
     def require_span(self, tau_max: float) -> None:
@@ -132,6 +94,9 @@ class TabulatedSignal:
                 f"tabulated signal covers [{self.tau[0]:g}, {self.tau[-1]:g}], "
                 f"needed [0, {tau_max:g}]"
             )
+
+
+SqueezingProfile = Union[ConstantSqueezing, ModulatedSqueezing, TabulatedSignal]
 
 
 Signal = Union[float, TabulatedSignal]
@@ -169,7 +134,7 @@ class Coupling:
 
     def g_max(self, tau_max: float) -> float:
         if isinstance(self.g, TabulatedSignal):
-            return self.g.max_abs()
+            return self.g.max_abs(tau_max)
         return abs(float(self.g))
 
     def require_span(self, tau_max: float) -> None:

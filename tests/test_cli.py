@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from optomech import ConstantSqueezing, Coupling, InitialState, SystemParams, evaluate_point
 from optomech.cli import main
 
 EVOLVE_HEADER = "tau,re_a,im_a,x1,p1,nu_op,nu_me,delta,delta_min,delta_max"
@@ -67,6 +68,13 @@ class TestConfig:
         assert rc == 2
         assert "resolution" in capsys.readouterr().err
 
+    def test_removed_workers_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        rc = main(["sweep", "--config", cfg, "--axis1", "g0,1,2,2,linear", "--workers", "2",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert "workers: unknown configuration key" in capsys.readouterr().err
+
     def test_lab_frame_flag(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "o.csv"
@@ -108,6 +116,18 @@ class TestEvolve:
         main(["evolve", "--config", cfg, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_long_resonant_run_succeeds(self, tmp_path):
+        # the measure saturates its upper bound here; it must stay inside it
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "o.csv"
+        rc = main(["evolve", "--config", cfg, "--squeezing", "modulated", "--d2", "0.1",
+                   "--g0", "1", "--tau_max", str(20 * np.pi), "--points", "2001",
+                   "--out", str(out)])
+        assert rc == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (2001, 10)
+        assert np.all(rows[:, 7] <= rows[:, 9] + 1e-9)
+
     def test_resonant_modulation_grows_in_windowed_mean(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "o.csv"
@@ -137,6 +157,21 @@ class TestSweep:
         sweep_first = [float(x) for x in sweep_out.read_text().splitlines()[1].split(",")]
         assert sweep_first[0] == 1.0
         assert sweep_first[1] == pytest.approx(evolve_last[7], abs=1e-12)
+
+    def test_cells_match_single_points(self, tmp_path):
+        # tau as the outer axis interleaves the (g0, d2) groups across rows
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--config", cfg, "--d2", "0.3", "--axis1", "tau,0.5,3,3,linear",
+                   "--axis2", "g0,0.5,2,3,linear", "--out", str(out)])
+        assert rc == 0
+        init = InitialState(1.0, 0.0)
+        for tau, g0, delta, delta_min, delta_max in np.loadtxt(out, delimiter=",", skiprows=1):
+            system = SystemParams(1.0, Coupling(g=g0), ConstantSqueezing(0.3))
+            want = evaluate_point(system, init, tau).report
+            assert (delta, delta_min, delta_max) == pytest.approx(
+                (want.delta, want.delta_min, want.delta_max), rel=1e-12, abs=1e-15
+            )
 
     def test_squeezing_suppression_trend(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)

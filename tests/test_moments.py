@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optomech import (
-    ConsistencyError,
     ConstantSqueezing,
     Coupling,
     DecouplingCoefficients,
@@ -51,6 +50,14 @@ class TestDisplacementAmplitudes:
         with pytest.raises(ValidationError):
             displacement_amplitudes(1.2, 0.0, DecouplingCoefficients.zeros())
 
+    def test_identity_check_is_relative_at_resonance(self):
+        # at 40*pi |beta|^2 ~ 1e10, so rounding alone leaves an absolute
+        # residual ~1e-5 in |alpha|^2 - |beta|^2 - 1; the pair is still valid
+        system = SystemParams(1.0, Coupling(g=0.0), ModulatedSqueezing(0.1, 2.0))
+        rec = evaluate_point(system, InitialState(1.0, 0.0), 40 * np.pi)
+        assert abs(rec.beta) > 1e4
+        assert rec.report.delta == 0.0
+
     def test_modulated_against_fock_oracle(self):
         # with mu_m = 0 and no drive, <b> reduces to photon_shift * |mu_c|^2
         system = SystemParams(1.0, Coupling(g=0.5), ModulatedSqueezing(0.1, 2.0))
@@ -79,12 +86,6 @@ class TestMoments:
             alpha, beta = constant_bogoliubov(0.0, tau)
             m = moments(constant_coefficients(0.0, 0.0, tau), alpha, beta, init)
             assert m.b == pytest.approx(np.exp(-1j * tau) * init.mu_m)
-
-    def test_mismatched_time_rejected(self):
-        coeffs = constant_coefficients(1.0, 0.0, 1.0)
-        alpha, beta = constant_bogoliubov(0.0, 1.0)
-        with pytest.raises(ConsistencyError):
-            moments(coeffs, alpha, beta, InitialState(1.0), tau=2.0)
 
     @settings(max_examples=40, deadline=None)
     @given(

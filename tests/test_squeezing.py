@@ -8,7 +8,7 @@ from optomech import (
     DomainError,
     ModulatedSqueezing,
     SingularFactorError,
-    TabulatedSqueezing,
+    TabulatedSignal,
     UnsupportedRegimeError,
     ValidityWarning,
     constant_bogoliubov,
@@ -69,23 +69,23 @@ class TestSolveQuadratic:
         assert np.max(np.abs(sol.sin_sol - np.sin(sol.tau))) < 1e-8
 
     def test_zero_amplitude_table_is_free(self):
-        table = TabulatedSqueezing(np.linspace(0, TWO_PI, 64), np.zeros(64))
+        table = TabulatedSignal(np.linspace(0, TWO_PI, 64), np.zeros(64))
         sol = solve_quadratic(table, TWO_PI)
         assert np.max(np.abs(sol.cos_sol - np.cos(sol.tau))) < 1e-8
 
     def test_table_must_cover_span(self):
-        table = TabulatedSqueezing(np.linspace(0, 1.0, 16), np.full(16, 0.1))
+        table = TabulatedSignal(np.linspace(0, 1.0, 16), np.full(16, 0.1))
         with pytest.raises(DomainError):
             solve_quadratic(table, TWO_PI)
 
     def test_table_must_increase(self):
         with pytest.raises(DomainError):
-            TabulatedSqueezing(np.array([0.0, 1.0, 1.0, 2.0]), np.zeros(4))
+            TabulatedSignal(np.array([0.0, 1.0, 1.0, 2.0]), np.zeros(4))
 
     def test_tabulated_tracks_modulation(self):
         # a dense table of the sinusoidal profile must track its solution
         grid = np.linspace(0, TWO_PI, 400)
-        table = TabulatedSqueezing(grid, 0.1 * np.cos(2.0 * grid))
+        table = TabulatedSignal(grid, 0.1 * np.cos(2.0 * grid))
         sol_t = solve_quadratic(table, TWO_PI)
         sol_m = solve_quadratic(ModulatedSqueezing(0.1, 2.0), TWO_PI)
         taus = np.linspace(0, TWO_PI, 100)
