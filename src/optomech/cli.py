@@ -18,12 +18,12 @@ file.  Exit codes: 0 success, 2 config error, 3 numerical-regime error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fock
 from .engine import evaluate_point, evaluate_trajectory
 from .errors import (
     ConfigError,
@@ -112,9 +112,12 @@ class RunConfig:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -135,14 +138,9 @@ def _parse_bool(key: str, raw: str) -> bool:
 
 def _parse_complex(key: str, raw: str) -> complex:
     parts = [p.strip() for p in raw.split(",")]
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ConfigError(f"{key}: expected 're,im', got {raw!r}")
+    if len(parts) > 2:
+        raise ConfigError(f"{key}: expected 're,im', got {raw!r}")
+    return complex(*(_parse_float(key, p) for p in parts))
 
 
 def _parse_axis(key: str, raw: str) -> Axis:
@@ -240,7 +238,8 @@ def _fmt(x: float) -> str:
 
 def _write_csv(path: str, header: list[str], rows) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    # Python floats format faster than numpy scalars, to the same text
+    lines.extend(",".join(map(_fmt, row)) for row in np.asarray(rows).tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -375,6 +374,8 @@ _MOMENT_NAMES = ("a", "b", "a2", "b2", "na", "nb", "ab", "ab_dag")
 
 
 def run_oracle_check(cfg: RunConfig) -> int:
+    from . import fock
+
     system = cfg.system()
     init = cfg.initial_state()
     rec = evaluate_point(system, init, cfg.tau)

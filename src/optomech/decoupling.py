@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from ._interp import hermite_eval
 from .errors import ValidityWarning
@@ -77,6 +76,8 @@ class DecouplingTables:
     """
 
     def __init__(self, sol: QuadraticSolution, coupling: Coupling):
+        from scipy.integrate import cumulative_simpson
+
         coupling.require_span(sol.tau_max)
         self._sol = sol
         self._step = sol.step

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .decoupling import DecouplingCoefficients
 from .errors import DomainError, ValidationError
@@ -79,7 +78,8 @@ def mode_entropy(nu):
     x = np.maximum(x, 1.0)
     up = 0.5 * (x + 1.0)
     dn = 0.5 * (x - 1.0)
-    out = xlogy(up, up) - xlogy(dn, dn)
+    # dn * log(dn) -> 0 as dn -> 0; the log of a placeholder 1 keeps it exact
+    out = up * np.log(up) - dn * np.log(np.where(dn > 0.0, dn, 1.0))
     return float(out) if out.ndim == 0 else out
 
 

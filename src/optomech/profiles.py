@@ -8,12 +8,14 @@ omega_m.  Profile objects are immutable and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 _SPAN_SLACK = 1e-9
 
@@ -65,6 +67,8 @@ class TabulatedSignal:
     _interp: PchipInterpolator = field(init=False, repr=False)
 
     def __post_init__(self):
+        from scipy.interpolate import PchipInterpolator
+
         tau = np.asarray(self.tau, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if tau.ndim != 1 or values.shape != tau.shape or tau.size < 2:

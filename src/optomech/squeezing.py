@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._interp import hermite_eval
 from .errors import (
@@ -184,6 +183,7 @@ def solve_quadratic(
         )
     if method not in ("auto", "numeric"):
         raise ValueError(f"unknown method {method!r}")
+    from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         w = 1.0 + 4.0 * float(profile.d2_at(t))

@@ -1,11 +1,15 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from optomech import ConstantSqueezing, Coupling, InitialState, SystemParams, evaluate_point
-from optomech.cli import main
+from optomech.cli import _write_csv, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 EVOLVE_HEADER = "tau,re_a,im_a,x1,p1,nu_op,nu_me,delta,delta_min,delta_max"
 
@@ -47,6 +51,17 @@ class TestConfig:
         rc = main(["evolve", "--config", cfg, "--tau_max", "abc", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "tau_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("d2", "nan"), ("tau_max", "inf"), ("mu_c", "nan,0"), ("axis1", "d2,0,inf,3,linear")],
+    )
+    def test_non_finite_value_named(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        rc = main(["sweep" if key == "axis1" else "evolve", "--config", cfg, f"--{key}", value,
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: expected a finite number")
 
     def test_flag_overrides_file(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -282,6 +297,66 @@ class TestOracleCheck:
                    "--omega0", "2.0", "--tau", str(np.pi), "--n_c", "14", "--n_m", "96",
                    "--tol", "1e-12", "--out", str(tmp_path / "o.csv")])
         assert rc == 4
+
+
+def test_csv_bytes_match_per_value_formatting(tmp_path):
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+              0.1, -1.0 / 3.0, np.pi]
+    values += list(np.geomspace(1e-300, 1e300, 61)) + list(-np.geomspace(1e-300, 1e300, 61))
+    rows = np.array(values[:130]).reshape(13, 10)
+    path = tmp_path / "o.csv"
+    _write_csv(str(path), [f"c{j}" for j in range(10)], rows)
+    expected = ",".join(f"c{j}" for j in range(10)) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows
+    )
+    assert path.read_bytes() == expected.encode()
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+_SCIPY_LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+
+
+class TestImportBudget:
+    """Closed-form runs load numpy alone; scipy loads on the routes that use it."""
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = _run_python("import optomech.cli; " + _SCIPY_LOADED)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_closed_form_evolve_loads_no_scipy(self, tmp_path):
+        out = tmp_path / "o.csv"
+        proc = _run_python(
+            "from optomech import cli; "
+            f"rc = cli.main(['evolve', '--squeezing', 'constant', '--d2', '0.3', "
+            f"'--points', '5', '--out', {str(out)!r}]); assert rc == 0, rc; " + _SCIPY_LOADED
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert out.read_text().splitlines()[0] == EVOLVE_HEADER
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--squeezing", "modulated", "--d2", "0.1", "--points", "5"],
+            ["oracle-check", "--g0", "0.5", "--d2", "0.3", "--squeezing", "constant",
+             "--tau", "0.5"],
+        ],
+        ids=["modulated-evolve", "oracle-check"],
+    )
+    def test_scipy_routes_still_run(self, tmp_path, argv):
+        out = tmp_path / "o.csv"
+        proc = _run_python(
+            "import sys; from optomech import cli; "
+            f"sys.exit(cli.main({argv + ['--out', str(out)]!r}))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
 
 
 def test_module_entry_point(tmp_path):

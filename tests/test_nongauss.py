@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,11 +57,27 @@ class TestSymplecticEigenvalues:
 
 class TestModeEntropy:
     def test_pure_mode(self):
-        assert mode_entropy(1.0) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mode_entropy(1.0) == 0.0
+            assert type(mode_entropy(1.0)) is float
+            out = mode_entropy(np.ones(3))
+        assert out.shape == (3,)
+        assert np.all(out == 0.0)
 
     def test_reference_value(self):
         assert mode_entropy(3.0) == pytest.approx(TWO_LN_2)
         assert mode_entropy(3.0) == pytest.approx(1.3862944, abs=1e-7)
+
+    def test_matches_xlogy_reference(self):
+        from scipy.special import xlogy
+
+        nu = np.array([1.0, 1.0 + 1e-15, 1.0 + 1e-8, 1.5, 10.0, 1e6])
+        up, dn = 0.5 * (nu + 1.0), 0.5 * (nu - 1.0)
+        reference = xlogy(up, up) - xlogy(dn, dn)
+        assert np.max(np.abs(mode_entropy(nu) - reference)) <= 1e-15
+        for x, ref in zip(nu, reference):
+            assert abs(mode_entropy(x) - ref) <= 1e-15
 
     def test_clamp_window(self):
         assert mode_entropy(1.0 - 5e-7) == 0.0
@@ -67,6 +85,10 @@ class TestModeEntropy:
     def test_below_window_rejected(self):
         with pytest.raises(DomainError):
             mode_entropy(0.9)
+        with pytest.raises(DomainError):
+            mode_entropy(1.0 - 1.01e-6)
+        with pytest.raises(DomainError):
+            mode_entropy(np.array([1.0, 1.0 - 2e-6]))
 
     @settings(max_examples=60, deadline=None)
     @given(nu=st.floats(1.0, 50.0), bump=st.floats(1e-6, 5.0))
