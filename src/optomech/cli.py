@@ -158,6 +158,8 @@ def _parse_axis(key: str, raw: str) -> Axis:
     lo, hi = _parse_float(key, start), _parse_float(key, stop)
     if spacing == "log" and (lo <= 0 or hi <= 0):
         raise ConfigError(f"{key}: log axis endpoints must be positive")
+    if name == "tau" and min(lo, hi) < 0:
+        raise ConfigError(f"{key}: tau values must be non-negative")
     return Axis(name=name, start=lo, stop=hi, count=n, spacing=spacing)
 
 
@@ -227,6 +229,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"tau: must be non-negative, got {cfg.tau:g}")
     if cfg.tol <= 0:
         raise ConfigError(f"tol: must be positive, got {cfg.tol:g}")
+    for key in ("resolution", "n_c", "n_m", "dt"):
+        value = getattr(cfg, key)
+        if value < 0:
+            raise ConfigError(f"{key}: must be non-negative (0 = automatic), got {value:g}")
     if cfg.axis2 is not None and cfg.axis1 is None:
         raise ConfigError("axis2: set axis1 before axis2")
     cfg.system()  # surfaces an invalid squeezing kind as a config error

@@ -66,6 +66,19 @@ class DecouplingCoefficients:
         return self.num + self.num_sq + 2.0 * self.num_pos * self.mom
 
 
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Running Simpson integral of samples y on a uniform grid of step h: even
+    intervals use the parabola through the samples ahead, odd intervals and
+    the last one the parabola through the samples behind."""
+    ahead = 5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:]  # interval i from samples i..i+2
+    behind = -y[:-2] + 8.0 * y[1:-1] + 5.0 * y[2:]  # interval i+1 from samples i..i+2
+    piece = np.empty(y.size - 1)
+    piece[:-1:2] = ahead[::2]
+    piece[1::2] = behind[::2]
+    piece[-1] = behind[-1]
+    return np.concatenate([[0.0], np.cumsum(piece * (h / 12.0))])
+
+
 class DecouplingTables:
     """Cumulative quadrature tables for the decoupling coefficients.
 
@@ -76,8 +89,6 @@ class DecouplingTables:
     """
 
     def __init__(self, sol: QuadraticSolution, coupling: Coupling):
-        from scipy.integrate import cumulative_simpson
-
         coupling.require_span(sol.tau_max)
         self._sol = sol
         self._step = sol.step
@@ -94,7 +105,7 @@ class DecouplingTables:
         d_im = d1 * im
 
         def cum(y):
-            return cumulative_simpson(y, dx=self._step, initial=0.0)
+            return _cumulative_simpson(y, self._step)
 
         cum_g_re = cum(g_re)
         cum_d_re = cum(d_re)

@@ -4,7 +4,7 @@ Given system parameters and an initial coherent state, produce the
 decoupling coefficients, Bogoliubov pair, moments, covariance matrix and
 non-Gaussianity report on a time grid.  Constant squeezing with a constant
 coupling and no drive dispatches to the closed forms; everything else runs
-through the adaptive solver and the quadrature tables.  Each stage runs
+through the Magnus propagator and the quadrature tables.  Each stage runs
 once over the whole array of times, so a trajectory is one record whose
 fields are arrays over tau.
 

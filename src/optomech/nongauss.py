@@ -78,8 +78,9 @@ def mode_entropy(nu):
     x = np.maximum(x, 1.0)
     up = 0.5 * (x + 1.0)
     dn = 0.5 * (x - 1.0)
-    # dn * log(dn) -> 0 as dn -> 0; the log of a placeholder 1 keeps it exact
-    out = up * np.log(up) - dn * np.log(np.where(dn > 0.0, dn, 1.0))
+    # up*log(up) - dn*log(dn) with up = dn + 1, free of cancellation at large nu;
+    # the placeholder 1 keeps the dn = 0 term exactly 0
+    out = np.log(up) + dn * np.log1p(1.0 / np.where(dn > 0.0, dn, 1.0))
     return float(out) if out.ndim == 0 else out
 
 

@@ -31,6 +31,9 @@ _MIN_POINTS = 4096
 
 _SPAN_SLACK = 1e-9
 
+# Gauss-Legendre nodes of a unit interval
+_GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+
 
 def oscillation_rate(profile: SqueezingProfile, tau_max: float) -> float:
     """Effective angular rate sqrt(1 + 4*max|D2|) used to size grids."""
@@ -52,10 +55,8 @@ class QuadraticSolution:
     """Sampled fundamental solutions of the quadratic sector.
 
     ``cos_sol``/``sin_sol`` carry the cosine-like and sine-like solutions,
-    ``cos_deriv``/``sin_deriv`` their derivatives, ``omega_sq`` the squared
-    frequency 1 + 4*D2 on the grid, and ``omega_cos_integral`` the
-    co-integrated quantity J = integral of omega_sq * cos_sol, which closes
-    the symplectic identity cos_sol * sin_deriv + sin_sol * J = 1.
+    ``cos_deriv``/``sin_deriv`` their derivatives and ``omega_sq`` the
+    squared frequency 1 + 4*D2 on the grid.
     """
 
     tau: np.ndarray
@@ -64,7 +65,6 @@ class QuadraticSolution:
     sin_sol: np.ndarray
     sin_deriv: np.ndarray
     omega_sq: np.ndarray
-    omega_cos_integral: np.ndarray
     profile: SqueezingProfile
 
     @property
@@ -106,10 +106,11 @@ class QuadraticSolution:
         return alpha, beta
 
     def identity_residual(self) -> np.ndarray:
-        """|cos_sol * sin_deriv + sin_sol * J - 1| on the grid."""
-        return np.abs(
-            self.cos_sol * self.sin_deriv + self.sin_sol * self.omega_cos_integral - 1.0
-        )
+        """Relative Wronskian defect on the grid: |W - 1| over the magnitude of
+        the two products in W = cos_sol * sin_deriv - sin_sol * cos_deriv."""
+        direct = self.cos_sol * self.sin_deriv
+        cross = self.sin_sol * self.cos_deriv
+        return np.abs(direct - cross - 1.0) / (np.abs(direct) + np.abs(cross))
 
     def bogoliubov_residual(self) -> np.ndarray:
         """| |alpha|^2 - |beta|^2 - 1 | on the grid."""
@@ -129,12 +130,11 @@ def solve_quadratic(
     profile: SqueezingProfile,
     tau_max: float,
     resolution: float | None = None,
-    *,
-    method: str = "auto",
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
 ) -> QuadraticSolution:
     """Solve the quadratic sector on [0, tau_max].
+
+    One fourth-order Magnus step per grid interval (Blanes et al., Phys. Rep.
+    470, 151 (2009)); their prefix product gives the solution at every node.
 
     Parameters
     ----------
@@ -143,12 +143,9 @@ def solve_quadratic(
     tau_max:
         End of the solved span; must be positive.
     resolution:
-        Samples per unit tau.  Defaults to 256 per unit of the effective
-        oscillation rate, with a floor of 4096 total points.
-    method:
-        "auto" uses the closed form for constant profiles and an adaptive
-        integrator otherwise; "numeric" forces the integrator (useful as an
-        independent cross-check of the closed form).
+        Samples per unit tau, the single accuracy knob.  Defaults to 256 per
+        unit of the effective oscillation rate, with a floor of 4096 total
+        points.
     """
     if tau_max <= 0.0:
         raise DomainError("tau_max must be positive")
@@ -166,50 +163,32 @@ def solve_quadratic(
         )
     grid = _grid(tau_max, resolution)
 
-    if method == "auto" and isinstance(profile, ConstantSqueezing):
-        z = zeta(profile.d2)
-        zt = z * grid
-        cos_sol = np.cos(zt)
-        sin_sol = np.sin(zt) / z
-        return QuadraticSolution(
-            tau=grid,
-            cos_sol=cos_sol,
-            cos_deriv=-z * np.sin(zt),
-            sin_sol=sin_sol,
-            sin_deriv=np.cos(zt),
-            omega_sq=np.full_like(grid, z * z),
-            omega_cos_integral=z * np.sin(zt),
-            profile=profile,
-        )
-    if method not in ("auto", "numeric"):
-        raise ValueError(f"unknown method {method!r}")
-    from scipy.integrate import solve_ivp
+    # Magnus exponent [[c, h], [lower, -c]] of y' = [[0, 1], [-w, 0]] y from the
+    # two Gauss points; being traceless, exp = even*I + odd*exponent with
+    # s^2 = -det: cosh and sinh(s)/s for s^2 > 0, cos and sinc otherwise
+    h = grid[1] - grid[0]
+    w = 1.0 + 4.0 * np.asarray(profile.d2_at(grid[:-1, None] + h * _GAUSS), dtype=float)
+    c = np.sqrt(3.0) / 12.0 * h * h * (w[:, 1] - w[:, 0])
+    lower = -0.5 * h * (w[:, 0] + w[:, 1])
+    s2 = c * c + h * lower
+    s = np.sqrt(np.abs(s2))
+    even = np.where(s2 > 0.0, np.cosh(s), np.cos(s))
+    odd = np.where(s2 > 0.0, np.sinh(s) / np.where(s > 0.0, s, 1.0), np.sinc(s / np.pi))
+    steps = np.array([[even + odd * c, odd * h], [odd * lower, even - odd * c]])
 
-    def rhs(t, y):
-        w = 1.0 + 4.0 * float(profile.d2_at(t))
-        # y = (cos_sol, cos_deriv, sin_sol, sin_deriv, J)
-        return (y[1], -w * y[0], y[3], -w * y[2], w * y[0])
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, tau_max),
-        [1.0, 0.0, 0.0, 1.0, 0.0],
-        method="DOP853",
-        dense_output=True,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:  # pragma: no cover - DOP853 does not fail on these systems
-        raise UnsupportedRegimeError(f"integration failed: {sol.message}")
-    ys = sol.sol(grid)
+    # inclusive prefix product in log2(n) passes: prop[j] = M[j-1] @ ... @ M[0]
+    prop = np.concatenate([np.eye(2)[None], np.moveaxis(steps, -1, 0)])
+    k = 1
+    while k < prop.shape[0]:
+        prop[k:] = prop[k:] @ prop[:-k]
+        k *= 2
     return QuadraticSolution(
         tau=grid,
-        cos_sol=ys[0],
-        cos_deriv=ys[1],
-        sin_sol=ys[2],
-        sin_deriv=ys[3],
+        cos_sol=prop[:, 0, 0],
+        cos_deriv=prop[:, 1, 0],
+        sin_sol=prop[:, 0, 1],
+        sin_deriv=prop[:, 1, 1],
         omega_sq=1.0 + 4.0 * np.asarray(profile.d2_at(grid), dtype=float),
-        omega_cos_integral=ys[4],
         profile=profile,
     )
 

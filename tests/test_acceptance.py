@@ -100,12 +100,12 @@ def test_c01_symplectic_identities():
     worst_identity = max(worst_identity, float(np.max(mod.identity_residual())))
     elapsed = time.perf_counter() - start
 
-    ok = worst_bogo_const < 1e-10 and bogo_mod < 1e-6 and worst_identity < 1e-6 and elapsed < 10
+    ok = worst_bogo_const < 1e-10 and bogo_mod < 1e-6 and worst_identity < 1e-10 and elapsed < 10
     report(1, ok, f"Bogoliubov residuals {worst_bogo_const:.1e} (const) / {bogo_mod:.1e} "
                   f"(modulated), identity {worst_identity:.1e}, {elapsed:.1f}s")
     assert worst_bogo_const < 1e-10
     assert bogo_mod < 1e-6
-    assert worst_identity < 1e-6
+    assert worst_identity < 1e-10
     assert elapsed < 10.0
 
 

@@ -63,6 +63,18 @@ class TestConfig:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {key}: expected a finite number")
 
+    @pytest.mark.parametrize(
+        "mode, key, value",
+        [("evolve", "resolution", "-5"), ("oracle-check", "n_c", "-3"),
+         ("oracle-check", "n_m", "-3"), ("oracle-check", "dt", "-0.01")],
+    )
+    def test_negative_automatic_value_named(self, tmp_path, capsys, mode, key, value):
+        # only 0 selects the automatic value
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        rc = main([mode, "--config", cfg, f"--{key}", value, "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: must be non-negative")
+
     def test_flag_overrides_file(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "o.csv"
@@ -172,6 +184,13 @@ class TestSweep:
         sweep_first = [float(x) for x in sweep_out.read_text().splitlines()[1].split(",")]
         assert sweep_first[0] == 1.0
         assert sweep_first[1] == pytest.approx(evolve_last[7], abs=1e-12)
+
+    def test_negative_tau_axis_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        rc = main(["sweep", "--config", cfg, "--axis1", "tau,-1,2,5,linear",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: axis1: tau values must be non-negative")
 
     def test_cells_match_single_points(self, tmp_path):
         # tau as the outer axis interleaves the (g0, d2) groups across rows
@@ -312,17 +331,24 @@ def test_csv_bytes_match_per_value_formatting(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
+def _src_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return env
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+    )
 
 
 _SCIPY_LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
 
 
 class TestImportBudget:
-    """Closed-form runs load numpy alone; scipy loads on the routes that use it."""
+    """The analytic engine loads numpy alone; scipy loads only for the Fock
+    oracle and a tabulated profile."""
 
     def test_cli_import_loads_no_scipy(self):
         proc = _run_python("import optomech.cli; " + _SCIPY_LOADED)
@@ -344,10 +370,28 @@ class TestImportBudget:
         "argv",
         [
             ["evolve", "--squeezing", "modulated", "--d2", "0.1", "--points", "5"],
+            ["sweep", "--squeezing", "modulated", "--d2", "0.1", "--axis1", "tau,0,3,3,linear"],
+            ["mathieu", "--squeezing", "modulated", "--d2", "0.1", "--points", "5"],
+        ],
+        ids=["modulated-evolve", "modulated-sweep", "mathieu"],
+    )
+    def test_numeric_routes_load_no_scipy(self, tmp_path, argv):
+        out = tmp_path / "o.csv"
+        proc = _run_python(
+            "from optomech import cli; "
+            f"rc = cli.main({argv + ['--out', str(out)]!r}); assert rc == 0, rc; " + _SCIPY_LOADED
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["oracle-check", "--g0", "0.5", "--d2", "0.3", "--squeezing", "constant",
              "--tau", "0.5"],
         ],
-        ids=["modulated-evolve", "oracle-check"],
+        ids=["oracle-check"],
     )
     def test_scipy_routes_still_run(self, tmp_path, argv):
         out = tmp_path / "o.csv"
@@ -368,6 +412,7 @@ def test_module_entry_point(tmp_path):
          "--points", "3", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().splitlines()[0] == EVOLVE_HEADER

@@ -15,7 +15,7 @@ from optomech import (
     resonant_coefficients,
     solve_quadratic,
 )
-from optomech.decoupling import DecouplingTables
+from optomech.decoupling import DecouplingTables, _cumulative_simpson
 
 TWO_PI = 2 * np.pi
 FIELDS = ("num", "num_sq", "pos", "mom", "num_pos", "num_mom")
@@ -85,6 +85,16 @@ class TestQuadratureRoute:
         short = TabulatedSignal(np.linspace(0.0, 1.0, 8), np.ones(8))
         with pytest.raises(DomainError):
             DecouplingTables(sol, Coupling(g=short))
+
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 4097, 4098])
+    def test_cumulative_simpson_pairs_like_scipy(self, n):
+        # the tables keep scipy's interval pairing, so they agree to rounding
+        from scipy.integrate import cumulative_simpson
+
+        y = np.random.default_rng(n).normal(size=n)
+        want = cumulative_simpson(y, dx=0.01, initial=0.0)
+        assert np.max(np.abs(_cumulative_simpson(y, 0.01) - want)) <= 1e-14
 
 
 class TestConstantClosedForm:

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,12 @@ from optomech import (
 )
 
 TWO_LN_2 = 2 * np.log(2.0)
+
+
+def _entropy_50_digits(nu: float) -> float:
+    with mpmath.workdps(50):
+        up, dn = (mpmath.mpf(nu) + 1) / 2, (mpmath.mpf(nu) - 1) / 2
+        return float(up * mpmath.log(up) - (dn * mpmath.log(dn) if dn > 0 else 0))
 
 
 class TestSymplecticEigenvalues:
@@ -70,14 +77,21 @@ class TestModeEntropy:
         assert mode_entropy(3.0) == pytest.approx(1.3862944, abs=1e-7)
 
     def test_matches_xlogy_reference(self):
-        from scipy.special import xlogy
-
+        # the reference is the 50-digit value: xlogy(up, up) - xlogy(dn, dn)
+        # itself cancels to 4e-11 at nu = 1e6
         nu = np.array([1.0, 1.0 + 1e-15, 1.0 + 1e-8, 1.5, 10.0, 1e6])
-        up, dn = 0.5 * (nu + 1.0), 0.5 * (nu - 1.0)
-        reference = xlogy(up, up) - xlogy(dn, dn)
+        reference = np.array([_entropy_50_digits(x) for x in nu])
         assert np.max(np.abs(mode_entropy(nu) - reference)) <= 1e-15
         for x, ref in zip(nu, reference):
             assert abs(mode_entropy(x) - ref) <= 1e-15
+
+    def test_relative_accuracy_across_scales(self):
+        nu = np.array([1 + 1e-12, 1 + 1e-8, 1.5, 10.0, 300.0, 1e4, 1e8, 1e12])
+        reference = np.array([_entropy_50_digits(x) for x in nu])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mode_entropy(nu)
+        assert np.max(np.abs(got - reference) / reference) <= 1e-15
 
     def test_clamp_window(self):
         assert mode_entropy(1.0 - 5e-7) == 0.0

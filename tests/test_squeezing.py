@@ -20,6 +20,7 @@ from optomech import (
 )
 
 TWO_PI = 2 * np.pi
+TABLE_GRID = np.linspace(0, 8 * np.pi, 600)
 
 
 class TestConstantSolution:
@@ -39,11 +40,11 @@ class TestConstantSolution:
             constant_solution(-0.3, 1.0)
 
     def test_matches_numeric_integration(self):
-        # the adaptive integrator is the independent oracle for the closed form
-        sol = solve_quadratic(ConstantSqueezing(0.5), 10 * np.pi, method="numeric")
+        # the numeric propagator is the independent oracle for the closed form
+        sol = solve_quadratic(ConstantSqueezing(0.5), 10 * np.pi)
         c, s = constant_solution(0.5, sol.tau)
-        assert np.max(np.abs(sol.cos_sol - c)) < 1e-8
-        assert np.max(np.abs(sol.sin_sol - s)) < 1e-8
+        assert np.max(np.abs(sol.cos_sol - c)) < 1e-11
+        assert np.max(np.abs(sol.sin_sol - s)) < 1e-11
 
 
 class TestSolveQuadratic:
@@ -52,16 +53,43 @@ class TestSolveQuadratic:
         assert np.allclose(sol.cos_sol, np.cos(sol.tau), atol=1e-12)
         assert np.allclose(sol.sin_sol, np.sin(sol.tau), atol=1e-12)
 
-    def test_constant_dispatches_to_closed_form(self):
-        sol = solve_quadratic(ConstantSqueezing(2.0), TWO_PI)
-        c, s = constant_solution(2.0, sol.tau)
-        assert np.array_equal(sol.cos_sol, c)
-        assert np.array_equal(sol.sin_sol, s)
-
     def test_symplectic_identity_on_grid(self):
         for profile in (ConstantSqueezing(0.5), ModulatedSqueezing(0.1, 2.0)):
             sol = solve_quadratic(profile, 4 * np.pi)
-            assert np.max(sol.identity_residual()) < 1e-6
+            assert np.max(sol.identity_residual()) < 1e-10
+
+    def test_identity_is_relative_at_resonance(self):
+        # |u| ~ 1e8 at 60 pi: the Wronskian defect is judged against its terms
+        sol = solve_quadratic(ModulatedSqueezing(0.1, 2.0), 60 * np.pi)
+        assert np.max(np.abs(sol.cos_sol)) > 1e6
+        assert np.max(sol.identity_residual()) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "profile, tau_max",
+        [
+            pytest.param(ModulatedSqueezing(0.1, 2.0), 60 * np.pi, id="resonant-60pi"),
+            pytest.param(ModulatedSqueezing(0.4, 2.0), 8 * np.pi, id="strong-8pi"),
+            pytest.param(ModulatedSqueezing(-0.2, 0.7), 30 * np.pi, id="slow-30pi"),
+            pytest.param(
+                TabulatedSignal(TABLE_GRID, 0.35 * np.cos(1.7 * TABLE_GRID) + 0.05),
+                8 * np.pi,
+                id="table-8pi",
+            ),
+        ],
+    )
+    def test_matches_tight_dop853(self, profile, tau_max):
+        from scipy.integrate import solve_ivp
+
+        sol = solve_quadratic(profile, tau_max)
+
+        def rhs(t, y):
+            w = 1.0 + 4.0 * float(profile.d2_at(t))
+            return (y[1], -w * y[0], y[3], -w * y[2])
+
+        ref = solve_ivp(rhs, (0.0, tau_max), [1.0, 0.0, 0.0, 1.0], method="DOP853",
+                        dense_output=True, rtol=1e-13, atol=1e-13).sol(sol.tau)
+        got = np.array([sol.cos_sol, sol.cos_deriv, sol.sin_sol, sol.sin_deriv])
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_zero_amplitude_modulation_is_free(self):
         sol = solve_quadratic(ModulatedSqueezing(0.0, 2.0), TWO_PI)
@@ -90,7 +118,7 @@ class TestSolveQuadratic:
         sol_m = solve_quadratic(ModulatedSqueezing(0.1, 2.0), TWO_PI)
         taus = np.linspace(0, TWO_PI, 100)
         assert np.max(np.abs(sol_t.mode(taus) - sol_m.mode(taus))) < 1e-5
-        assert np.max(sol_t.identity_residual()) < 1e-6
+        assert np.max(sol_t.identity_residual()) < 1e-10
 
     def test_inverted_potential_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
