@@ -6,7 +6,9 @@ Four modes, all emitting RFC-4180-style CSV with a mandatory header row and
 * ``evolve``       one trajectory: optical amplitude, quadratures,
                    subsystem eigenvalues and the non-Gaussianity measure.
 * ``sweep``        the measure and its bounds over 1-2 parameter axes.
-* ``oracle-check`` side-by-side analytic vs truncated-Fock moments.
+* ``oracle-check`` side-by-side analytic vs truncated-Fock moments; the
+                   oracle evolves one block per photon number, exactly
+                   for a static system, and ``dt`` sets its step otherwise.
 * ``mathieu``      numeric vs two-scale solutions of the modulated sector.
 
 Configuration is a flat ``key = value`` text file with optional bracketed

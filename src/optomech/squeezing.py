@@ -65,7 +65,6 @@ class QuadraticSolution:
     sin_sol: np.ndarray
     sin_deriv: np.ndarray
     omega_sq: np.ndarray
-    profile: SqueezingProfile
 
     @property
     def step(self) -> float:
@@ -189,7 +188,6 @@ def solve_quadratic(
         sin_sol=prop[:, 0, 1],
         sin_deriv=prop[:, 1, 1],
         omega_sq=1.0 + 4.0 * np.asarray(profile.d2_at(grid), dtype=float),
-        profile=profile,
     )
 
 

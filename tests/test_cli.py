@@ -347,8 +347,8 @@ _SCIPY_LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith
 
 
 class TestImportBudget:
-    """The analytic engine loads numpy alone; scipy loads only for the Fock
-    oracle and a tabulated profile."""
+    """Every mode, the Fock oracle included, loads numpy alone; only a
+    tabulated profile loads scipy (for its PCHIP interpolant)."""
 
     def test_cli_import_loads_no_scipy(self):
         proc = _run_python("import optomech.cli; " + _SCIPY_LOADED)
@@ -372,8 +372,10 @@ class TestImportBudget:
             ["evolve", "--squeezing", "modulated", "--d2", "0.1", "--points", "5"],
             ["sweep", "--squeezing", "modulated", "--d2", "0.1", "--axis1", "tau,0,3,3,linear"],
             ["mathieu", "--squeezing", "modulated", "--d2", "0.1", "--points", "5"],
+            ["oracle-check", "--g0", "0.5", "--d2", "0.3", "--squeezing", "constant",
+             "--tau", "0.5"],
         ],
-        ids=["modulated-evolve", "modulated-sweep", "mathieu"],
+        ids=["modulated-evolve", "modulated-sweep", "mathieu", "oracle-check"],
     )
     def test_numeric_routes_load_no_scipy(self, tmp_path, argv):
         out = tmp_path / "o.csv"
@@ -383,23 +385,6 @@ class TestImportBudget:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
-        assert out.exists()
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["oracle-check", "--g0", "0.5", "--d2", "0.3", "--squeezing", "constant",
-             "--tau", "0.5"],
-        ],
-        ids=["oracle-check"],
-    )
-    def test_scipy_routes_still_run(self, tmp_path, argv):
-        out = tmp_path / "o.csv"
-        proc = _run_python(
-            "import sys; from optomech import cli; "
-            f"sys.exit(cli.main({argv + ['--out', str(out)]!r}))"
-        )
-        assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
 

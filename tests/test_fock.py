@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
+import scipy.sparse as sp
+from scipy.linalg import block_diag, expm
+from scipy.sparse.linalg import expm_multiply
+from scipy.special import gammaln
 
 from optomech import (
     ConstantSqueezing,
@@ -10,6 +13,7 @@ from optomech import (
     CutoffInsufficientError,
     DomainError,
     InitialState,
+    ModulatedSqueezing,
     SystemParams,
     evaluate_point,
 )
@@ -27,39 +31,110 @@ def certified_point():
     return system, init, np.pi / 2
 
 
+def kron_hamiltonian(system, tau, n_c, n_m):
+    """The two-mode Hamiltonian as one sparse kron sum (reference form)."""
+    b = sp.diags(np.sqrt(np.arange(1, n_m)), 1, format="csr")
+    pos = (b + b.conj().T).tocsr()
+    num_m = sp.diags(np.arange(n_m, dtype=float), format="csr")
+    num_c = sp.diags(np.arange(n_c, dtype=float), format="csr")
+    eye_c = sp.identity(n_c, format="csr")
+    eye_m = sp.identity(n_m, format="csr")
+    d2 = float(system.squeezing.d2_at(tau))
+    g = float(system.coupling.g_at(tau))
+    d1 = float(system.coupling.drive_at(tau))
+    mech = num_m + d2 * (pos @ pos) + d1 * pos
+    h = (
+        system.omega_c * sp.kron(num_c, eye_m, format="csr")
+        + sp.kron(eye_c, mech, format="csr")
+        - g * sp.kron(num_c, pos, format="csr")
+    )
+    return h.tocsr()
+
+
+def block_matrix(system, tau, n_c, n_m):
+    """block_diag(omega_c*n + H_n) from the photon-number blocks."""
+    h = fock.build_hamiltonian(system, tau, n_c, n_m)
+    return block_diag(*(h.block(n) + system.omega_c * n * np.eye(n_m) for n in range(n_c)))
+
+
+def midpoint_expm_multiply(psi0, system, tau, dt):
+    """The midpoint-exponential stepping on the full kron Hamiltonian."""
+    n_c, n_m = psi0.n_c, psi0.n_m
+    n_steps = max(int(np.ceil(tau / dt - 1e-12)), 1)
+    step = tau / n_steps
+    psi = psi0.amplitudes.reshape(-1).astype(complex)
+    for k in range(n_steps):
+        psi = expm_multiply((-1j * step) * kron_hamiltonian(system, (k + 0.5) * step, n_c, n_m), psi)
+    return psi.reshape(n_c, n_m)
+
+
 class TestBuildHamiltonian:
     def test_free_diagonal(self):
-        h = fock.build_hamiltonian(free_system(omega_c=2.0), 0.0, 3, 4).toarray()
+        h = block_matrix(free_system(omega_c=2.0), 0.0, 3, 4)
         want = np.diag([2.0 * nc + nm for nc in range(3) for nm in range(4)])
-        assert np.allclose(h, want)
+        assert np.array_equal(h, want)
 
     def test_drive_matrix_element(self):
         system = SystemParams(1.0, Coupling(g=0.0, drive=0.37), ConstantSqueezing(0.0))
-        h = fock.build_hamiltonian(system, 0.0, 4, 6)
+        h = block_matrix(system, 0.0, 4, 6)
         # first mechanical excitation from the ground state
         assert h[1, 0] == pytest.approx(0.37)
 
     def test_hermitian(self):
         system = SystemParams(1.2, Coupling(g=0.5, drive=0.2), ConstantSqueezing(0.3))
         h = fock.build_hamiltonian(system, 0.0, 6, 8)
-        assert np.max(np.abs((h - h.conj().T).toarray())) == 0.0
+        for n in range(6):
+            block = h.block(n)
+            assert block.dtype == float
+            assert np.array_equal(block, block.T)
+
+    @pytest.mark.parametrize(
+        "system, tau",
+        [
+            (SystemParams(1.2, Coupling(g=0.5, drive=0.2), ConstantSqueezing(0.3)), 0.0),
+            (SystemParams(0.7, Coupling(g=0.45), ModulatedSqueezing(0.15, 2.0)), 0.83),
+            (SystemParams(3.0, Coupling(g=0.0), ConstantSqueezing(-0.2)), 0.0),
+        ],
+        ids=["driven-constant", "modulated", "decoupled"],
+    )
+    def test_blocks_equal_kron_construction(self, system, tau):
+        # the same matrix up to rounding: the blocks take sqrt((m+1)(m+2)),
+        # 2m+1 and (d1 - g*n)*sqrt(m) where the kron sum multiplies rounded
+        # square roots and adds d1*sqrt(m) - g*(n*sqrt(m))
+        want = kron_hamiltonian(system, tau, 7, 9).toarray()
+        got = block_matrix(system, tau, 7, 9)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
+        assert np.array_equal(got != 0.0, want != 0.0)
 
     def test_ground_energy_converged_in_mechanical_cutoff(self):
         # fixed photon cutoff: each photon block converges exponentially
         system = SystemParams(1.0, Coupling(g=0.5), ConstantSqueezing(0.3))
-        e_small = eigsh(
-            fock.build_hamiltonian(system, 0.0, 6, 24).tocsc(),
-            k=1, which="SA", return_eigenvectors=False,
-        )[0]
-        e_large = eigsh(
-            fock.build_hamiltonian(system, 0.0, 6, 48).tocsc(),
-            k=1, which="SA", return_eigenvectors=False,
-        )[0]
-        assert abs(e_small - e_large) < 1e-6
+
+        def ground(n_m):
+            h = fock.build_hamiltonian(system, 0.0, 6, n_m)
+            return min(np.linalg.eigvalsh(h.block(n))[0] + system.omega_c * n for n in range(6))
+
+        assert abs(ground(24) - ground(48)) < 1e-6
 
     def test_tiny_cutoffs_rejected(self):
         with pytest.raises(DomainError):
             fock.build_hamiltonian(free_system(), 0.0, 1, 8)
+
+
+class TestCoherentAmplitudes:
+    @pytest.mark.parametrize("mu", [0.3, 1.0 - 0.5j, 2.0, 10.0, -30.0j])
+    def test_matches_gammaln(self, mu):
+        # the amplitudes differ only through the log-factorial in their
+        # exponent, so the bound is relative to it
+        n = 2000
+        m = np.arange(n)
+        got = fock.coherent_amplitudes(mu, n)
+        log_ref = -0.5 * abs(mu) ** 2 + m * np.log(abs(mu)) - 0.5 * gammaln(m + 1.0)
+        ref = np.exp(log_ref) * np.exp(1j * m * np.angle(mu))
+        live = log_ref > -700.0
+        scale = 1e-13 * (1.0 + gammaln(m[live] + 1.0))
+        assert np.all(np.abs(got[live] - ref[live]) <= scale * np.abs(ref[live]))
+        assert np.all(np.abs(got[~live]) < 1e-300)
 
 
 class TestEvolve:
@@ -80,17 +155,78 @@ class TestEvolve:
         final = fock.evolve(fock.product_coherent(init, 16, 48), system, tau)
         assert abs(final.norm_sq() - 1.0) < 1e-8
 
-    def test_step_halving_stability(self, certified_point):
-        # halving the step must not move any moment appreciably
-        system, init, tau = certified_point
+    def test_step_halving_stability(self):
+        # halving the step must not move any moment appreciably (the stepped
+        # route; a static system is propagated exactly and does not step)
+        system = SystemParams(1.0, Coupling(g=0.4), ModulatedSqueezing(0.1, 2.0))
+        init, tau = InitialState(1.0, 0.0), 1.2
         psi0 = fock.product_coherent(init, 16, 48)
-        coarse = fock.evolve(psi0, system, tau, dt=0.05, check_convergence=False)
-        fine = fock.evolve(psi0, system, tau, dt=0.025, check_convergence=False)
+        coarse = fock.evolve(psi0, system, tau, dt=0.02, check_convergence=False)
+        fine = fock.evolve(psi0, system, tau, dt=0.01, check_convergence=False)
         m1 = fock.measure_moments(coarse, system.omega_c, tau)
         m2 = fock.measure_moments(fine, system.omega_c, tau)
         for name in ("a", "b", "a2", "b2", "na", "nb", "ab", "ab_dag"):
             drift = abs(complex(getattr(m1, name)) - complex(getattr(m2, name)))
             assert drift <= 1e-4 * max(abs(complex(getattr(m2, name))), 1e-6)
+
+    def test_static_route_does_not_step(self, certified_point):
+        system, init, tau = certified_point
+        psi0 = fock.product_coherent(init, 16, 48)
+        coarse = fock.evolve(psi0, system, tau, dt=0.05)
+        fine = fock.evolve(psi0, system, tau, dt=0.025)
+        assert np.array_equal(coarse.amplitudes, fine.amplitudes)
+
+    def test_static_route_matches_dense_expm(self, certified_point):
+        system, init, tau = certified_point
+        psi0 = fock.product_coherent(init, 16, 48)
+        h = kron_hamiltonian(system, 0.0, 16, 48).toarray()
+        want = (expm(-1j * tau * h) @ psi0.amplitudes.reshape(-1)).reshape(16, 48)
+        final = fock.evolve(psi0, system, tau)
+        assert np.max(np.abs(final.amplitudes - want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "system, dt",
+        [
+            (SystemParams(1.3, Coupling(g=0.4, drive=0.1), ModulatedSqueezing(0.15, 2.0)), None),
+            (SystemParams(1.0, Coupling(g=0.3), ModulatedSqueezing(0.2, 2.0)), 0.5),
+        ],
+        ids=["default-dt", "substeps"],
+    )
+    def test_stepped_route_matches_midpoint_expm_multiply(self, system, dt):
+        init, tau = InitialState(0.8, 0.2j), 1.5
+        psi0 = fock.product_coherent(init, 12, 48)
+        step = fock.default_dt(system, tau, 12) if dt is None else dt
+        if dt is not None:
+            # the step is long enough that the Taylor series must substep
+            lo, hi = fock.build_hamiltonian(system, 0.25, 12, 48).spectral_bounds()
+            assert dt * 0.5 * (hi - lo) > 4.0
+        want = midpoint_expm_multiply(psi0, system, tau, step)
+        final = fock.evolve(psi0, system, tau, dt, check_convergence=False)
+        assert np.max(np.abs(final.amplitudes - want)) <= 1e-12
+
+    def test_default_dt_ignores_omega_c(self):
+        for squeezing in (ConstantSqueezing(0.3), ModulatedSqueezing(0.1, 2.0)):
+            slow = SystemParams(1.0, Coupling(g=0.5), squeezing)
+            fast = SystemParams(5.0, Coupling(g=0.5), squeezing)
+            assert fock.default_dt(fast, 1.5, 16) == fock.default_dt(slow, 1.5, 16)
+
+    @pytest.mark.parametrize(
+        "squeezing", [ConstantSqueezing(0.3), ModulatedSqueezing(0.1, 2.0)],
+        ids=["constant", "modulated"],
+    )
+    def test_omega_c_is_an_exact_phase(self, squeezing):
+        # the cavity frequency only rotates each photon block, so the
+        # rotating-frame moments do not depend on it at a fixed step
+        init, tau = InitialState(1.0, 0.0), 1.0
+        slow = SystemParams(1.0, Coupling(g=0.5), squeezing)
+        fast = SystemParams(5.0, Coupling(g=0.5), squeezing)
+        dt = fock.default_dt(slow, tau, 16)
+        psi0 = fock.product_coherent(init, 16, 48)
+        m1 = fock.measure_moments(fock.evolve(psi0, slow, tau, dt), slow.omega_c, tau)
+        m5 = fock.measure_moments(fock.evolve(psi0, fast, tau, dt), fast.omega_c, tau)
+        for name in ("a", "b", "a2", "b2", "na", "nb", "ab", "ab_dag"):
+            x, y = complex(getattr(m5, name)), complex(getattr(m1, name))
+            assert abs(x - y) <= 1e-10 * max(abs(y), 1.0), name
 
     def test_undersized_basis_flagged(self):
         with pytest.raises(CutoffInsufficientError) as err:
@@ -156,7 +292,7 @@ class TestAnalyticKet:
         alpha, beta = constant_bogoliubov(0.3, 1.1)
         n = 120
         u = fock.squeeze_rotation_matrix(alpha, beta, n)
-        b = fock.destroy(n).toarray()
+        b = fock.destroy(n)
         sandwich = u.conj().T @ b @ u
         want = alpha * b + beta * b.T
         # compare well inside the truncation edge: the squeeze operator mixes
