@@ -13,7 +13,6 @@ from .decoupling import (
     DecouplingCoefficients,
     DecouplingTables,
     constant_coefficients,
-    decoupling_coefficients,
     number_displacement_sq_constant,
     number_displacement_sq_resonant,
     resonant_coefficients,
@@ -98,7 +97,6 @@ __all__ = [
     "constant_coefficients",
     "constant_solution",
     "covariance",
-    "decoupling_coefficients",
     "displacement_amplitudes",
     "evaluate_point",
     "evaluate_trajectory",

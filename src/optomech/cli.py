@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -165,26 +165,17 @@ def _parse_axis(key: str, raw: str) -> Axis:
     return Axis(name=name, start=lo, stop=hi, count=n, spacing=spacing)
 
 
+# every RunConfig field but mode and out is a key, parsed by its annotation
+_PARSE_BY_TYPE = {
+    "float": _parse_float,
+    "int": _parse_int,
+    "complex": _parse_complex,
+    "bool": _parse_bool,
+    "str": lambda key, raw: raw.strip().lower(),
+    "Axis | None": _parse_axis,
+}
 _PARSERS = {
-    "omega_c": _parse_float,
-    "g0": _parse_float,
-    "d1": _parse_float,
-    "squeezing": lambda key, raw: raw.strip().lower(),
-    "d2": _parse_float,
-    "omega0": _parse_float,
-    "mu_c": _parse_complex,
-    "mu_m": _parse_complex,
-    "tau_max": _parse_float,
-    "points": _parse_int,
-    "resolution": _parse_float,
-    "lab_frame": _parse_bool,
-    "tau": _parse_float,
-    "axis1": _parse_axis,
-    "axis2": _parse_axis,
-    "n_c": _parse_int,
-    "n_m": _parse_int,
-    "dt": _parse_float,
-    "tol": _parse_float,
+    f.name: _PARSE_BY_TYPE[f.type] for f in fields(RunConfig) if f.name not in ("mode", "out")
 }
 
 
@@ -465,10 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {key: getattr(args, key.replace("-", "_")) for key in _PARSERS}
         cfg = build_config(args.mode, file_values, overrides, args.out)
         return _RUNNERS[args.mode](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except OptomechError as exc:

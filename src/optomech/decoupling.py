@@ -42,8 +42,8 @@ class DecouplingCoefficients:
     tau: float
 
     @classmethod
-    def zeros(cls, tau: float = 0.0) -> "DecouplingCoefficients":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, tau)
+    def zeros(cls) -> "DecouplingCoefficients":
+        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     @property
     def displacement(self) -> complex:
@@ -131,13 +131,6 @@ class DecouplingTables:
             for name, (y, dy) in self._tables.items()
         }
         return DecouplingCoefficients(tau=tau, **vals)
-
-
-def decoupling_coefficients(
-    sol: QuadraticSolution, coupling: Coupling, tau: float
-) -> DecouplingCoefficients:
-    """Coefficients at a single tau; build a DecouplingTables for sweeps."""
-    return DecouplingTables(sol, coupling).at(tau)
 
 
 def _sinc(x):

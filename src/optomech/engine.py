@@ -19,7 +19,7 @@ of order one.  The lab-frame moments and covariance are kept for reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,8 +64,9 @@ def evaluate_trajectory(
     *,
     resolution: float | None = None,
 ) -> StateRecord:
-    """Evaluate the full pipeline at the requested times, all at once."""
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    """Evaluate the full pipeline at the requested times, all at once; a 0-d
+    ``taus`` gives scalar fields."""
+    taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0.0):
         raise ValueError("times must be non-negative")
 
@@ -86,13 +87,6 @@ def evaluate_trajectory(
     return StateRecord(taus, coeffs, alpha, beta, m, covariance(m), report)
 
 
-def _at(value, i: int):
-    """The i-th time of an array-valued record; scalar fields pass through."""
-    if is_dataclass(value):
-        return replace(value, **{f.name: _at(getattr(value, f.name), i) for f in fields(value)})
-    return value[i] if np.ndim(value) else value
-
-
 def evaluate_point(
     system: SystemParams,
     init: InitialState,
@@ -100,8 +94,8 @@ def evaluate_point(
     *,
     resolution: float | None = None,
 ) -> StateRecord:
-    """Single-time view of :func:`evaluate_trajectory`, with scalar fields."""
-    return _at(evaluate_trajectory(system, init, [tau], resolution=resolution), 0)
+    """:func:`evaluate_trajectory` at one time, with scalar fields."""
+    return evaluate_trajectory(system, init, float(tau), resolution=resolution)
 
 
 def quadrature_trajectory(

@@ -28,7 +28,7 @@ _TAIL_TOL = 1e-8
 _TAIL_FRACTION = 0.1
 _HALVING_TOL = 1e-4
 # Taylor series: stop below this fraction of the state norm; substep so that
-# dt times the Gershgorin half-width stays within the reach
+# dt times the largest Gershgorin magnitude stays within the reach
 _TAYLOR_TOL = 1e-17
 _TAYLOR_REACH = 4.0
 
@@ -196,19 +196,17 @@ def _propagate_exact(psi: np.ndarray, h: BlockHamiltonian, tau: float) -> np.nda
 
 def _taylor_step(psi: np.ndarray, h: BlockHamiltonian, dt: float) -> np.ndarray:
     """exp(-i (H_n - omega_c*n) dt) on every block at once, by a Taylor series
-    of the banded matvec about the centre of the Gershgorin interval; the step
-    is split into equal substeps wherever dt times the interval's half-width
-    exceeds _TAYLOR_REACH, so no series term can grow large."""
+    of the banded matvec about 0; the step is split into equal substeps
+    wherever dt times the largest magnitude in the Gershgorin interval exceeds
+    _TAYLOR_REACH, so no series term can grow large."""
     lo, hi = h.spectral_bounds()
-    centre = 0.5 * (lo + hi)
-    n_sub = max(int(np.ceil(dt * 0.5 * (hi - lo) / _TAYLOR_REACH)), 1)
+    n_sub = max(int(np.ceil(dt * max(-lo, hi) / _TAYLOR_REACH)), 1)
     sub = dt / n_sub
-    # the bands of -i*sub*(H_n - omega_c*n - centre)
+    # the bands of -i*sub*(H_n - omega_c*n)
     root1, root2 = _ladder_roots(h.n_m)
-    diag = (-1j * sub) * (h.diag - centre)
+    diag = (-1j * sub) * h.diag
     band1 = (-1j * sub) * np.outer(h.lin, root1)
     band2 = (-1j * sub * h.d2) * root2
-    shift = np.exp(-1j * centre * sub)
     for _ in range(n_sub):
         floor = _TAYLOR_TOL**2 * np.vdot(psi, psi).real
         total = psi.copy()
@@ -224,7 +222,7 @@ def _taylor_step(psi: np.ndarray, h: BlockHamiltonian, dt: float) -> np.ndarray:
             nxt /= k
             total += nxt
             term = nxt
-        psi = shift * total
+        psi = total
     return psi
 
 
@@ -424,9 +422,7 @@ def mechanical_purity(state: FockState) -> float:
     return float(np.real(np.sum(np.abs(rho) ** 2)))
 
 
-def default_cutoffs(
-    init: InitialState, coeffs: DecouplingCoefficients | None = None
-) -> tuple[int, int]:
+def default_cutoffs(init: InitialState, coeffs: DecouplingCoefficients) -> tuple[int, int]:
     """Heuristic cutoffs sized from the coherent amplitudes; callers should
     double them if the tail check trips."""
 
@@ -436,9 +432,9 @@ def default_cutoffs(
     mu_c = abs(complex(init.mu_c))
     n_c = room(mu_c)
     n_occ = int(np.ceil(mu_c**2 + 4.0 * mu_c + 4.0))
-    reach = abs(complex(init.mu_m))
-    if coeffs is not None:
-        reach += abs(coeffs.displacement) + min(n_occ, n_c - 1) * abs(
-            coeffs.number_displacement
-        )
+    reach = (
+        abs(complex(init.mu_m))
+        + abs(coeffs.displacement)
+        + min(n_occ, n_c - 1) * abs(coeffs.number_displacement)
+    )
     return n_c, room(reach)

@@ -21,6 +21,7 @@ from .errors import DomainError, ValidationError
 
 _CLAMP = 1e-6
 _BOUND_SLACK = 1e-9
+_HERMITIAN_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ def _symplectic_form(n_modes: int) -> np.ndarray:
     return np.diag([-1j] * n_modes + [1j] * n_modes)
 
 
-def symplectic_eigenvalues(sigma: np.ndarray, *, hermitian_tol: float = 1e-8) -> np.ndarray:
+def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues |eig(i Omega sigma)|, sorted descending along
     the last axis; ``sigma`` may be one matrix or a stack of them.
 
@@ -58,7 +59,7 @@ def symplectic_eigenvalues(sigma: np.ndarray, *, hermitian_tol: float = 1e-8) ->
         raise ValidationError("covariance matrix must be square with even dimension")
     scale = np.maximum(np.max(np.abs(sigma), axis=(-2, -1)), 1.0)
     defect = np.max(np.abs(sigma - np.conj(np.swapaxes(sigma, -1, -2))), axis=(-2, -1))
-    if np.any(defect > hermitian_tol * scale):
+    if np.any(defect > _HERMITIAN_TOL * scale):
         raise ValidationError(f"covariance matrix not Hermitian (defect {np.max(defect):.3g})")
     n = sigma.shape[-1] // 2
     lam = np.linalg.eigvals(1j * _symplectic_form(n) @ sigma)

@@ -21,15 +21,13 @@ from .errors import (
     UnsupportedRegimeError,
     ValidityWarning,
 )
-from .profiles import ConstantSqueezing, SqueezingProfile
+from .profiles import _SPAN_SLACK, ConstantSqueezing, SqueezingProfile
 
 # Grid defaults: the fastest oscillation must stay well resolved because the
 # decoupling quadrature reuses this grid.
 _SAMPLES_PER_UNIT = 256.0
 _MIN_SAMPLES_PER_UNIT = 16.0
 _MIN_POINTS = 4096
-
-_SPAN_SLACK = 1e-9
 
 # Gauss-Legendre nodes of a unit interval
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
@@ -113,10 +111,7 @@ class QuadraticSolution:
 
     def bogoliubov_residual(self) -> np.ndarray:
         """| |alpha|^2 - |beta|^2 - 1 | on the grid."""
-        xi = self.cos_sol - 1j * self.sin_sol
-        dxi = self.cos_deriv - 1j * self.sin_deriv
-        alpha = 0.5 * (xi + 1j * dxi)
-        beta = 0.5 * (np.conj(xi) + 1j * np.conj(dxi))
+        alpha, beta = self.bogoliubov(self.tau)
         return np.abs(np.abs(alpha) ** 2 - np.abs(beta) ** 2 - 1.0)
 
 

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from optomech import ConstantSqueezing, Coupling, InitialState, SystemParams, evaluate_point
-from optomech.cli import _write_csv, main
+from optomech.cli import _PARSERS, Axis, RunConfig, _write_csv, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -101,6 +102,23 @@ class TestConfig:
                    "--out", str(tmp_path / "s.csv")])
         assert rc == 2
         assert "workers: unknown configuration key" in capsys.readouterr().err
+
+    def test_keys_are_the_run_config_fields(self):
+        # one sample per annotation, with the value it must parse to
+        samples = {
+            "float": ("0.5", 0.5),
+            "int": ("3", 3),
+            "complex": ("1,-2", 1 - 2j),
+            "bool": ("yes", True),
+            "str": (" Modulated ", "modulated"),
+            "Axis | None": ("d2,0.5,1,3,log", Axis("d2", 0.5, 1.0, 3, "log")),
+        }
+        keys = [f for f in fields(RunConfig) if f.name not in ("mode", "out")]
+        assert list(_PARSERS) == [f.name for f in keys]
+        for f in keys:
+            raw, want = samples[f.type]
+            got = _PARSERS[f.name](f.name, raw)
+            assert got == want and type(got) is type(want), f.name
 
     def test_lab_frame_flag(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)

@@ -9,7 +9,6 @@ from optomech import (
     ModulatedSqueezing,
     UnsupportedRegimeError,
     constant_coefficients,
-    decoupling_coefficients,
     number_displacement_sq_constant,
     number_displacement_sq_resonant,
     resonant_coefficients,
@@ -28,7 +27,7 @@ def max_component_diff(a, b):
 class TestQuadratureRoute:
     def test_zero_couplings_vanish(self):
         sol = solve_quadratic(ConstantSqueezing(0.3), TWO_PI)
-        got = decoupling_coefficients(sol, Coupling(g=0.0, drive=0.0), 4.0)
+        got = DecouplingTables(sol, Coupling(g=0.0, drive=0.0)).at(4.0)
         assert all(getattr(got, f) == 0.0 for f in FIELDS)
 
     def test_all_zero_at_start(self, modulated_solution):
@@ -42,7 +41,7 @@ class TestQuadratureRoute:
 
     def test_free_full_period(self):
         sol = solve_quadratic(ConstantSqueezing(0.0), TWO_PI)
-        got = decoupling_coefficients(sol, Coupling(g=1.0), TWO_PI)
+        got = DecouplingTables(sol, Coupling(g=1.0)).at(TWO_PI)
         assert got.num_pos == pytest.approx(0.0, abs=1e-9)
         assert got.num_mom == pytest.approx(0.0, abs=1e-9)
         assert got.num_sq == pytest.approx(-TWO_PI, abs=1e-8)
@@ -50,7 +49,7 @@ class TestQuadratureRoute:
     def test_drive_only_coefficients(self):
         # with no light-matter coupling only the bare drive terms survive
         sol = solve_quadratic(ConstantSqueezing(0.0), TWO_PI)
-        got = decoupling_coefficients(sol, Coupling(g=0.0, drive=0.25), np.pi)
+        got = DecouplingTables(sol, Coupling(g=0.0, drive=0.25)).at(np.pi)
         assert got.pos == pytest.approx(0.25 * np.sin(np.pi), abs=1e-9)
         assert got.mom == pytest.approx(0.25 * (1.0 - np.cos(np.pi)), abs=1e-9)
         assert got.num == 0.0 and got.num_sq == 0.0

@@ -70,6 +70,8 @@ class TestTrajectory:
         traj = evaluate_trajectory(system, init, taus)
         for i, tau in enumerate(taus):
             point = evaluate_point(system, init, tau)
+            assert np.ndim(point.report.delta) == 0 and np.ndim(point.moments.a) == 0
+            assert point.covariance.sigma.shape == (4, 4)
             # on the numeric route a single point is solved up to its own tau,
             # so only the last time shares the trajectory's solver grid
             same_grid = system.coupling.drive_is_zero or i == len(taus) - 1

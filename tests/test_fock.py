@@ -185,21 +185,25 @@ class TestEvolve:
         assert np.max(np.abs(final.amplitudes - want)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "system, dt",
+        "system, dt, mu_m, n_m",
         [
-            (SystemParams(1.3, Coupling(g=0.4, drive=0.1), ModulatedSqueezing(0.15, 2.0)), None),
-            (SystemParams(1.0, Coupling(g=0.3), ModulatedSqueezing(0.2, 2.0)), 0.5),
+            (SystemParams(1.3, Coupling(g=0.4, drive=0.1), ModulatedSqueezing(0.15, 2.0)),
+             None, 0.2j, 48),
+            (SystemParams(1.0, Coupling(g=0.3), ModulatedSqueezing(0.2, 2.0)), 0.5, 0.2j, 48),
+            # the series runs about 0, so only weight high in the spectrum
+            # goes wrong without the substeps: a norm drift of 0.05 here
+            (SystemParams(1.0, Coupling(g=0.3), ModulatedSqueezing(0.2, 2.0)), 0.5, 3.0, 64),
         ],
-        ids=["default-dt", "substeps"],
+        ids=["default-dt", "substeps", "substeps-excited"],
     )
-    def test_stepped_route_matches_midpoint_expm_multiply(self, system, dt):
-        init, tau = InitialState(0.8, 0.2j), 1.5
-        psi0 = fock.product_coherent(init, 12, 48)
+    def test_stepped_route_matches_midpoint_expm_multiply(self, system, dt, mu_m, n_m):
+        init, tau = InitialState(0.8, mu_m), 1.5
+        psi0 = fock.product_coherent(init, 12, n_m)
         step = fock.default_dt(system, tau, 12) if dt is None else dt
         if dt is not None:
             # the step is long enough that the Taylor series must substep
-            lo, hi = fock.build_hamiltonian(system, 0.25, 12, 48).spectral_bounds()
-            assert dt * 0.5 * (hi - lo) > 4.0
+            lo, hi = fock.build_hamiltonian(system, 0.25, 12, n_m).spectral_bounds()
+            assert dt * max(-lo, hi) > 4.0
         want = midpoint_expm_multiply(psi0, system, tau, step)
         final = fock.evolve(psi0, system, tau, dt, check_convergence=False)
         assert np.max(np.abs(final.amplitudes - want)) <= 1e-12
