@@ -23,6 +23,7 @@ from .errors import (
     ConvergenceError,
     CutoffInsufficientError,
     DomainError,
+    NonFiniteError,
     OptomechError,
     SingularFactorError,
     UnsupportedRegimeError,
@@ -30,6 +31,7 @@ from .errors import (
     ValidityWarning,
 )
 from .moments import (
+    CovarianceExcess,
     CovarianceMatrix,
     InitialState,
     MomentSet,
@@ -37,6 +39,7 @@ from .moments import (
     displacement_amplitudes,
     kick_overlap,
     moments,
+    squeezing_frame_excess,
 )
 from .nongauss import (
     NonGaussianityReport,
@@ -72,6 +75,7 @@ __all__ = [
     "ConstantSqueezing",
     "ConvergenceError",
     "Coupling",
+    "CovarianceExcess",
     "CovarianceMatrix",
     "CutoffInsufficientError",
     "DecouplingCoefficients",
@@ -80,6 +84,7 @@ __all__ = [
     "InitialState",
     "ModulatedSqueezing",
     "MomentSet",
+    "NonFiniteError",
     "NonGaussianityReport",
     "OptomechError",
     "QuadraticSolution",
@@ -111,6 +116,7 @@ __all__ = [
     "resonant_coefficients",
     "rwa_mode",
     "solve_quadratic",
+    "squeezing_frame_excess",
     "subsystem_eigenvalues",
     "symplectic_eigenvalues",
     "two_scale_solution",

@@ -236,11 +236,13 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    # Python floats format faster than numpy scalars, to the same text
-    lines.extend(",".join(map(_fmt, row)) for row in np.asarray(rows).tolist())
+    rows = np.asarray(rows, dtype=float)
+    nrow, ncol = rows.shape
+    # one %-template for the whole table: the same text as _fmt per value;
+    # Python floats format faster than numpy scalars
+    body = (",".join(["%.17g"] * ncol) + "\n") * nrow % tuple(rows.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(header) + "\n" + body)
 
 
 def run_evolve(cfg: RunConfig) -> int:

@@ -8,13 +8,14 @@ through the Magnus propagator and the quadrature tables.  Each stage runs
 once over the whole array of times, so a trajectory is one record whose
 fields are arrays over tau.
 
-The measure and the subsystem eigenvalues come from the covariance in the
-squeezing frame (alpha = 1, beta = 0).  The lab-frame mechanical mode is the
-image of that frame's mode under the Bogoliubov map (alpha, beta), a local
-Gaussian unitary, so both frames share their symplectic spectrum; but the
-lab-frame entries grow like |beta|^2 under parametric resonance and make the
-eigenvalue problem ill-conditioned, while the squeezing-frame entries stay
-of order one.  The lab-frame moments and covariance are kept for reporting.
+The measure and the subsystem eigenvalues come from the closed-form
+covariance excess sigma - I in the squeezing frame (alpha = 1, beta = 0).
+The lab-frame mechanical mode is the image of that frame's mode under the
+Bogoliubov map (alpha, beta), a local Gaussian unitary, so both frames share
+their symplectic spectrum; but the lab-frame entries grow like |beta|^2
+under parametric resonance, and the closed form keeps each squeezing-frame
+entry free of differences of large moments.  The lab-frame moments and
+covariance are kept for reporting.
 """
 
 from __future__ import annotations
@@ -28,7 +29,15 @@ from .decoupling import (
     DecouplingTables,
     constant_coefficients,
 )
-from .moments import CovarianceMatrix, InitialState, MomentSet, covariance, moments
+from .errors import NonFiniteError
+from .moments import (
+    CovarianceMatrix,
+    InitialState,
+    MomentSet,
+    covariance,
+    moments,
+    squeezing_frame_excess,
+)
 from .nongauss import NonGaussianityReport, non_gaussianity
 from .profiles import ConstantSqueezing, SystemParams
 from .squeezing import constant_bogoliubov, solve_quadratic
@@ -80,10 +89,16 @@ def evaluate_trajectory(
         alpha, beta = sol.bogoliubov(taus)
 
     m = moments(coeffs, alpha, beta, init)
-    frame = covariance(moments(coeffs, 1.0, 0.0, init))
     report = non_gaussianity(
-        frame.sigma, number_displacement=coeffs.number_displacement, mu_c=init.mu_c
+        squeezing_frame_excess(coeffs, m),
+        number_displacement=coeffs.number_displacement,
+        mu_c=init.mu_c,
     )
+    # finite entropies imply finite eigenvalues and a finite delta_min
+    finite = np.isfinite(m.a) & np.isfinite(report.delta) & np.isfinite(report.delta_max)
+    if not np.all(finite):
+        first = np.atleast_1d(taus)[np.argmin(np.atleast_1d(finite))]
+        raise NonFiniteError(f"non-finite moments or measure, first at tau = {first:.17g}")
     return StateRecord(taus, coeffs, alpha, beta, m, covariance(m), report)
 
 

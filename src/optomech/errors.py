@@ -22,6 +22,11 @@ class ValidationError(OptomechError):
     """A supplied or computed object violates a required identity."""
 
 
+class NonFiniteError(OptomechError):
+    """A computed moment or measure overflowed or became undefined (e.g. at
+    very long times under parametric resonance)."""
+
+
 class CutoffInsufficientError(OptomechError):
     """A truncated-basis state leaks into the reserved tail of the basis."""
 

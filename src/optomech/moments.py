@@ -163,6 +163,53 @@ def moments(coeffs: DecouplingCoefficients, alpha, beta, init: InitialState) -> 
     )
 
 
+@dataclass(frozen=True)
+class CovarianceExcess:
+    """The six independent entries of sigma - I, in the basis and layout of
+    :class:`CovarianceMatrix`: the real diagonal excesses ``e11`` and ``e22``
+    (sigma_11 - 1, sigma_22 - 1) and the complex entries ``s12``, ``s13``,
+    ``s14``, ``s24``; every other entry follows from Hermitian symmetry and
+    the (a, a^dag) pairing.  Fields are arrays over tau or scalars."""
+
+    e11: float
+    e22: float
+    s12: complex
+    s13: complex
+    s14: complex
+    s24: complex
+
+
+def squeezing_frame_excess(coeffs: DecouplingCoefficients, m: MomentSet) -> CovarianceExcess:
+    """Closed-form sigma - I in the squeezing frame (alpha = 1, beta = 0).
+
+    ``m`` may come from any frame: ``a``, ``a2`` and ``na`` do not depend on
+    the Bogoliubov pair.  In this frame the mechanical mode is
+    b + conj(displacement) + conj(k) N with k the per-photon displacement,
+    so each entry is a Poisson average over the photon number in closed
+    form, with no subtraction of large moments.
+    """
+    nc = m.na
+    a = m.a
+    k = coeffs.number_displacement
+    k_sq = abs(k) ** 2
+    theta = coeffs.kerr_phase
+    half_sin_sq = np.sin(0.5 * theta) ** 2
+    eps = -2.0 * half_sin_sq - 1j * np.sin(theta)  # exp(-i theta) - 1
+    # <a^2> / <a>^2 = exp(z); where exp(z) overflows, <a> may underflow, so
+    # the difference is taken from the moments themselves
+    z = -1j * theta - k_sq + nc * eps**2
+    big = z.real > 1.0
+    s13 = np.where(big, 2.0 * (m.a2 - a * a), 2.0 * a * a * np.expm1(np.where(big, 0.0, z)))
+    return CovarianceExcess(
+        e11=-2.0 * nc * np.expm1(-4.0 * nc * half_sin_sq - k_sq),
+        e22=2.0 * k_sq * nc,
+        s12=2.0 * a * k * nc * eps,
+        s13=s13,
+        s14=2.0 * a * np.conj(k) * (1.0 + nc * eps),
+        s24=2.0 * np.conj(k) ** 2 * nc,
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """4x4 Hermitian second-moment matrix in the basis (a, b, a^dag, b^dag),

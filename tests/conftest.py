@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from optomech import (
     ConstantSqueezing,
@@ -9,6 +10,11 @@ from optomech import (
     SystemParams,
     solve_quadratic,
 )
+
+# the same examples on every run, so the suite is deterministic; each test
+# keeps its own max_examples
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

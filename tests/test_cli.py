@@ -173,6 +173,19 @@ class TestEvolve:
         assert rows.shape == (2001, 10)
         assert np.all(rows[:, 7] <= rows[:, 9] + 1e-9)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_exits_3_with_its_tau(self, tmp_path, capsys):
+        # at this resonance |beta| leaves the float range before tau = 700
+        out = tmp_path / "o.csv"
+        rc = main(["evolve", "--squeezing", "modulated", "--d2", "0.3", "--omega0", "2",
+                   "--g0", "0.5", "--tau_max", "700", "--points", "201", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        tau = float(err.split("tau = ")[1].split()[0])
+        assert 0.0 < tau <= 700.0 and (tau / 3.5).is_integer()
+        assert not out.exists()
+
     def test_resonant_modulation_grows_in_windowed_mean(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "o.csv"

@@ -16,9 +16,11 @@ from optomech import (
     covariance,
     displacement_amplitudes,
     evaluate_point,
+    evaluate_trajectory,
     kick_overlap,
     moments,
     quadrature_trajectory,
+    squeezing_frame_excess,
     symplectic_eigenvalues,
 )
 from optomech import fock
@@ -200,6 +202,28 @@ class TestCovariance:
             assert sigma[0, 3] == pytest.approx(s14, abs=1e-12)
             assert sigma[1, 1] == pytest.approx(s22, abs=1e-12)
             assert sigma[1, 3] == pytest.approx(s24, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "system, init",
+        [
+            (SystemParams(1.0, Coupling(g=1.0), ConstantSqueezing(0.5)),
+             InitialState(2.0, 0.4 - 0.2j)),
+            (SystemParams(1.0, Coupling(g=0.7, drive=0.3), ModulatedSqueezing(0.1, 2.0)),
+             InitialState(1.5 - 1.0j, 0.3 + 0.5j)),
+        ],
+        ids=["closed-form", "numeric-driven"],
+    )
+    def test_squeezing_frame_excess_matches_covariance(self, system, init):
+        # both branches of s13 occur on these grids: <a^2>/<a>^2 = exp(z)
+        # with Re z above and below 1
+        rec = evaluate_trajectory(system, init, np.linspace(0.0, 6 * np.pi, 241))
+        excess = squeezing_frame_excess(rec.coeffs, rec.moments)
+        want = covariance(moments(rec.coeffs, 1.0, 0.0, init)).sigma - np.eye(4)
+        scale = np.maximum(1.0, np.max(np.abs(want), axis=(-2, -1)))
+        for name, (i, j) in (("e11", (0, 0)), ("e22", (1, 1)), ("s12", (0, 1)),
+                             ("s13", (0, 2)), ("s14", (0, 3)), ("s24", (1, 3))):
+            err = np.abs(getattr(excess, name) - want[:, i, j])
+            assert np.all(err <= 1e-12 * scale), (name, np.max(err / scale))
 
     def test_hermitian_and_physical_across_parameters(self):
         init = InitialState(1.0, 0.4 - 0.2j)

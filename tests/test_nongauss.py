@@ -9,19 +9,26 @@ from hypothesis import strategies as st
 from optomech import (
     ConstantSqueezing,
     Coupling,
+    CovarianceExcess,
     DomainError,
     ModulatedSqueezing,
     SystemParams,
     ValidationError,
     araki_lieb_bounds,
     classify_regime,
+    InitialState,
     constant_coefficients,
+    covariance,
     evaluate_point,
+    evaluate_trajectory,
     mode_entropy,
+    moments,
     non_gaussianity,
+    squeezing_frame_excess,
     subsystem_eigenvalues,
     symplectic_eigenvalues,
 )
+from optomech.cli import main as cli_main
 
 TWO_LN_2 = 2 * np.log(2.0)
 
@@ -202,8 +209,16 @@ class TestNonGaussianity:
         # covariance differs by a local Bogoliubov map and must agree
         system = SystemParams(1.0, Coupling(g=1.0), ModulatedSqueezing(0.1, 2.0))
         rec = evaluate_point(system, coherent_init, 4 * np.pi)
+        sigma = rec.covariance.sigma
         lab = non_gaussianity(
-            rec.covariance.sigma,
+            CovarianceExcess(
+                e11=sigma[0, 0].real - 1.0,
+                e22=sigma[1, 1].real - 1.0,
+                s12=sigma[0, 1],
+                s13=sigma[0, 2],
+                s14=sigma[0, 3],
+                s24=sigma[1, 3],
+            ),
             number_displacement=rec.coeffs.number_displacement,
             mu_c=coherent_init.mu_c,
         )
@@ -223,3 +238,86 @@ class TestNonGaussianity:
             )
             assert rec.report.delta_min - 1e-9 <= rec.report.delta
             assert rec.report.delta <= rec.report.delta_max + 1e-9
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            SystemParams(1.0, Coupling(g=0.0), ConstantSqueezing(0.7)),
+            SystemParams(1.0, Coupling(g=0.0, drive=0.4), ModulatedSqueezing(0.1, 2.0)),
+        ],
+        ids=["closed-form", "numeric-driven"],
+    )
+    def test_gaussian_evolution_measure_is_exactly_zero(self, system):
+        rec = evaluate_trajectory(system, InitialState(1.5, 0.5j), np.linspace(0, 40 * np.pi, 201))
+        for name in ("delta", "delta_min", "delta_max"):
+            assert np.all(getattr(rec.report, name) == 0.0), name
+        for name in ("nu_full", "nu_op", "nu_me"):
+            assert np.all(getattr(rec.report, name) == 1.0), name
+
+
+def _frame_spectrum(rec, init):
+    sigma = covariance(moments(rec.coeffs, 1.0, 0.0, init)).sigma
+    return symplectic_eigenvalues(sigma)
+
+
+class TestFullSpectrum:
+    def test_matches_eigenvalue_solver_on_the_c06_grid(self):
+        init = InitialState(1.0, 0.0)
+        taus = np.linspace(2 * np.pi / 5, 2 * np.pi, 5)
+        worst = 0.0
+        for g0 in np.linspace(0.1, 3.0, 10):
+            for d2 in np.linspace(0.0, 2.0, 10):
+                system = SystemParams(1.0, Coupling(g=g0), ConstantSqueezing(d2))
+                rec = evaluate_trajectory(system, init, taus)
+                want = _frame_spectrum(rec, init)
+                worst = max(worst, np.max(np.abs(rec.report.nu_full - want) / want))
+        assert worst <= 1e-9
+
+    def test_matches_eigenvalue_solver_on_a_modulated_trajectory(self):
+        init = InitialState(1.0 - 0.5j, 0.3 + 0.2j)
+        system = SystemParams(1.0, Coupling(g=1.0, drive=0.2), ModulatedSqueezing(0.1, 2.0))
+        rec = evaluate_trajectory(system, init, np.linspace(0.0, 20 * np.pi, 401))
+        want = _frame_spectrum(rec, init)
+        assert np.max(np.abs(rec.report.nu_full - want) / want) <= 1e-9
+
+
+# (g0, d2, mu_c, tau_max, points), all modulated at omega0 = 2: long-time
+# resonant runs whose eigenvalue-solver spectrum fell below 1 (a 2001-point
+# run, then four from the 801-point grid g0 x d2 x mu_c x tau_max), and bright
+# cavities, where <a^2>/<a>^2 overflows as <a> underflows
+HARD_RUNS = [
+    (0.5, 0.1, 3.0, 60 * np.pi, 2001),
+    (0.1, 0.15, 0.5, 60 * np.pi, 801),
+    (1.0, 0.3, 3.0, 20 * np.pi, 801),
+    (3.0, 0.3, 1.0, 20 * np.pi, 801),
+    (3.0, 0.15, 3.0, 60 * np.pi, 801),
+    (0.1, 0.15, 10.0, 40 * np.pi, 801),
+    (1.0, 0.15, 30.0, 4 * np.pi, 801),
+]
+
+
+class TestLongTimesAndBrightCavities:
+    @pytest.mark.parametrize("g0, d2, mu_c, tau_max, points", HARD_RUNS)
+    def test_measure_stays_physical(self, tmp_path, g0, d2, mu_c, tau_max, points):
+        out = tmp_path / "o.csv"
+        argv = ["evolve", "--squeezing", "modulated", "--omega0", "2", "--g0", repr(g0),
+                "--d2", repr(d2), "--mu_c", repr(mu_c), "--tau_max", repr(tau_max),
+                "--points", str(points), "--out", str(out)]
+        assert cli_main(argv) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        nu_op, nu_me, delta, delta_min, delta_max = rows[:, 5:].T
+        assert np.all(nu_op >= 1.0) and np.all(nu_me >= 1.0)
+        slack = 1e-9 * np.maximum(delta_max, 1.0)
+        assert np.all(delta_min - slack <= delta) and np.all(delta <= delta_max + slack)
+
+        init = InitialState(mu_c)
+        system = SystemParams(1.0, Coupling(g=g0), ModulatedSqueezing(d2, 2.0))
+        rec = evaluate_trajectory(system, init, np.linspace(0.0, tau_max, points))
+        assert np.all(rec.report.nu_full >= 1.0)
+        # where the photon-conditioned kicks leave no overlap, the modes
+        # decouple and the measure reaches its upper bound
+        excess = squeezing_frame_excess(rec.coeffs, rec.moments)
+        apart = (excess.s12 == 0) & (excess.s14 == 0)
+        assert np.any(apart)
+        assert rec.report.delta[apart] == pytest.approx(rec.report.delta_max[apart], rel=1e-14)
+        assert np.array_equal(rec.report.delta, delta)
