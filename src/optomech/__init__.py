@@ -9,6 +9,17 @@ integrals, and a truncated-Fock brute-force oracle independently validates
 the whole chain on small parameters.
 """
 
+import os
+
+# Every matrix here is small (2x2 Magnus steps, 4x4 covariances, one
+# mechanical block per photon number), yet an idle OpenBLAS worker busy-waits
+# beside the main thread: on 2 cores it burnt 0.05-0.18 s of CPU per CLI run,
+# and in some processes a real 40x40 eigh took 16 ms instead of 0.23 ms.  With
+# a timeout of 2^4 cycles idle workers sleep; the thread count stays.  Numpy
+# first loads in the imports below, so the default is set here; a value the
+# user set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .decoupling import (
     DecouplingCoefficients,
     DecouplingTables,
@@ -44,7 +55,6 @@ from .moments import (
 from .nongauss import (
     NonGaussianityReport,
     araki_lieb_bounds,
-    classify_regime,
     mode_entropy,
     non_gaussianity,
     subsystem_eigenvalues,
@@ -97,7 +107,6 @@ __all__ = [
     "ValidationError",
     "ValidityWarning",
     "araki_lieb_bounds",
-    "classify_regime",
     "constant_bogoliubov",
     "constant_coefficients",
     "constant_solution",

@@ -79,27 +79,30 @@ def evaluate_trajectory(
     if np.any(taus < 0.0):
         raise ValueError("times must be non-negative")
 
-    if _closed_form_applies(system):
-        d2 = system.squeezing.d2
-        coeffs = constant_coefficients(float(system.coupling.g), d2, taus)
-        alpha, beta = constant_bogoliubov(d2, taus)
-    else:
-        sol = solve_quadratic(system.squeezing, float(np.max(taus, initial=1e-6)), resolution)
-        coeffs = DecouplingTables(sol, system.coupling).at(taus)
-        alpha, beta = sol.bogoliubov(taus)
+    # past the float range the stages overflow in many places at once; the
+    # check at the end reports it once, as NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if _closed_form_applies(system):
+            d2 = system.squeezing.d2
+            coeffs = constant_coefficients(float(system.coupling.g), d2, taus)
+            alpha, beta = constant_bogoliubov(d2, taus)
+        else:
+            sol = solve_quadratic(system.squeezing, float(np.max(taus, initial=1e-6)), resolution)
+            coeffs = DecouplingTables(sol, system.coupling).at(taus)
+            alpha, beta = sol.bogoliubov(taus)
 
-    m = moments(coeffs, alpha, beta, init)
-    report = non_gaussianity(
-        squeezing_frame_excess(coeffs, m),
-        number_displacement=coeffs.number_displacement,
-        mu_c=init.mu_c,
-    )
-    # finite entropies imply finite eigenvalues and a finite delta_min
-    finite = np.isfinite(m.a) & np.isfinite(report.delta) & np.isfinite(report.delta_max)
-    if not np.all(finite):
-        first = np.atleast_1d(taus)[np.argmin(np.atleast_1d(finite))]
-        raise NonFiniteError(f"non-finite moments or measure, first at tau = {first:.17g}")
-    return StateRecord(taus, coeffs, alpha, beta, m, covariance(m), report)
+        m = moments(coeffs, alpha, beta, init)
+        report = non_gaussianity(
+            squeezing_frame_excess(coeffs, m),
+            number_displacement=coeffs.number_displacement,
+            mu_c=init.mu_c,
+        )
+        # finite entropies imply finite eigenvalues and a finite delta_min
+        finite = np.isfinite(m.a) & np.isfinite(report.delta) & np.isfinite(report.delta_max)
+        if not np.all(finite):
+            first = np.atleast_1d(taus)[np.argmin(np.atleast_1d(finite))]
+            raise NonFiniteError(f"non-finite moments or measure, first at tau = {first:.17g}")
+        return StateRecord(taus, coeffs, alpha, beta, m, covariance(m), report)
 
 
 def evaluate_point(

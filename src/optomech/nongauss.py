@@ -45,7 +45,6 @@ class NonGaussianityReport:
     nu_full: np.ndarray
     nu_op: float
     nu_me: float
-    regime: str
 
 
 def _symplectic_form(n_modes: int) -> np.ndarray:
@@ -154,30 +153,6 @@ def subsystem_eigenvalues(coeffs: DecouplingCoefficients, mu_c: complex) -> tupl
     return nu_op, nu_me
 
 
-def classify_regime(number_displacement_mag, mu_c_mag: float):
-    """Coarse regime tag from |per-photon displacement| against 2|mu_c|,
-    elementwise over an array of displacements.
-
-    Within a factor of 2 the two scales are comparable ("balanced");
-    otherwise the smaller-displacement side leaves the optical subsystem
-    dominating the measure and vice versa.  The asymptotic closed forms for
-    the dominated regimes only become quantitative once the separation
-    reaches a factor of about 5.
-    """
-    k = np.abs(number_displacement_mag)
-    two_mu = 2.0 * abs(mu_c_mag)
-    if two_mu < 1e-12:
-        tag = np.where(k < 1e-12, "balanced", "mechanical-dominated")
-    else:
-        ratio = k / two_mu
-        tag = np.where(
-            (0.5 <= ratio) & (ratio <= 2.0),
-            "balanced",
-            np.where(ratio < 1.0, "optical-dominated", "mechanical-dominated"),
-        )
-    return tag[()]
-
-
 def _two_mode_excess(excess: CovarianceExcess, e_op, e_me):
     """The two-mode spectrum e_1 >= e_2 (e_k = nu_k^2 - 1) of sigma = I + E.
 
@@ -237,5 +212,4 @@ def non_gaussianity(
         nu_full=np.sqrt(1.0 + e_full),
         nu_op=np.sqrt(1.0 + e_op),
         nu_me=np.sqrt(1.0 + e_me),
-        regime=classify_regime(number_displacement, mu_c),
     )

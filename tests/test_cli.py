@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -173,15 +174,18 @@ class TestEvolve:
         assert rows.shape == (2001, 10)
         assert np.all(rows[:, 7] <= rows[:, 9] + 1e-9)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_result_exits_3_with_its_tau(self, tmp_path, capsys):
         # at this resonance |beta| leaves the float range before tau = 700
         out = tmp_path / "o.csv"
-        rc = main(["evolve", "--squeezing", "modulated", "--d2", "0.3", "--omega0", "2",
-                   "--g0", "0.5", "--tau_max", "700", "--points", "201", "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["evolve", "--squeezing", "modulated", "--d2", "0.3", "--omega0", "2",
+                       "--g0", "0.5", "--tau_max", "700", "--points", "201", "--out", str(out)])
         assert rc == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
-        assert "non-finite" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: non-finite")
         tau = float(err.split("tau = ")[1].split()[0])
         assert 0.0 < tau <= 700.0 and (tau / 3.5).is_integer()
         assert not out.exists()
@@ -368,9 +372,9 @@ def _src_env() -> dict[str, str]:
     return env
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
+def _run_python(code: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env or _src_env()
     )
 
 
@@ -417,6 +421,18 @@ class TestImportBudget:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
         assert out.exists()
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "4"), ("10", "10")])
+def test_openblas_thread_timeout_default(preset, expected):
+    # idle OpenBLAS workers sleep by default; a value the user set wins
+    env = _src_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    proc = _run_python("import optomech, os; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])", env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
 
 
 def test_module_entry_point(tmp_path):

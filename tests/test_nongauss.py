@@ -15,7 +15,6 @@ from optomech import (
     SystemParams,
     ValidationError,
     araki_lieb_bounds,
-    classify_regime,
     InitialState,
     constant_coefficients,
     covariance,
@@ -175,14 +174,6 @@ class TestSubsystemEigenvalues:
         nu_op, _ = subsystem_eigenvalues(coeffs, mu_c)
         target = mode_entropy(1 + 2 * abs(mu_c) ** 2)
         assert abs(mode_entropy(nu_op) - target) <= 0.10 * target
-
-
-class TestRegimes:
-    def test_tags(self):
-        assert classify_regime(0.1, 1.0) == "optical-dominated"
-        assert classify_regime(10.0, 1.0) == "mechanical-dominated"
-        assert classify_regime(2.0, 1.0) == "balanced"
-        assert classify_regime(0.0, 0.0) == "balanced"
 
 
 class TestNonGaussianity:
