@@ -425,27 +425,25 @@ def run_oracle_check(cfg: RunConfig) -> int:
     return _EXIT_OK if all_ok else _EXIT_MISMATCH
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="optomech",
-        description="Nonlinear optomechanical evolution with mechanical squeezing",
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("evolve", "sweep", "oracle-check", "mathieu"):
-        p = sub.add_parser(mode)
-        p.add_argument("--config", default=None, help="key = value configuration file")
-        p.add_argument("--out", required=True, help="output CSV path")
-        for key in _PARSERS:
-            p.add_argument(f"--{key}", default=None, metavar="VALUE")
-    return parser
-
-
 _RUNNERS = {
     "evolve": run_evolve,
     "sweep": run_sweep,
     "oracle-check": run_oracle_check,
     "mathieu": run_mathieu,
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="optomech",
+        description="Nonlinear optomechanical evolution with mechanical squeezing",
+    )
+    parser.add_argument("mode", choices=tuple(_RUNNERS))
+    parser.add_argument("--config", default=None, help="key = value configuration file")
+    parser.add_argument("--out", required=True, help="output CSV path")
+    for key in _PARSERS:
+        parser.add_argument(f"--{key}", default=None, metavar="VALUE")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

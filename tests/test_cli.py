@@ -344,12 +344,13 @@ class TestOracleCheck:
         assert "envelope" in capsys.readouterr().err
 
     def test_mismatch_exit_code(self, tmp_path):
-        # the modulated run carries a few-1e-6 truncation-level disagreement;
-        # an absurdly tight tolerance must surface it as a mismatch, not as a
-        # regime error
+        # a coarse step leaves a 2e-6 disagreement, twice the 1e-6 absolute
+        # floor, while the halving drift (2.8e-5) stays well inside its 1e-4
+        # check; an absurdly tight tolerance must surface it as a mismatch,
+        # not as a regime error
         rc = main(["oracle-check", "--g0", "0.3", "--d2", "0.1", "--squeezing", "modulated",
                    "--omega0", "2.0", "--tau", str(np.pi), "--n_c", "14", "--n_m", "96",
-                   "--tol", "1e-12", "--out", str(tmp_path / "o.csv")])
+                   "--dt", "0.3", "--tol", "1e-12", "--out", str(tmp_path / "o.csv")])
         assert rc == 4
 
 
@@ -409,8 +410,11 @@ class TestImportBudget:
             ["mathieu", "--squeezing", "modulated", "--d2", "0.1", "--points", "5"],
             ["oracle-check", "--g0", "0.5", "--d2", "0.3", "--squeezing", "constant",
              "--tau", "0.5"],
+            ["oracle-check", "--g0", "0.3", "--d2", "0.1", "--squeezing", "modulated",
+             "--tau", "0.5"],
         ],
-        ids=["modulated-evolve", "modulated-sweep", "mathieu", "oracle-check"],
+        ids=["modulated-evolve", "modulated-sweep", "mathieu", "oracle-check",
+             "modulated-oracle-check"],
     )
     def test_numeric_routes_load_no_scipy(self, tmp_path, argv):
         out = tmp_path / "o.csv"

@@ -57,14 +57,21 @@ def block_matrix(system, tau, n_c, n_m):
     return block_diag(*(h.block(n) + system.omega_c * n * np.eye(n_m) for n in range(n_c)))
 
 
-def midpoint_expm_multiply(psi0, system, tau, dt):
-    """The midpoint-exponential stepping on the full kron Hamiltonian."""
+def cf4_expm_multiply(psi0, system, tau, dt):
+    """Fourth-order commutator-free Magnus stepping on the full kron
+    Hamiltonian: exp(-i h (a2 H1 + a1 H2)), then exp(-i h (a1 H1 + a2 H2)),
+    with H_j sampled at t + (1/2 -+ sqrt(3)/6) h."""
     n_c, n_m = psi0.n_c, psi0.n_m
     n_steps = max(int(np.ceil(tau / dt - 1e-12)), 1)
     step = tau / n_steps
+    a1, a2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+    c1, c2 = 0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0
     psi = psi0.amplitudes.reshape(-1).astype(complex)
     for k in range(n_steps):
-        psi = expm_multiply((-1j * step) * kron_hamiltonian(system, (k + 0.5) * step, n_c, n_m), psi)
+        h1 = kron_hamiltonian(system, (k + c1) * step, n_c, n_m)
+        h2 = kron_hamiltonian(system, (k + c2) * step, n_c, n_m)
+        psi = expm_multiply((-1j * step) * (a2 * h1 + a1 * h2), psi)
+        psi = expm_multiply((-1j * step) * (a1 * h1 + a2 * h2), psi)
     return psi.reshape(n_c, n_m)
 
 
@@ -169,6 +176,20 @@ class TestEvolve:
             drift = abs(complex(getattr(m1, name)) - complex(getattr(m2, name)))
             assert drift <= 1e-4 * max(abs(complex(getattr(m2, name))), 1e-6)
 
+    def test_stepped_route_is_fourth_order(self):
+        # halving the step cuts the error against a much finer run by ~16x
+        # (2^4); a second-order step gives ~4x
+        system = SystemParams(1.0, Coupling(g=0.4), ModulatedSqueezing(0.1, 2.0))
+        init, tau = InitialState(1.0, 0.0), 1.2
+        psi0 = fock.product_coherent(init, 16, 48)
+
+        def run(dt):
+            return fock.evolve(psi0, system, tau, dt, check_convergence=False).amplitudes
+
+        ref = run(0.0125)
+        err = [np.max(np.abs(run(dt) - ref)) for dt in (0.2, 0.1)]
+        assert err[0] >= 12.0 * err[1]
+
     def test_static_route_does_not_step(self, certified_point):
         system, init, tau = certified_point
         psi0 = fock.product_coherent(init, 16, 48)
@@ -196,15 +217,16 @@ class TestEvolve:
         ],
         ids=["default-dt", "substeps", "substeps-excited"],
     )
-    def test_stepped_route_matches_midpoint_expm_multiply(self, system, dt, mu_m, n_m):
+    def test_stepped_route_matches_cf4_expm_multiply(self, system, dt, mu_m, n_m):
         init, tau = InitialState(0.8, mu_m), 1.5
         psi0 = fock.product_coherent(init, 12, n_m)
         step = fock.default_dt(system, tau, 12) if dt is None else dt
         if dt is not None:
-            # the step is long enough that the Taylor series must substep
+            # each exponential spans half a step, and that is long enough
+            # that the Taylor series must substep
             lo, hi = fock.build_hamiltonian(system, 0.25, 12, n_m).spectral_bounds()
-            assert dt * max(-lo, hi) > 4.0
-        want = midpoint_expm_multiply(psi0, system, tau, step)
+            assert 0.5 * dt * max(-lo, hi) > fock._TAYLOR_REACH
+        want = cf4_expm_multiply(psi0, system, tau, step)
         final = fock.evolve(psi0, system, tau, dt, check_convergence=False)
         assert np.max(np.abs(final.amplitudes - want)) <= 1e-12
 
