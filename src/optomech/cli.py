@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +44,9 @@ _EXIT_MISMATCH = 4
 
 _SWEEP_AXES = ("g0", "d2", "tau")
 
+# rows formatted per write: the text of one block stays small
+_CSV_BLOCK_ROWS = 256
+
 # certified envelope for the brute-force oracle
 _ORACLE_LIMITS = {
     "g0": 1.0,
@@ -55,8 +58,7 @@ _ORACLE_LIMITS = {
 }
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(NamedTuple):
     name: str
     start: float
     stop: float
@@ -69,8 +71,7 @@ class Axis:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     mode: str
     omega_c: float = 1.0
     g0: float = 1.0
@@ -166,6 +167,7 @@ def _parse_axis(key: str, raw: str) -> Axis:
 
 
 # every RunConfig field but mode and out is a key, parsed by its annotation
+# (a ForwardRef holding the annotation's text)
 _PARSE_BY_TYPE = {
     "float": _parse_float,
     "int": _parse_int,
@@ -175,7 +177,9 @@ _PARSE_BY_TYPE = {
     "Axis | None": _parse_axis,
 }
 _PARSERS = {
-    f.name: _PARSE_BY_TYPE[f.type] for f in fields(RunConfig) if f.name not in ("mode", "out")
+    name: _PARSE_BY_TYPE[hint.__forward_arg__]
+    for name, hint in RunConfig.__annotations__.items()
+    if name not in ("mode", "out")
 }
 
 
@@ -208,7 +212,7 @@ def build_config(mode: str, file_values: dict[str, str], overrides: dict[str, st
     for key, raw in merged.items():
         if key not in _PARSERS:
             raise ConfigError(f"{key}: unknown configuration key")
-        cfg = replace(cfg, **{key: _PARSERS[key](key, raw)})
+        cfg = cfg._replace(**{key: _PARSERS[key](key, raw)})
     _validate(cfg)
     return cfg
 
@@ -237,12 +241,14 @@ def _fmt(x: float) -> str:
 
 def _write_csv(path: str, header: list[str], rows) -> None:
     rows = np.asarray(rows, dtype=float)
-    nrow, ncol = rows.shape
-    # one %-template for the whole table: the same text as _fmt per value;
+    # one %-template per block of rows: the same text as _fmt per value;
     # Python floats format faster than numpy scalars
-    body = (",".join(["%.17g"] * ncol) + "\n") * nrow % tuple(rows.ravel().tolist())
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n" + body)
+        handle.write(",".join(header) + "\n")
+        for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            handle.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def run_evolve(cfg: RunConfig) -> int:
@@ -305,7 +311,7 @@ def run_sweep(cfg: RunConfig) -> int:
     measures = np.empty((len(combos), 3))
     for (g0, d2), rows in groups.items():
         rec = evaluate_trajectory(
-            replace(cfg, g0=g0, d2=d2).system(),
+            cfg._replace(g0=g0, d2=d2).system(),
             init,
             [cells[i].get("tau", cfg.tau) for i in rows],
             resolution=resolution,

@@ -12,7 +12,7 @@ function of the quadratic sector.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .profiles import Coupling
 from .squeezing import QuadraticSolution, zeta
 
 
-@dataclass(frozen=True)
-class DecouplingCoefficients:
+class DecouplingCoefficients(NamedTuple):
     """Coefficients of the six decoupling generators at one time, or arrays
     of them over a grid of times (a field that vanishes at every time may
     stay the scalar 0).
@@ -95,41 +94,43 @@ class DecouplingTables:
 
         grid = sol.tau
         g = np.asarray(coupling.g_at(grid), dtype=float)
-        d1 = np.asarray(coupling.drive_at(grid), dtype=float)
         re = sol.cos_sol
         im = -sol.sin_sol  # imaginary part of the mode function
 
         g_re = g * re
         g_im = g * im
-        d_re = d1 * re
-        d_im = d1 * im
 
         def cum(y):
             return _cumulative_simpson(y, self._step)
 
         cum_g_re = cum(g_re)
-        cum_d_re = cum(d_re)
-
         num_sq_rate = 2.0 * g_im * cum_g_re
-        num_rate = -2.0 * (d_im * cum_g_re + g_im * cum_d_re)
 
-        # (values, derivative-on-grid) pairs for Hermite interpolation
+        # (values, derivative-on-grid) pairs for Hermite interpolation; the
+        # drive's three tables are identically zero without a drive
         self._tables = {
-            "num": (cum(num_rate), num_rate),
             "num_sq": (cum(num_sq_rate), num_sq_rate),
-            "pos": (cum_d_re, d_re),
-            "mom": (-cum(d_im), -d_im),
             "num_pos": (-cum_g_re, -g_re),
             "num_mom": (cum(g_im), g_im),
         }
+        if not coupling.drive_is_zero:
+            d1 = np.asarray(coupling.drive_at(grid), dtype=float)
+            d_re = d1 * re
+            d_im = d1 * im
+            cum_d_re = cum(d_re)
+            num_rate = -2.0 * (d_im * cum_g_re + g_im * cum_d_re)
+            self._tables.update(
+                num=(cum(num_rate), num_rate),
+                pos=(cum_d_re, d_re),
+                mom=(-cum(d_im), -d_im),
+            )
 
     def at(self, tau) -> DecouplingCoefficients:
         """Coefficients at one time or, elementwise, at an array of times."""
         self._sol._check_span(tau)
-        vals = {
-            name: hermite_eval(self._step, y, dy, tau)
-            for name, (y, dy) in self._tables.items()
-        }
+        vals = {"num": 0.0, "pos": 0.0, "mom": 0.0}
+        for name, (y, dy) in self._tables.items():
+            vals[name] = hermite_eval(self._step, y, dy, tau)
         return DecouplingCoefficients(tau=tau, **vals)
 
 

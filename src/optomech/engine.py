@@ -20,7 +20,7 @@ covariance are kept for reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from .profiles import ConstantSqueezing, SystemParams
 from .squeezing import constant_bogoliubov, solve_quadratic
 
 
-@dataclass(frozen=True)
-class StateRecord:
+class StateRecord(NamedTuple):
     """Everything the pipeline knows about the state, at one time or as
     arrays over a grid of times (``covariance.sigma`` then has shape
     (n, 4, 4))."""

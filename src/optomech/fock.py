@@ -15,8 +15,8 @@ couplings blow past any affordable cutoff.  Uses numpy alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,8 +45,7 @@ _CF4_A1, _CF4_A2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0))
 _CF4_MIX = 2.0 * np.array([[_CF4_A2, _CF4_A1], [_CF4_A1, _CF4_A2]])
 
 
-@dataclass
-class FockState:
+class FockState(NamedTuple):
     """Two-mode amplitude tensor indexed as amplitudes[n_photons, n_phonons]."""
 
     amplitudes: np.ndarray
@@ -125,7 +124,6 @@ def _ladder_roots(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(m), np.sqrt(m[:-1] * m[1:])
 
 
-@dataclass(frozen=True)
 class BlockHamiltonian:
     """The Hamiltonian at one instant, split by photon number.
 
@@ -137,9 +135,10 @@ class BlockHamiltonian:
     block equals the truncation of the full Hamiltonian.
     """
 
-    diag: np.ndarray  # (n_m,)
-    lin: np.ndarray  # (n_c,) linear coefficient d1 - g*n
-    d2: float
+    def __init__(self, diag: np.ndarray, lin: np.ndarray, d2: float):
+        self.diag = diag  # (n_m,)
+        self.lin = lin  # (n_c,) linear coefficient d1 - g*n
+        self.d2 = d2
 
     @property
     def n_m(self) -> int:
@@ -327,8 +326,7 @@ def evolve(
     return state
 
 
-@dataclass(frozen=True)
-class MeasuredMoments:
+class MeasuredMoments(NamedTuple):
     """The eight moments measured from a Fock-space state (rotating frame)."""
 
     a: complex

@@ -10,7 +10,7 @@ moments and covariance matrices over the same times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,16 +21,14 @@ from .errors import ValidationError
 _BOGOLIUBOV_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class InitialState:
+class InitialState(NamedTuple):
     """Coherent amplitudes of the optical and mechanical modes at tau = 0."""
 
     mu_c: complex
     mu_m: complex = 0.0
 
 
-@dataclass(frozen=True)
-class MomentSet:
+class MomentSet(NamedTuple):
     """All first and second moments at one time (or arrays of them over
     tau), plus the auxiliaries entering them: the drive-induced
     displacement, the per-photon displacement, and the overlap factor of the
@@ -163,8 +161,7 @@ def moments(coeffs: DecouplingCoefficients, alpha, beta, init: InitialState) -> 
     )
 
 
-@dataclass(frozen=True)
-class CovarianceExcess:
+class CovarianceExcess(NamedTuple):
     """The six independent entries of sigma - I, in the basis and layout of
     :class:`CovarianceMatrix`: the real diagonal excesses ``e11`` and ``e22``
     (sigma_11 - 1, sigma_22 - 1) and the complex entries ``s12``, ``s13``,
@@ -210,8 +207,7 @@ def squeezing_frame_excess(coeffs: DecouplingCoefficients, m: MomentSet) -> Cova
     )
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceMatrix:
+class CovarianceMatrix(NamedTuple):
     """4x4 Hermitian second-moment matrix in the basis (a, b, a^dag, b^dag),
     plus the first-moment vector; the vacuum gives the identity.  Over a
     grid of times ``sigma`` has shape (n, 4, 4) and ``d`` shape (n, 4)."""

@@ -16,7 +16,7 @@ generic routine for any stack of covariance matrices (shape (..., 2n, 2n)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ _BOUND_SLACK = 1e-9
 _HERMITIAN_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class NonGaussianityReport:
+class NonGaussianityReport(NamedTuple):
     """Non-Gaussianity measure with its Araki-Lieb bounds and the symplectic
     eigenvalues it was computed from, at one time or as arrays over tau.
 

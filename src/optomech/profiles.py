@@ -2,26 +2,22 @@
 
 Everything is dimensionless: time is measured in units of the inverse
 mechanical frequency (tau = omega_m * t) and all couplings in units of
-omega_m.  Profile objects are immutable and safe to share across threads.
+omega_m.  Profile objects are never modified after construction, so they are
+safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .errors import DomainError
 
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
-
 _SPAN_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class ConstantSqueezing:
+class ConstantSqueezing(NamedTuple):
     """Constant squeezing strength D2(tau) = d2."""
 
     d2: float
@@ -36,8 +32,7 @@ class ConstantSqueezing:
         pass
 
 
-@dataclass(frozen=True)
-class ModulatedSqueezing:
+class ModulatedSqueezing(NamedTuple):
     """Sinusoidally modulated squeezing D2(tau) = d2 * cos(omega0 * tau)."""
 
     d2: float
@@ -53,7 +48,6 @@ class ModulatedSqueezing:
         pass
 
 
-@dataclass(frozen=True, eq=False)
 class TabulatedSignal:
     """A real signal sampled on a strictly increasing time grid, usable as a
     squeezing profile or as a coupling/drive signal.
@@ -62,24 +56,20 @@ class TabulatedSignal:
     interpolant, which does not overshoot the tabulated range.
     """
 
-    tau: np.ndarray
-    values: np.ndarray
-    _interp: PchipInterpolator = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, tau, values):
         from scipy.interpolate import PchipInterpolator
 
-        tau = np.asarray(self.tau, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        tau = np.asarray(tau, dtype=float)
+        values = np.asarray(values, dtype=float)
         if tau.ndim != 1 or values.shape != tau.shape or tau.size < 2:
             raise DomainError("tabulated signal needs matching 1-d arrays with >= 2 samples")
         if not np.all(np.isfinite(tau)) or not np.all(np.isfinite(values)):
             raise DomainError("tabulated signal contains non-finite entries")
         if np.any(np.diff(tau) <= 0):
             raise DomainError("tabulated signal times must be strictly increasing")
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_interp", PchipInterpolator(tau, values, extrapolate=False))
+        self.tau = tau
+        self.values = values
+        self._interp = PchipInterpolator(tau, values, extrapolate=False)
 
     def at(self, tau):
         t = np.asarray(tau, dtype=float)
@@ -112,8 +102,7 @@ def _signal_at(sig: Signal, tau):
     return np.full(np.shape(np.asarray(tau, dtype=float)), float(sig))
 
 
-@dataclass(frozen=True)
-class Coupling:
+class Coupling(NamedTuple):
     """Light-matter coupling g and linear mechanical drive, each either a
     constant or a :class:`TabulatedSignal`."""
 
@@ -147,8 +136,7 @@ class Coupling:
                 sig.require_span(tau_max)
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(NamedTuple):
     """Dimensionless parameters of the two-mode system.
 
     omega_c is the cavity frequency in units of the mechanical frequency;

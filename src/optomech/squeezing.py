@@ -10,7 +10,7 @@ function and the Bogoliubov coefficients of the induced Gaussian evolution.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ def zeta(d2: float) -> float:
     return float(np.sqrt(arg))
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticSolution:
+class QuadraticSolution(NamedTuple):
     """Sampled fundamental solutions of the quadratic sector.
 
     ``cos_sol``/``sin_sol`` carry the cosine-like and sine-like solutions,
@@ -128,7 +127,9 @@ def solve_quadratic(
     """Solve the quadratic sector on [0, tau_max].
 
     One fourth-order Magnus step per grid interval (Blanes et al., Phys. Rep.
-    470, 151 (2009)); their prefix product gives the solution at every node.
+    470, 151 (2009)); their prefix product, a Hillis-Steele scan (Commun. ACM
+    29, 1170 (1986)) over the four matrix entries, gives the solution at every
+    node.
 
     Parameters
     ----------
@@ -168,20 +169,30 @@ def solve_quadratic(
     s = np.sqrt(np.abs(s2))
     even = np.where(s2 > 0.0, np.cosh(s), np.cos(s))
     odd = np.where(s2 > 0.0, np.sinh(s) / np.where(s > 0.0, s, 1.0), np.sinc(s / np.pi))
-    steps = np.array([[even + odd * c, odd * h], [odd * lower, even - odd * c]])
 
-    # inclusive prefix product in log2(n) passes: prop[j] = M[j-1] @ ... @ M[0]
-    prop = np.concatenate([np.eye(2)[None], np.moveaxis(steps, -1, 0)])
+    # the steps' four entries as 1-d arrays, the identity first; an inclusive
+    # prefix product in log2(n) passes, elementwise, leaves
+    # m[j] = M[j-1] @ ... @ M[0]
+    m00 = np.concatenate(([1.0], even + odd * c))
+    m01 = np.concatenate(([0.0], odd * h))
+    m10 = np.concatenate(([0.0], odd * lower))
+    m11 = np.concatenate(([1.0], even - odd * c))
     k = 1
-    while k < prop.shape[0]:
-        prop[k:] = prop[k:] @ prop[:-k]
+    while k < grid.size:
+        p00, p01, p10, p11 = m00[:-k], m01[:-k], m10[:-k], m11[:-k]
+        m00[k:], m01[k:], m10[k:], m11[k:] = (
+            m00[k:] * p00 + m01[k:] * p10,
+            m00[k:] * p01 + m01[k:] * p11,
+            m10[k:] * p00 + m11[k:] * p10,
+            m10[k:] * p01 + m11[k:] * p11,
+        )
         k *= 2
     return QuadraticSolution(
         tau=grid,
-        cos_sol=prop[:, 0, 0],
-        cos_deriv=prop[:, 1, 0],
-        sin_sol=prop[:, 0, 1],
-        sin_deriv=prop[:, 1, 1],
+        cos_sol=m00,
+        cos_deriv=m10,
+        sin_sol=m01,
+        sin_deriv=m11,
         omega_sq=1.0 + 4.0 * np.asarray(profile.d2_at(grid), dtype=float),
     )
 

@@ -11,7 +11,6 @@ ket whose covariance has the engine's eigenvalues.
 
 import time
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -54,7 +53,7 @@ def stack_reports(reports):
     """One report whose fields join the per-trajectory arrays."""
     return NonGaussianityReport(**{
         name: np.concatenate([getattr(r, name) for r in reports])
-        for name in (f.name for f in fields(NonGaussianityReport))
+        for name in NonGaussianityReport._fields
     })
 
 

@@ -7,6 +7,7 @@ from optomech import (
     ConstantSqueezing,
     Coupling,
     ModulatedSqueezing,
+    TabulatedSignal,
     UnsupportedRegimeError,
     constant_coefficients,
     number_displacement_sq_constant,
@@ -29,6 +30,19 @@ class TestQuadratureRoute:
         sol = solve_quadratic(ConstantSqueezing(0.3), TWO_PI)
         got = DecouplingTables(sol, Coupling(g=0.0, drive=0.0)).at(4.0)
         assert all(getattr(got, f) == 0.0 for f in FIELDS)
+
+    def test_zero_drive_skips_its_tables(self, modulated_solution):
+        # a constant zero drive leaves num, pos and mom the scalar 0; a
+        # tabulated zero drive runs the full six-table path
+        taus = np.linspace(0.0, modulated_solution.tau_max, 101)
+        zero = TabulatedSignal(taus, np.zeros(taus.size))
+        bare = DecouplingTables(modulated_solution, Coupling(0.7, 0.0)).at(taus)
+        full = DecouplingTables(modulated_solution, Coupling(0.7, zero)).at(taus)
+        for name in ("num", "pos", "mom"):
+            assert np.ndim(getattr(bare, name)) == 0 and getattr(bare, name) == 0.0
+            assert np.all(getattr(full, name) == 0.0)
+        for name in ("num_sq", "num_pos", "num_mom"):
+            np.testing.assert_allclose(getattr(bare, name), getattr(full, name), rtol=0, atol=1e-15)
 
     def test_all_zero_at_start(self, modulated_solution):
         got = DecouplingTables(modulated_solution, Coupling(g=1.0, drive=0.3)).at(0.0)

@@ -91,6 +91,34 @@ class TestSolveQuadratic:
         got = np.array([sol.cos_sol, sol.cos_deriv, sol.sin_sol, sol.sin_deriv])
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("d2, tau_max", [(0.1, TWO_PI), (0.3, 20.0), (0.1, 60 * np.pi)])
+    def test_scan_matches_sequential_product(self, d2, tau_max):
+        # the log2(n)-pass scan reassociates the product of the Magnus steps;
+        # the reference multiplies the same steps one at a time, in order
+        profile = ModulatedSqueezing(d2, 2.0)
+        sol = solve_quadratic(profile, tau_max)
+        h = sol.step
+        w = 1.0 + 4.0 * profile.d2_at(sol.tau[:-1, None] + h * (0.5 + np.array([-1, 1]) * np.sqrt(3.0) / 6.0))
+        c = np.sqrt(3.0) / 12.0 * h * h * (w[:, 1] - w[:, 0])
+        lower = -0.5 * h * (w[:, 0] + w[:, 1])
+        s2 = c * c + h * lower
+        s = np.sqrt(np.abs(s2))
+        even = np.where(s2 > 0.0, np.cosh(s), np.cos(s))
+        odd = np.where(s2 > 0.0, np.sinh(s) / np.where(s > 0.0, s, 1.0), np.sinc(s / np.pi))
+        steps = np.column_stack([even + odd * c, odd * h, odd * lower, even - odd * c])
+
+        prod = (1.0, 0.0, 0.0, 1.0)
+        ref = [prod]
+        for s00, s01, s10, s11 in steps.tolist():
+            p00, p01, p10, p11 = prod
+            prod = (s00 * p00 + s01 * p10, s00 * p01 + s01 * p11,
+                    s10 * p00 + s11 * p10, s10 * p01 + s11 * p11)
+            ref.append(prod)
+        ref = np.array(ref)
+        got = np.column_stack([sol.cos_sol, sol.sin_sol, sol.cos_deriv, sol.sin_deriv])
+        err = np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert np.max(err) <= 1e-12
+
     def test_zero_amplitude_modulation_is_free(self):
         sol = solve_quadratic(ModulatedSqueezing(0.0, 2.0), TWO_PI)
         assert np.max(np.abs(sol.cos_sol - np.cos(sol.tau))) < 1e-8
