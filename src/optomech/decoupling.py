@@ -69,13 +69,14 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     """Running Simpson integral of samples y on a uniform grid of step h: even
     intervals use the parabola through the samples ahead, odd intervals and
     the last one the parabola through the samples behind."""
-    ahead = 5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:]  # interval i from samples i..i+2
-    behind = -y[:-2] + 8.0 * y[1:-1] + 5.0 * y[2:]  # interval i+1 from samples i..i+2
-    piece = np.empty(y.size - 1)
-    piece[:-1:2] = ahead[::2]
-    piece[1::2] = behind[::2]
-    piece[-1] = behind[-1]
-    return np.concatenate([[0.0], np.cumsum(piece * (h / 12.0))])
+    lo, mid, hi = y[:-2:2], 8.0 * y[1:-1:2], y[2::2]
+    out = np.zeros(y.size)
+    out[1:-1:2] = 5.0 * lo + mid - hi  # interval 2j from samples 2j..2j+2
+    out[2::2] = -lo + mid + 5.0 * hi  # interval 2j+1 from samples 2j..2j+2
+    out[-1] = -y[-3] + 8.0 * y[-2] + 5.0 * y[-1]
+    out[1:] *= h / 12.0
+    np.cumsum(out[1:], out=out[1:])
+    return out
 
 
 class DecouplingTables:

@@ -89,6 +89,7 @@ def evaluate_trajectory(
             sol = solve_quadratic(system.squeezing, float(np.max(taus, initial=1e-6)), resolution)
             coeffs = DecouplingTables(sol, system.coupling).at(taus)
             alpha, beta = sol.bogoliubov(taus)
+            del sol  # the grid-sized solution is not needed past this point
 
         m = moments(coeffs, alpha, beta, init)
         report = non_gaussianity(

@@ -86,7 +86,15 @@ def kick_overlap(coeffs: DecouplingCoefficients, mu_m: complex):
 
 
 def moments(coeffs: DecouplingCoefficients, alpha, beta, init: InitialState) -> MomentSet:
-    """Assemble all eight moments of the evolved state."""
+    """Assemble all eight moments of the evolved state.
+
+    N is conserved and Poisson with mean nbar = |mu_c|^2, and given N the
+    mechanics is Gaussian: the (alpha, beta) image of a coherent state,
+    shifted by P N.  So, with P = photon_shift, k = number_displacement and
+    theta = kerr_phase, in cumulant form
+    <b^2> = <b>^2 + nbar P^2 + alpha beta, <b^dag b> = |<b>|^2 + nbar |P|^2
+    + |beta|^2 and <a b> = <a> (<b> + (1 + nbar (e^{-i theta} - 1)) P - beta k).
+    """
     mu_c = complex(init.mu_c)
     mu_m = complex(init.mu_m)
     nc = abs(mu_c) ** 2
@@ -94,56 +102,27 @@ def moments(coeffs: DecouplingCoefficients, alpha, beta, init: InitialState) -> 
     drive_shift, photon_shift = displacement_amplitudes(alpha, beta, coeffs)
     overlap = kick_overlap(coeffs, mu_m)
     k_n = coeffs.number_displacement
-    k_n_sq = abs(k_n) ** 2
 
     theta = coeffs.kerr_phase
     phi = coeffs.coherent_phase
     eth = np.exp(-1j * theta)
-    shift = drive_shift + photon_shift * nc
+    # <a N> / <a> - nbar
+    dephase = 1.0 + nc * (eth - 1.0)
 
     a = np.exp(-1j * phi) * np.exp(nc * (eth - 1.0)) * overlap * mu_c
-    b = alpha * mu_m + beta * np.conj(mu_m) + shift
+    b = alpha * mu_m + beta * np.conj(mu_m) + (drive_shift + photon_shift * nc)
     a2 = (
         np.exp(-2j * phi)
         * mu_c**2
         * eth
         * np.exp(nc * (np.exp(-2j * theta) - 1.0))
-        * np.exp(-k_n_sq)
+        * np.exp(-abs(k_n) ** 2)
         * overlap**2
     )
-    b2 = (
-        alpha**2 * mu_m**2
-        + alpha * beta * (2.0 * abs(mu_m) ** 2 + 1.0)
-        + beta**2 * np.conj(mu_m) ** 2
-        + 2.0 * (alpha * mu_m + beta * np.conj(mu_m)) * shift
-        + drive_shift**2
-        + 2.0 * drive_shift * photon_shift * nc
-        + photon_shift**2 * nc * (1.0 + nc)
-    )
-    nb = (
-        (abs(alpha) ** 2 + abs(beta) ** 2) * abs(mu_m) ** 2
-        + np.conj(alpha) * beta * np.conj(mu_m) ** 2
-        + alpha * np.conj(beta) * mu_m**2
-        + (np.conj(alpha) * np.conj(mu_m) + np.conj(beta) * mu_m) * shift
-        + (alpha * mu_m + beta * np.conj(mu_m)) * np.conj(shift)
-        + 2.0 * np.real(np.conj(drive_shift) * photon_shift) * nc
-        + abs(photon_shift) ** 2 * nc * (1.0 + nc)
-        + abs(beta) ** 2
-        + abs(drive_shift) ** 2
-    )
-    front = np.exp(-1j * phi) * np.exp(nc * (eth - 1.0)) * mu_c * overlap
-    ab = front * (
-        alpha * mu_m
-        + beta * (np.conj(mu_m) - k_n)
-        + drive_shift
-        + (nc * eth + 1.0) * photon_shift
-    )
-    ab_dag = front * (
-        np.conj(alpha) * (np.conj(mu_m) - k_n)
-        + np.conj(beta) * mu_m
-        + np.conj(drive_shift)
-        + (nc * eth + 1.0) * np.conj(photon_shift)
-    )
+    b2 = b * b + photon_shift**2 * nc + alpha * beta
+    nb = abs(b) ** 2 + abs(photon_shift) ** 2 * nc + abs(beta) ** 2
+    ab = a * (b + dephase * photon_shift - beta * k_n)
+    ab_dag = a * (np.conj(b) + dephase * np.conj(photon_shift) - np.conj(alpha) * k_n)
 
     return MomentSet(
         a=a,
@@ -153,7 +132,7 @@ def moments(coeffs: DecouplingCoefficients, alpha, beta, init: InitialState) -> 
         ab=ab,
         ab_dag=ab_dag,
         na=nc,
-        nb=np.real(nb),
+        nb=nb,
         drive_shift=drive_shift,
         photon_shift=photon_shift,
         kick_overlap=overlap,

@@ -99,7 +99,7 @@ Signal = Union[float, TabulatedSignal]
 def _signal_at(sig: Signal, tau):
     if isinstance(sig, TabulatedSignal):
         return sig.at(tau)
-    return np.full(np.shape(np.asarray(tau, dtype=float)), float(sig))
+    return np.broadcast_to(float(sig), np.shape(np.asarray(tau, dtype=float)))
 
 
 class Coupling(NamedTuple):

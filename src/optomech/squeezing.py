@@ -177,6 +177,7 @@ def solve_quadratic(
     m01 = np.concatenate(([0.0], odd * h))
     m10 = np.concatenate(([0.0], odd * lower))
     m11 = np.concatenate(([1.0], even - odd * c))
+    del w, c, lower, s2, s, even, odd  # free the step intermediates before the scan
     k = 1
     while k < grid.size:
         p00, p01, p10, p11 = m00[:-k], m01[:-k], m10[:-k], m11[:-k]

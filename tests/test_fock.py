@@ -259,10 +259,23 @@ class TestEvolve:
             fock.product_coherent(InitialState(1.0, 0.0), 4, 6)
         assert err.value.diagnostics["n_c"] == 4
 
-    def test_matches_analytic_moments(self, certified_point):
-        system, init, tau = certified_point
+    @pytest.mark.parametrize(
+        "system, init, tau, n_m",
+        [
+            (SystemParams(1.0, Coupling(g=0.5), ConstantSqueezing(0.3)),
+             InitialState(1.0, 0.0), np.pi / 2, 48),
+            (SystemParams(1.0, Coupling(g=0.5, drive=0.2), ConstantSqueezing(0.3)),
+             InitialState(1.0, 0.3 + 0.2j), np.pi / 2, 48),
+            (SystemParams(1.0, Coupling(g=0.4, drive=0.15), ModulatedSqueezing(0.1, 2.0)),
+             InitialState(0.8 - 0.3j, -0.4 + 0.3j), 1.5, 64),
+        ],
+        ids=["certified", "driven-constant", "driven-modulated"],
+    )
+    def test_matches_analytic_moments(self, system, init, tau, n_m):
+        # the driven, displaced cases reach the drive-shift and mu_m terms of
+        # every mechanical moment, which the certified point leaves at zero
         rec = evaluate_point(system, init, tau)
-        final = fock.evolve(fock.product_coherent(init, 16, 48), system, tau)
+        final = fock.evolve(fock.product_coherent(init, 16, n_m), system, tau)
         measured = fock.measure_moments(final, system.omega_c, tau)
         for name in ("a", "b", "a2", "b2", "na", "nb", "ab", "ab_dag"):
             ana = complex(getattr(rec.moments, name))

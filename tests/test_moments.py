@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,43 @@ class TestMoments:
         )
         measured = fock.measure_moments(final, 1.0, np.pi / 2)
         assert_moments_close(rec.moments, measured, rel=1e-3)
+
+    def test_long_time_against_high_precision(self):
+        # at 40*pi on resonance |beta| ~ 1.4e5; the reference maps the
+        # squeezing-frame moments through (alpha, beta) at 60 digits, from
+        # the same float alpha, beta and coefficients, so it measures only
+        # the rounding of the moment assembly
+        system = SystemParams(1.0, Coupling(g=0.5, drive=0.3), ModulatedSqueezing(0.1, 2.0))
+        init = InitialState(1.0, 0.5 + 0.2j)
+        rec = evaluate_trajectory(system, init, np.linspace(0.0, 40 * np.pi, 801))
+        assert np.max(np.abs(rec.beta)) > 1e5
+
+        def mpc(x):
+            return mpmath.mpc(complex(x).real, complex(x).imag)
+
+        c = rec.coeffs
+        with mpmath.workdps(60):
+            nbar = mpmath.mpf(abs(init.mu_c) ** 2)
+            for i in range(0, 801, 20):
+                alpha, beta = mpc(rec.alpha[i]), mpc(rec.beta[i])
+                # squeezing frame, given N photons: coherent at shift + kick * N
+                shift = mpc(init.mu_m) + mpc(complex(c.mom[i], -c.pos[i]))
+                kick = mpc(complex(c.num_mom[i], -c.num_pos[i]))
+                b_s = shift + kick * nbar
+                b2_s = shift**2 + 2 * shift * kick * nbar + kick**2 * nbar * (1 + nbar)
+                nb_s = (abs(shift) ** 2 + 2 * mpmath.re(mpmath.conj(shift) * kick) * nbar
+                        + abs(kick) ** 2 * nbar * (1 + nbar))
+                want = {
+                    "b": alpha * b_s + beta * mpmath.conj(b_s),
+                    "b2": (alpha**2 * b2_s + alpha * beta * (2 * nb_s + 1)
+                           + beta**2 * mpmath.conj(b2_s)),
+                    "nb": ((abs(alpha) ** 2 + abs(beta) ** 2) * nb_s
+                           + 2 * mpmath.re(mpmath.conj(alpha) * beta * mpmath.conj(b2_s))
+                           + abs(beta) ** 2),
+                }
+                for name, ref in want.items():
+                    err = abs(mpc(getattr(rec.moments, name)[i]) - ref) / abs(ref)
+                    assert err <= 1e-9, (name, i, float(err))
 
 
 class TestCovariance:
