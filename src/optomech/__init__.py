@@ -24,11 +24,10 @@ from .decoupling import (
     DecouplingCoefficients,
     DecouplingTables,
     constant_coefficients,
-    number_displacement_sq_constant,
     number_displacement_sq_resonant,
     resonant_coefficients,
 )
-from .engine import StateRecord, evaluate_point, evaluate_trajectory, quadrature_trajectory
+from .engine import StateRecord, evaluate_point, evaluate_trajectory
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -37,7 +36,6 @@ from .errors import (
     NonFiniteError,
     OptomechError,
     SingularFactorError,
-    UnsupportedRegimeError,
     ValidationError,
     ValidityWarning,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "StateRecord",
     "SystemParams",
     "TabulatedSignal",
-    "UnsupportedRegimeError",
     "ValidationError",
     "ValidityWarning",
     "araki_lieb_bounds",
@@ -119,9 +116,7 @@ __all__ = [
     "mode_entropy",
     "moments",
     "non_gaussianity",
-    "number_displacement_sq_constant",
     "number_displacement_sq_resonant",
-    "quadrature_trajectory",
     "resonant_coefficients",
     "rwa_mode",
     "solve_quadratic",

@@ -6,7 +6,8 @@ square N^2, the mechanical position and momentum generators x = b + b^dag
 and p = i(b^dag - b), and their photon-number-conditioned versions N*x and
 N*p.  Each exponential carries a real scalar coefficient obtained from
 definite integrals of the coupling profiles weighted by the complex mode
-function of the quadratic sector.
+function of the quadratic sector; for constant squeezing and coupling they
+close through its Stumpff functions, for any real squeezing strength.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from ._interp import hermite_eval
 from .errors import ValidityWarning
 from .profiles import Coupling
-from .squeezing import QuadraticSolution, zeta
+from .squeezing import QuadraticSolution, stumpff
 
 
 class DecouplingCoefficients(NamedTuple):
@@ -135,36 +136,24 @@ class DecouplingTables:
         return DecouplingCoefficients(tau=tau, **vals)
 
 
-def _sinc(x):
-    # sin(x)/x with sinc(0) = 1
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
-
-
 def constant_coefficients(g0: float, d2: float, tau) -> DecouplingCoefficients:
     """Closed-form coefficients for constant squeezing and coupling, zero drive.
 
-    ``tau`` may be a scalar or an array of times.
+    With the Stumpff functions c_k of x = (1 + 4*d2)*tau^2: num_pos = -g0*tau*c1,
+    num_mom = -g0*tau^2*c2 and num_sq = -4*g0^2*tau^3*c3(4x) = -g0^2*tau^3*(c2 +
+    c0*c3) by the duplication identity.  ``tau`` may be a scalar or an array.
     """
-    z = zeta(d2)
+    c0, c1, c2, c3 = stumpff(d2, tau)
     t = np.asarray(tau, dtype=float)
-    zt = z * t
     return DecouplingCoefficients(
         num=0.0,
-        num_sq=-(g0**2 / z**2) * (1.0 - _sinc(2.0 * zt)) * t,
+        num_sq=-(g0**2) * t**3 * (c2 + c0 * c3),
         pos=0.0,
         mom=0.0,
-        num_pos=-(g0 / z) * np.sin(zt),
-        num_mom=(g0 / z**2) * (np.cos(zt) - 1.0),
+        num_pos=-g0 * t * c1,
+        num_mom=-g0 * t**2 * c2,
         tau=t,
     )
-
-
-def number_displacement_sq_constant(g0: float, d2: float, tau: float) -> float:
-    """Closed form of |per-photon displacement|^2 for constant squeezing."""
-    z = zeta(d2)
-    zt = z * float(tau)
-    bracket = (z**2 + 1.0) * np.sin(zt) ** 2 + np.cos(2.0 * zt) - 2.0 * np.cos(zt) + 1.0
-    return float(g0**2 / z**4 * bracket)
 
 
 def _resonant_warn(d2: float, tau: float) -> None:
@@ -189,7 +178,7 @@ def resonant_coefficients(g0: float, d2: float, tau: float) -> DecouplingCoeffic
     sin_2t, cos_2t = np.sin(2.0 * t), np.cos(2.0 * t)
     sin_half_sq = np.sin(0.5 * t) ** 2
 
-    num_sq = g0**2 * t * (1.0 - d2) * (_sinc(2.0 * t) - 1.0) + 0.5 * g0**2 * d2**2 * (
+    num_sq = g0**2 * t * (1.0 - d2) * (np.sinc(2.0 * t / np.pi) - 1.0) + 0.5 * g0**2 * d2**2 * (
         (2.0 * t**2 - 3.0) * sin_2t + 2.0 * t + 4.0 * t * cos_2t
     )
     num_pos = (

@@ -115,22 +115,3 @@ def evaluate_point(
     """:func:`evaluate_trajectory` at one time, with scalar fields."""
     return evaluate_trajectory(system, init, float(tau), resolution=resolution)
 
-
-def quadrature_trajectory(
-    system: SystemParams,
-    init: InitialState,
-    taus,
-    *,
-    lab_frame: bool = False,
-    resolution: float | None = None,
-) -> np.ndarray:
-    """Optical quadrature expectation values (<x1>, <p1>) on a time grid.
-
-    Rotating-frame by default; ``lab_frame`` restores the cavity rotation
-    phase on the optical amplitude.
-    """
-    rec = evaluate_trajectory(system, init, taus, resolution=resolution)
-    a = rec.moments.a
-    if lab_frame:
-        a = a * np.exp(-1j * system.omega_c * rec.tau)
-    return np.sqrt(2.0) * np.column_stack([a.real, a.imag])

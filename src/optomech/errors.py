@@ -1,13 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.  None refuses a
+parameter sector as such: constant squeezing is solved for every real d2."""
 
 
 class OptomechError(Exception):
     """Base class for all library errors."""
-
-
-class UnsupportedRegimeError(OptomechError):
-    """Parameters fall outside the regime the solver supports (e.g. an
-    inverted effective potential, 1 + 4*d2 <= 0, for constant squeezing)."""
 
 
 class DomainError(OptomechError):

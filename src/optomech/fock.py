@@ -195,12 +195,13 @@ def _blocks_at(d2: float, g: float, d1: float, n_c: int, n_m: int) -> BlockHamil
 
 
 def default_dt(system: SystemParams, tau_final: float, n_c: int) -> float:
-    """Fourth-order steps, 25 per period of the fastest mechanical scale; the
-    cavity frequency is applied exactly as a per-block phase and sets no
-    step."""
+    """Fourth-order steps, 25 per period of the fastest mechanical scale,
+    the squeezing modulation's included; the cavity frequency is applied
+    exactly as a per-block phase and sets no step."""
     rate_sq = 1.0 + 4.0 * system.squeezing.max_abs(tau_final)
     g_scale = system.coupling.g_max(tau_final) * np.sqrt(n_c)
-    return 2.0 * np.pi / (25.0 * max(rate_sq, g_scale, 1.0))
+    omega0 = abs(getattr(system.squeezing, "omega0", 0.0))  # modulated profiles only
+    return 2.0 * np.pi / (25.0 * max(rate_sq, g_scale, omega0, 1.0))
 
 
 def _is_time_independent(system: SystemParams) -> bool:
@@ -441,14 +442,10 @@ def fidelity(s1: FockState, s2: FockState) -> float:
     return float(abs(np.vdot(s1.amplitudes.reshape(-1), s2.amplitudes.reshape(-1))) ** 2)
 
 
-def mechanical_density(state: FockState) -> np.ndarray:
-    """Reduced mechanical density matrix (photon index traced out)."""
-    a = state.amplitudes
-    return np.einsum("nm,nk->mk", a, a.conj())
-
-
 def mechanical_purity(state: FockState) -> float:
-    rho = mechanical_density(state)
+    """Purity of the reduced mechanical density matrix (photon index traced out)."""
+    a = state.amplitudes
+    rho = np.einsum("nm,nk->mk", a, a.conj())
     return float(np.real(np.sum(np.abs(rho) ** 2)))
 
 

@@ -5,23 +5,21 @@ equation u'' + omega_sq(tau) * u = 0 with omega_sq = 1 + 4*D2(tau).  This
 module produces its cosine-like solution (u(0)=1, u'(0)=0) and sine-like
 solution (u(0)=0, u'(0)=1) on a dense grid, together with the complex mode
 function and the Bogoliubov coefficients of the induced Gaussian evolution.
+Constant-squeezing closed forms go through the Stumpff functions of
+x = (1 + 4*d2)*tau^2, one form for the oscillating, free and inverted sectors.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import NamedTuple
 
 import numpy as np
 
 from ._interp import hermite_eval
-from .errors import (
-    DomainError,
-    SingularFactorError,
-    UnsupportedRegimeError,
-    ValidityWarning,
-)
-from .profiles import _SPAN_SLACK, ConstantSqueezing, SqueezingProfile
+from .errors import DomainError, SingularFactorError, ValidityWarning
+from .profiles import _SPAN_SLACK, SqueezingProfile
 
 # Grid defaults: the fastest oscillation must stay well resolved because the
 # decoupling quadrature reuses this grid.
@@ -32,20 +30,32 @@ _MIN_POINTS = 4096
 # Gauss-Legendre nodes of a unit interval
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
 
+# series of the Stumpff functions: 1/(2j + k)! for c_k (row k) and (-x)^j, j < 10
+_STUMPFF_SERIES = np.array([[1.0 / math.factorial(2 * j + k) for j in range(10)] for k in range(4)])
+
 
 def oscillation_rate(profile: SqueezingProfile, tau_max: float) -> float:
     """Effective angular rate sqrt(1 + 4*max|D2|) used to size grids."""
     return float(np.sqrt(1.0 + 4.0 * profile.max_abs(tau_max)))
 
 
-def zeta(d2: float) -> float:
-    """Oscillation frequency sqrt(1 + 4*d2) of the constant-squeezing sector."""
-    arg = 1.0 + 4.0 * d2
-    if arg <= 0.0:
-        raise UnsupportedRegimeError(
-            f"constant squeezing d2={d2:g} gives a non-oscillatory sector (1 + 4*d2 <= 0)"
-        )
-    return float(np.sqrt(arg))
+def stumpff(d2: float, tau):
+    """Stumpff functions c_k(x) = sum_j (-x)^j / (2j + k)!, k = 0..3, at
+    x = (1 + 4*d2)*tau^2 (Danby, Fundamentals of Celestial Mechanics, 1988,
+    sec. 6.9): c0 = cos sqrt(x) and c1 = sin sqrt(x)/sqrt(x), cosh and sinh for
+    x < 0, c2 = (1 - c0)/x, c3 = (1 - c1)/x; for |x| < 1 the ten-term series
+    gives all four, so nothing cancels near x = 0."""
+    t = np.asarray(tau, dtype=float)
+    w = 1.0 + 4.0 * d2
+    x = w * t.ravel() ** 2
+    small = np.abs(x) < 1.0
+    r = np.where(small, 1.0, np.sqrt(abs(w)) * t.ravel())  # placeholders where the series is used
+    xb = np.where(small, 1.0, x)
+    c0, c1 = (np.cosh(r), np.sinh(r) / r) if w < 0.0 else (np.cos(r), np.sin(r) / r)
+    c = np.stack((c0, c1, (1.0 - c0) / xb, (1.0 - c1) / xb))
+    powers = np.cumprod(np.repeat(-x[None, small], 9, axis=0), axis=0)  # (-x)^1..(-x)^9
+    c[:, small] = _STUMPFF_SERIES[:, :1] + _STUMPFF_SERIES[:, 1:] @ powers
+    return tuple(f[()] for f in c.reshape(4, *t.shape))
 
 
 class QuadraticSolution(NamedTuple):
@@ -147,8 +157,6 @@ def solve_quadratic(
     profile.require_span(tau_max)
 
     rate = oscillation_rate(profile, tau_max)
-    if isinstance(profile, ConstantSqueezing):
-        zeta(profile.d2)  # reject the inverted-potential regime up front
     if resolution is None:
         resolution = _SAMPLES_PER_UNIT * rate
     elif resolution < _MIN_SAMPLES_PER_UNIT * rate:
@@ -199,19 +207,17 @@ def solve_quadratic(
 
 
 def constant_solution(d2: float, tau):
-    """Closed-form (cosine-like, sine-like) solutions for constant squeezing."""
-    z = zeta(d2)
-    t = np.asarray(tau, dtype=float)
-    return np.cos(z * t), np.sin(z * t) / z
+    """Closed-form (cosine-like, sine-like) solutions (c0, tau*c1) for constant squeezing."""
+    c0, c1, _, _ = stumpff(d2, tau)
+    return c0, np.asarray(tau, dtype=float) * c1
 
 
 def constant_bogoliubov(d2: float, tau):
-    """Closed-form Bogoliubov coefficients for constant squeezing."""
-    z = zeta(d2)
-    zt = np.asarray(tau, dtype=float) * z
-    alpha = np.cos(zt) - 0.5j * (z + 1.0 / z) * np.sin(zt)
-    beta = -2j * (d2 / z) * np.sin(zt)
-    return alpha, beta
+    """Closed-form Bogoliubov coefficients for constant squeezing:
+    alpha = c0 - i(1 + 2*d2)*tau*c1 and beta = -2i*d2*tau*c1."""
+    c0, c1, _, _ = stumpff(d2, tau)
+    s = np.asarray(tau, dtype=float) * c1
+    return c0 - 1j * (1.0 + 2.0 * d2) * s, -2j * d2 * s
 
 
 def _two_scale_warn(d2: float, tau) -> None:

@@ -84,11 +84,19 @@ class TestConfig:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 6  # header + 5 rows
 
-    def test_unsupported_regime_exit_code(self, tmp_path, capsys):
+    def test_inverted_sector_exit_codes(self, tmp_path, capsys):
+        # constant d2 < -1/4 inverts the mechanical potential and runs; |beta|
+        # grows like exp(kappa*tau), kappa = sqrt(-1 - 4*d2), so a run past
+        # the float range exits 3 once, at its first non-finite time
         cfg = write_config(tmp_path, BASE_CONFIG)
         rc = main(["evolve", "--config", cfg, "--d2", "-0.5", "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
+        rc = main(["evolve", "--d2", "-1", "--tau_max", "1000", "--points", "201",
+                   "--out", str(tmp_path / "far.csv")])
         assert rc == 3
-        assert "d2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: non-finite") and err.rstrip().endswith("first at tau = 105")
 
     def test_coarse_resolution_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -132,17 +140,23 @@ class TestConfig:
         radii = [np.hypot(r[3], r[4]) for r in rows]
         assert np.allclose(radii, np.sqrt(2.0), atol=1e-12)
         assert abs(rows[2][3] - rows[0][3]) > 0.1
+        # and stands still in the rotating frame
+        rc = main(["evolve", "--config", cfg, "--g0", "0", "--points", "9", "--out", str(out)])
+        assert rc == 0
+        rows = [list(map(float, line.split(","))) for line in out.read_text().splitlines()[1:]]
+        assert np.allclose([r[3:5] for r in rows], rows[0][3:5], atol=1e-12)
 
 
 class TestEvolve:
     def test_header_and_initial_row(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "o.csv"
-        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["evolve", "--config", cfg, "--mu_c", "0.7,0.2", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == EVOLVE_HEADER
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 0.0
+        assert first[3:5] == pytest.approx([np.sqrt(2) * 0.7, np.sqrt(2) * 0.2])  # x1, p1
         assert first[7] == 0.0  # delta starts at zero
 
     def test_closed_quadrature_curve(self, tmp_path):
@@ -342,6 +356,13 @@ class TestOracleCheck:
         rc = main(["oracle-check", "--g0", "5.0", "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "envelope" in capsys.readouterr().err
+
+    def test_fast_modulation_sets_the_step(self, tmp_path):
+        # at omega0 = 20 the modulation is the fastest scale; a step that
+        # ignored it failed the halving check on this point
+        rc = main(["oracle-check", "--squeezing", "modulated", "--omega0", "20", "--d2", "0.1",
+                   "--g0", "0.2", "--tau", "3", "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
 
     def test_mismatch_exit_code(self, tmp_path):
         # a coarse step leaves a 2e-6 disagreement, twice the 1e-6 absolute

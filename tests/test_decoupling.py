@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,8 @@ from optomech import (
     Coupling,
     ModulatedSqueezing,
     TabulatedSignal,
-    UnsupportedRegimeError,
+    constant_bogoliubov,
     constant_coefficients,
-    number_displacement_sq_constant,
     number_displacement_sq_resonant,
     resonant_coefficients,
     solve_quadratic,
@@ -23,6 +23,27 @@ FIELDS = ("num", "num_sq", "pos", "mom", "num_pos", "num_mom")
 
 def max_component_diff(a, b):
     return max(abs(getattr(a, f) - getattr(b, f)) for f in FIELDS)
+
+
+def number_displacement_sq_constant(g0, d2, tau):
+    """The paper's closed form of |per-photon displacement|^2 for constant
+    squeezing, g0^2 * bracket / z^4 with z^2 = 1 + 4*d2 > 0: a reference
+    independent of the Stumpff form the library uses."""
+    z = np.sqrt(1.0 + 4.0 * d2)
+    zt = z * float(tau)
+    bracket = (z**2 + 1.0) * np.sin(zt) ** 2 + np.cos(2.0 * zt) - 2.0 * np.cos(zt) + 1.0
+    return float(g0**2 / z**4 * bracket)
+
+
+def stumpff_reference(k, x):
+    """c_k(x) = sum_j (-x)^j / (2j + k)! summed in mpmath at the working
+    precision, with no cancellation near x = 0."""
+    total, term, j = mpmath.mpf(0), 1 / mpmath.factorial(k), 0
+    while j <= abs(x) or abs(term) > mpmath.eps * abs(total):
+        total += term
+        j += 1
+        term *= -x / ((2 * j + k - 1) * (2 * j + k))
+    return total
 
 
 class TestQuadratureRoute:
@@ -49,9 +70,12 @@ class TestQuadratureRoute:
         assert all(getattr(got, f) == 0.0 for f in FIELDS)
 
     def test_matches_constant_closed_form(self):
-        sol = solve_quadratic(ConstantSqueezing(0.5), TWO_PI)
-        tables = DecouplingTables(sol, Coupling(g=1.0))
-        assert max_component_diff(tables.at(np.pi), constant_coefficients(1.0, 0.5, np.pi)) < 1e-7
+        # oscillating, free (d2 = -1/4) and inverted (d2 < -1/4) sectors
+        for d2 in (0.5, -0.25, -0.4, -1.0):
+            sol = solve_quadratic(ConstantSqueezing(d2), TWO_PI)
+            tables = DecouplingTables(sol, Coupling(g=1.0))
+            diff = max_component_diff(tables.at(np.pi), constant_coefficients(1.0, d2, np.pi))
+            assert diff < 1e-7, d2
 
     def test_free_full_period(self):
         sol = solve_quadratic(ConstantSqueezing(0.0), TWO_PI)
@@ -129,9 +153,33 @@ class TestConstantClosedForm:
         got = constant_coefficients(1.0, 1e6, np.pi)
         assert abs(got.kerr_phase) < 1e-3
 
-    def test_inverted_potential_rejected(self):
-        with pytest.raises(UnsupportedRegimeError):
-            constant_coefficients(1.0, -0.5, 1.0)
+    def test_against_high_precision(self):
+        # on both sides of d2 = -1/4, at it, and near x = 0, where forms in
+        # sqrt(1 + 4*d2) cancel; num_sq is taken as -4*g^2*tau^3*c3(4x), so
+        # the duplication identity the library uses is checked too
+        g0 = 0.7
+        near = [-0.25 + s * 10.0**-k for k in (2, 4, 8, 12, 15) for s in (1, -1)]
+        with mpmath.workdps(50):
+            for d2 in near + [-0.25, -0.3, -0.4, -1.0, 0.0, 0.3, 2.0]:
+                for tau in (1e-3, 0.3, 1.0, 2.5, 6.0):
+                    t = mpmath.mpf(tau)
+                    w = 1 + 4 * mpmath.mpf(d2)
+                    x = w * t * t
+                    c0, c1, c2 = (stumpff_reference(k, x) for k in range(3))
+                    want = {
+                        "num_pos": -g0 * t * c1,
+                        "num_mom": -g0 * t * t * c2,
+                        "num_sq": -4 * g0**2 * t**3 * stumpff_reference(3, 4 * x),
+                        "alpha": c0 - 1j * (1 + 2 * mpmath.mpf(d2)) * t * c1,
+                        "beta": -2j * mpmath.mpf(d2) * t * c1,
+                    }
+                    coeffs = constant_coefficients(g0, d2, tau)
+                    alpha, beta = constant_bogoliubov(d2, tau)
+                    got = {"num_pos": coeffs.num_pos, "num_mom": coeffs.num_mom,
+                           "num_sq": coeffs.num_sq, "alpha": alpha, "beta": beta}
+                    for name, value in got.items():
+                        ref = complex(want[name])
+                        assert abs(value - ref) <= 1e-13 * abs(ref), (d2, tau, name)
 
 
 class TestNumberDisplacementConstant:

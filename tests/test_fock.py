@@ -236,6 +236,11 @@ class TestEvolve:
             fast = SystemParams(5.0, Coupling(g=0.5), squeezing)
             assert fock.default_dt(fast, 1.5, 16) == fock.default_dt(slow, 1.5, 16)
 
+    def test_default_dt_resolves_the_modulation(self):
+        # 25 steps per modulation period once omega0 is the fastest scale
+        system = SystemParams(1.0, Coupling(g=0.2), ModulatedSqueezing(0.1, 20.0))
+        assert fock.default_dt(system, 3.0, 16) == 2.0 * np.pi / (25.0 * 20.0)
+
     @pytest.mark.parametrize(
         "squeezing", [ConstantSqueezing(0.3), ModulatedSqueezing(0.1, 2.0)],
         ids=["constant", "modulated"],
@@ -268,8 +273,13 @@ class TestEvolve:
              InitialState(1.0, 0.3 + 0.2j), np.pi / 2, 48),
             (SystemParams(1.0, Coupling(g=0.4, drive=0.15), ModulatedSqueezing(0.1, 2.0)),
              InitialState(0.8 - 0.3j, -0.4 + 0.3j), 1.5, 64),
+            # the free particle (1 + 4*d2 = 0) and the inverted oscillator
+            (SystemParams(1.0, Coupling(g=0.3), ConstantSqueezing(-0.25)),
+             InitialState(1.0, 0.0), 1.0, 48),
+            (SystemParams(1.0, Coupling(g=0.3), ConstantSqueezing(-0.4)),
+             InitialState(1.0, 0.0), 1.0, 64),
         ],
-        ids=["certified", "driven-constant", "driven-modulated"],
+        ids=["certified", "driven-constant", "driven-modulated", "free", "inverted"],
     )
     def test_matches_analytic_moments(self, system, init, tau, n_m):
         # the driven, displaced cases reach the drive-shift and mu_m terms of

@@ -20,7 +20,6 @@ from optomech import (
     evaluate_trajectory,
     kick_overlap,
     moments,
-    quadrature_trajectory,
     squeezing_frame_excess,
     symplectic_eigenvalues,
 )
@@ -271,28 +270,6 @@ class TestCovariance:
                 for rec in (evaluate_point(system, init, t) for t in (0.9, np.pi)):
                     assert rec.covariance.hermiticity_defect() < 1e-10
                     assert np.all(symplectic_eigenvalues(rec.covariance.sigma) >= 1 - 1e-6)
-
-
-class TestQuadratureTrajectory:
-    def test_initial_point(self, benchmark_system):
-        init = InitialState(0.7 + 0.2j, 0.0)
-        xy = quadrature_trajectory(benchmark_system, init, [0.0])
-        assert xy[0, 0] == pytest.approx(np.sqrt(2) * 0.7)
-        assert xy[0, 1] == pytest.approx(np.sqrt(2) * 0.2)
-
-    def test_decoupled_cavity_lab_frame_circle(self):
-        system = SystemParams(1.0, Coupling(g=0.0), ConstantSqueezing(0.0))
-        init = InitialState(1.0, 0.0)
-        taus = np.linspace(0, TWO_PI, 24)
-        lab = quadrature_trajectory(system, init, taus, lab_frame=True)
-        radii = np.hypot(lab[:, 0], lab[:, 1])
-        assert np.allclose(radii, np.sqrt(2.0), atol=1e-12)
-        rot = quadrature_trajectory(system, init, taus)
-        assert np.allclose(rot, rot[0], atol=1e-12)
-
-    def test_closed_curve_at_unit_coupling(self, benchmark_system, coherent_init):
-        xy = quadrature_trajectory(benchmark_system, coherent_init, [0.0, TWO_PI])
-        assert np.max(np.abs(xy[1] - xy[0])) < 1e-6
 
 
 class TestFrequencyShiftEquivalence:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optomech import (
@@ -9,7 +9,6 @@ from optomech import (
     ModulatedSqueezing,
     SingularFactorError,
     TabulatedSignal,
-    UnsupportedRegimeError,
     ValidityWarning,
     constant_bogoliubov,
     constant_solution,
@@ -35,9 +34,13 @@ class TestConstantSolution:
         assert c == pytest.approx(-1.0)
         assert s == pytest.approx(0.0, abs=1e-15)
 
-    def test_inverted_potential_rejected(self):
-        with pytest.raises(UnsupportedRegimeError):
-            constant_solution(-0.3, 1.0)
+    def test_free_particle(self):
+        # 1 + 4*d2 = 0 leaves u'' = 0: u = 1 and u = tau, and |beta| = tau/2
+        taus = np.array([0.0, 1e-3, 0.5, 7.0])
+        c, s = constant_solution(-0.25, taus)
+        assert np.array_equal(c, np.ones(4)) and np.array_equal(s, taus)
+        _, beta = constant_bogoliubov(-0.25, taus)
+        assert np.array_equal(beta, 0.5j * taus)
 
     def test_matches_numeric_integration(self):
         # the numeric propagator is the independent oracle for the closed form
@@ -148,10 +151,6 @@ class TestSolveQuadratic:
         assert np.max(np.abs(sol_t.mode(taus) - sol_m.mode(taus))) < 1e-5
         assert np.max(sol_t.identity_residual()) < 1e-10
 
-    def test_inverted_potential_rejected(self):
-        with pytest.raises(UnsupportedRegimeError):
-            solve_quadratic(ConstantSqueezing(-0.5), TWO_PI)
-
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(DomainError):
             solve_quadratic(ConstantSqueezing(0.0), 0.0)
@@ -217,12 +216,17 @@ class TestBogoliubov:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        d2=st.floats(-0.2, 3.0),
+        d2=st.floats(-1.0, 3.0),
         tau=st.floats(0.0, 25.0),
     )
+    @example(d2=-0.25, tau=5e-324)
+    @example(d2=-1.0, tau=5e-324)
     def test_constant_identity(self, d2, tau):
+        # relative to |alpha|^2 + |beta|^2, which grows like exp(2*kappa*tau)
+        # in the inverted sector; subnormal times must raise no RuntimeWarning
         alpha, beta = constant_bogoliubov(d2, tau)
-        assert abs(abs(alpha) ** 2 - abs(beta) ** 2 - 1.0) < 1e-10
+        size = abs(alpha) ** 2 + abs(beta) ** 2
+        assert abs(abs(alpha) ** 2 - abs(beta) ** 2 - 1.0) < 1e-10 * size
 
     def test_modulated_identity_and_frozen_reference(self, modulated_solution):
         alpha, beta = modulated_solution.bogoliubov(TWO_PI)
