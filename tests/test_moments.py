@@ -272,6 +272,16 @@ class TestCovariance:
                     assert np.all(symplectic_eigenvalues(rec.covariance.sigma) >= 1 - 1e-6)
 
 
+class TestQuadratureTrajectory:
+    def test_initial_point(self, benchmark_system):
+        # the optical quadratures x1 = sqrt(2) Re<a>, p1 = sqrt(2) Im<a> that
+        # the evolve CSV writes start at the coherent amplitude mu_c
+        init = InitialState(0.7 + 0.2j, 0.0)
+        a = evaluate_trajectory(benchmark_system, init, [0.0]).moments.a
+        assert np.sqrt(2.0) * a[0].real == pytest.approx(np.sqrt(2) * 0.7)
+        assert np.sqrt(2.0) * a[0].imag == pytest.approx(np.sqrt(2) * 0.2)
+
+
 class TestFrequencyShiftEquivalence:
     """Constant squeezing is a shifted mechanical frequency acting on a
     squeezed initial state; first moments must agree after the frame map."""
