@@ -20,13 +20,7 @@ import os
 # user set wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .decoupling import (
-    DecouplingCoefficients,
-    DecouplingTables,
-    constant_coefficients,
-    number_displacement_sq_resonant,
-    resonant_coefficients,
-)
+from .decoupling import DecouplingCoefficients, DecouplingTables, constant_coefficients
 from .engine import StateRecord, evaluate_point, evaluate_trajectory
 from .errors import (
     ConfigError,
@@ -50,14 +44,7 @@ from .moments import (
     moments,
     squeezing_frame_excess,
 )
-from .nongauss import (
-    NonGaussianityReport,
-    araki_lieb_bounds,
-    mode_entropy,
-    non_gaussianity,
-    subsystem_eigenvalues,
-    symplectic_eigenvalues,
-)
+from .nongauss import NonGaussianityReport, mode_entropy, non_gaussianity
 from .profiles import (
     ConstantSqueezing,
     Coupling,
@@ -69,9 +56,7 @@ from .profiles import (
 from .squeezing import (
     QuadraticSolution,
     constant_bogoliubov,
-    constant_solution,
     mathieu_params,
-    rwa_mode,
     solve_quadratic,
     two_scale_solution,
 )
@@ -103,10 +88,8 @@ __all__ = [
     "TabulatedSignal",
     "ValidationError",
     "ValidityWarning",
-    "araki_lieb_bounds",
     "constant_bogoliubov",
     "constant_coefficients",
-    "constant_solution",
     "covariance",
     "displacement_amplitudes",
     "evaluate_point",
@@ -116,12 +99,7 @@ __all__ = [
     "mode_entropy",
     "moments",
     "non_gaussianity",
-    "number_displacement_sq_resonant",
-    "resonant_coefficients",
-    "rwa_mode",
     "solve_quadratic",
     "squeezing_frame_excess",
-    "subsystem_eigenvalues",
-    "symplectic_eigenvalues",
     "two_scale_solution",
 ]

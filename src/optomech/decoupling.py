@@ -6,19 +6,17 @@ square N^2, the mechanical position and momentum generators x = b + b^dag
 and p = i(b^dag - b), and their photon-number-conditioned versions N*x and
 N*p.  Each exponential carries a real scalar coefficient obtained from
 definite integrals of the coupling profiles weighted by the complex mode
-function of the quadratic sector; for constant squeezing and coupling they
-close through its Stumpff functions, for any real squeezing strength.
+function of the quadratic sector; for constant squeezing, coupling and drive
+they close through its Stumpff functions, for any real squeezing strength.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 
 from ._interp import hermite_eval
-from .errors import ValidityWarning
 from .profiles import Coupling
 from .squeezing import QuadraticSolution, stumpff
 
@@ -40,10 +38,6 @@ class DecouplingCoefficients(NamedTuple):
     num_pos: float
     num_mom: float
     tau: float
-
-    @classmethod
-    def zeros(cls) -> "DecouplingCoefficients":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     @property
     def displacement(self) -> complex:
@@ -136,84 +130,29 @@ class DecouplingTables:
         return DecouplingCoefficients(tau=tau, **vals)
 
 
-def constant_coefficients(g0: float, d2: float, tau) -> DecouplingCoefficients:
-    """Closed-form coefficients for constant squeezing and coupling, zero drive.
+def constant_coefficients(
+    g0: float, d2: float, tau, *, d1: float = 0.0
+) -> DecouplingCoefficients:
+    """Closed-form coefficients for constant squeezing, coupling and drive.
 
     With the Stumpff functions c_k of x = (1 + 4*d2)*tau^2: num_pos = -g0*tau*c1,
     num_mom = -g0*tau^2*c2 and num_sq = -4*g0^2*tau^3*c3(4x) = -g0^2*tau^3*(c2 +
-    c0*c3) by the duplication identity.  ``tau`` may be a scalar or an array.
+    c0*c3) by the duplication identity; the drive gives pos = d1*tau*c1,
+    mom = d1*tau^2*c2 and num = 2*g0*d1*tau^3*(c2 + c0*c3).  Without a drive
+    num, pos and mom stay the scalar 0.  ``tau`` may be a scalar or an array.
     """
     c0, c1, c2, c3 = stumpff(d2, tau)
     t = np.asarray(tau, dtype=float)
+    num = pos = mom = 0.0
+    if d1 != 0.0:
+        num = 2.0 * g0 * d1 * t**3 * (c2 + c0 * c3)
+        pos, mom = d1 * t * c1, d1 * t**2 * c2
     return DecouplingCoefficients(
-        num=0.0,
+        num=num,
         num_sq=-(g0**2) * t**3 * (c2 + c0 * c3),
-        pos=0.0,
-        mom=0.0,
+        pos=pos,
+        mom=mom,
         num_pos=-g0 * t * c1,
         num_mom=-g0 * t**2 * c2,
         tau=t,
     )
-
-
-def _resonant_warn(d2: float, tau: float) -> None:
-    stretch = abs(d2) * np.cosh(d2 * tau)
-    if stretch > 0.1:
-        warnings.warn(
-            f"resonant closed forms stretched beyond their validity "
-            f"(d2*cosh(d2*tau) = {stretch:.3g})",
-            ValidityWarning,
-            stacklevel=3,
-        )
-
-
-def resonant_coefficients(g0: float, d2: float, tau: float) -> DecouplingCoefficients:
-    """Second-order-in-d2 coefficients for squeezing modulated at resonance.
-
-    Polynomial-times-trigonometric forms; terms of order d2^3 are dropped.
-    """
-    _resonant_warn(d2, tau)
-    t = float(tau)
-    sin_t, cos_t = np.sin(t), np.cos(t)
-    sin_2t, cos_2t = np.sin(2.0 * t), np.cos(2.0 * t)
-    sin_half_sq = np.sin(0.5 * t) ** 2
-
-    num_sq = g0**2 * t * (1.0 - d2) * (np.sinc(2.0 * t / np.pi) - 1.0) + 0.5 * g0**2 * d2**2 * (
-        (2.0 * t**2 - 3.0) * sin_2t + 2.0 * t + 4.0 * t * cos_2t
-    )
-    num_pos = (
-        -g0 * sin_t
-        - g0 * d2 * (t * cos_t - sin_t)
-        - 0.5 * g0 * d2**2 * ((t**2 - 2.0) * sin_t + 2.0 * t * cos_t)
-    )
-    num_mom = (
-        -2.0 * g0 * sin_half_sq
-        + g0 * d2 * (t * sin_t - 2.0 * sin_half_sq)
-        + 0.5 * g0 * d2**2 * ((t**2 - 2.0) * cos_t - 2.0 * t * sin_t + 2.0)
-    )
-    return DecouplingCoefficients(
-        num=0.0,
-        num_sq=float(num_sq),
-        pos=0.0,
-        mom=0.0,
-        num_pos=float(num_pos),
-        num_mom=float(num_mom),
-        tau=t,
-    )
-
-
-def number_displacement_sq_resonant(g0: float, d2: float, tau: float) -> float:
-    """Closed form of |per-photon displacement|^2 at resonance, truncated at d2^2."""
-    t = float(tau)
-    sin_t, cos_t = np.sin(t), np.cos(t)
-    sin_2t, cos_2t = np.sin(2.0 * t), np.cos(2.0 * t)
-    sin_half_sq = np.sin(0.5 * t) ** 2
-    value = (
-        4.0 * g0**2 * sin_half_sq
-        + g0**2 * d2**2 * (t**2 - 2.0 * (2.0 - t**2) * sin_half_sq)
-        - 2.0
-        * g0**2
-        * d2
-        * (t * (sin_t - sin_2t) + (cos_t - cos_2t) - 2.0 * sin_half_sq)
-    )
-    return float(value)

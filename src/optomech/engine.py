@@ -3,19 +3,20 @@
 Given system parameters and an initial coherent state, produce the
 decoupling coefficients, Bogoliubov pair, moments, covariance matrix and
 non-Gaussianity report on a time grid.  Constant squeezing with a constant
-coupling and no drive dispatches to the closed forms; everything else runs
+coupling and drive dispatches to the closed forms; everything else runs
 through the Magnus propagator and the quadrature tables.  Each stage runs
 once over the whole array of times, so a trajectory is one record whose
 fields are arrays over tau.
 
-The measure and the subsystem eigenvalues come from the closed-form
-covariance excess sigma - I in the squeezing frame (alpha = 1, beta = 0).
-The lab-frame mechanical mode is the image of that frame's mode under the
-Bogoliubov map (alpha, beta), a local Gaussian unitary, so both frames share
-their symplectic spectrum; but the lab-frame entries grow like |beta|^2
-under parametric resonance, and the closed form keeps each squeezing-frame
-entry free of differences of large moments.  The lab-frame moments and
-covariance are kept for reporting.
+The measure, its Araki-Lieb bounds and the subsystem eigenvalues all come
+from one source, the closed-form covariance excess sigma - I in the
+squeezing frame (alpha = 1, beta = 0).  The lab-frame mechanical mode is
+the image of that frame's mode under the Bogoliubov map (alpha, beta), a
+local Gaussian unitary, so both frames share their symplectic spectrum; but
+the lab-frame entries grow like |beta|^2 under parametric resonance, and the
+closed form keeps each squeezing-frame entry free of differences of large
+moments.  The lab-frame moments are what the CLI reports; the lab-frame
+covariance stays on the record.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .moments import (
     squeezing_frame_excess,
 )
 from .nongauss import NonGaussianityReport, non_gaussianity
-from .profiles import ConstantSqueezing, SystemParams
+from .profiles import SystemParams
 from .squeezing import constant_bogoliubov, solve_quadratic
 
 
@@ -55,14 +56,6 @@ class StateRecord(NamedTuple):
     moments: MomentSet
     covariance: CovarianceMatrix
     report: NonGaussianityReport
-
-
-def _closed_form_applies(system: SystemParams) -> bool:
-    return (
-        isinstance(system.squeezing, ConstantSqueezing)
-        and system.coupling.is_constant
-        and system.coupling.drive_is_zero
-    )
 
 
 def evaluate_trajectory(
@@ -81,9 +74,10 @@ def evaluate_trajectory(
     # past the float range the stages overflow in many places at once; the
     # check at the end reports it once, as NonFiniteError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if _closed_form_applies(system):
+        if system.is_time_independent:
             d2 = system.squeezing.d2
-            coeffs = constant_coefficients(float(system.coupling.g), d2, taus)
+            g, d1 = float(system.coupling.g), float(system.coupling.drive)
+            coeffs = constant_coefficients(g, d2, taus, d1=d1)
             alpha, beta = constant_bogoliubov(d2, taus)
         else:
             sol = solve_quadratic(system.squeezing, float(np.max(taus, initial=1e-6)), resolution)

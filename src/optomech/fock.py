@@ -7,9 +7,9 @@ eigendecomposition; a time-dependent one by fourth-order commutator-free
 Magnus steps (CF4): two exponentials per uniform step, of the Hamiltonian
 mixed from its values at the two Gauss-Legendre nodes, each applied to all
 blocks at once by a Taylor series of the pentadiagonal stencil.  The same
-moments as the analytic pipeline are then measured.  Also constructs the
-closed-form evolved ket directly from the decoupling coefficients for fidelity
-cross-checks.  Only the small-parameter envelope is certified; large
+moments as the analytic pipeline are then measured.  Nothing here reads the
+analytic chain beyond sizing the default cutoffs, so the oracle stays an
+independent referee.  Only the small-parameter envelope is certified; large
 couplings blow past any affordable cutoff.  Uses numpy alone.
 """
 
@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .decoupling import DecouplingCoefficients
 from .errors import ConvergenceError, CutoffInsufficientError, DomainError
 from .moments import InitialState
-from .profiles import ConstantSqueezing, SystemParams
+from .profiles import SystemParams
 
 _NORM_TOL = 1e-8
 _TAIL_TOL = 1e-8
@@ -61,10 +61,6 @@ class FockState(NamedTuple):
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def photon_weights(self) -> np.ndarray:
-        """Probability of each photon number (mechanical trace)."""
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
-
     def tail_fractions(self) -> tuple[float, float]:
         """Occupation fraction in the top 10% of each index."""
         p = np.abs(self.amplitudes) ** 2
@@ -88,11 +84,6 @@ class FockState(NamedTuple):
                 n_c=self.n_c,
                 n_m=self.n_m,
             )
-
-
-def destroy(n: int) -> np.ndarray:
-    """Annihilation operator on an n-dimensional truncated Fock space."""
-    return np.diag(np.sqrt(np.arange(1.0, n)), 1)
 
 
 def coherent_amplitudes(mu: complex, n: int) -> np.ndarray:
@@ -204,10 +195,6 @@ def default_dt(system: SystemParams, tau_final: float, n_c: int) -> float:
     return 2.0 * np.pi / (25.0 * max(rate_sq, g_scale, omega0, 1.0))
 
 
-def _is_time_independent(system: SystemParams) -> bool:
-    return isinstance(system.squeezing, ConstantSqueezing) and system.coupling.is_constant
-
-
 def _propagate_exact(psi: np.ndarray, h: BlockHamiltonian, tau: float) -> np.ndarray:
     """exp(-i (H_n - omega_c*n) tau) on each block, from one block's eigh at a
     time so that only one dense n_m x n_m array is alive."""
@@ -293,7 +280,7 @@ def evolve(
         return FockState(psi0.amplitudes.copy())
 
     psi0_amp = np.ascontiguousarray(psi0.amplitudes, dtype=complex)
-    if _is_time_independent(system):
+    if system.is_time_independent:
         psi = _propagate_exact(psi0_amp, build_hamiltonian(system, 0.0, n_c, n_m), tau_final)
     else:
         if dt is None:
@@ -361,92 +348,6 @@ def measure_moments(state: FockState, omega_c: float, tau: float) -> MeasuredMom
     ab = complex(np.vdot(psi[:-1, :-1], root_c * root_m * psi[1:, 1:])) * phase
     ab_dag = complex(np.vdot(psi[:-1, 1:], root_c * root_m * psi[1:, :-1])) * phase
     return MeasuredMoments(a=a, b=b, a2=a2, b2=b2, na=na, nb=nb, ab=ab, ab_dag=ab_dag)
-
-
-def squeeze_rotation_matrix(alpha: complex, beta: complex, n: int) -> np.ndarray:
-    """Fock-space matrix of the Gaussian unitary with the given Bogoliubov pair.
-
-    Any single-mode quadratic unitary is a squeeze times a rotation up to a
-    global phase; the phase is common to every state the matrix acts on, so
-    superpositions built with it carry consistent relative phases.
-    """
-    r = np.arccosh(max(abs(alpha), 1.0))
-    theta = -np.angle(alpha)
-    rot = np.diag(np.exp(-1j * theta * np.arange(n)))
-    if abs(beta) < 1e-15 or r == 0.0:
-        return rot
-    phi = np.angle(-beta) - theta
-    xi = r * np.exp(1j * phi)
-    b = destroy(n)
-    # exp(gen) for the anti-Hermitian gen = (conj(xi) b^2 - xi b^dag^2) / 2,
-    # from the eigendecomposition of the Hermitian generator i*gen
-    lam, vec = np.linalg.eigh(0.5j * (np.conj(xi) * (b @ b) - xi * (b.T @ b.T)))
-    return (vec * np.exp(-1j * lam)) @ vec.conj().T @ rot
-
-
-def analytic_ket(
-    coeffs: DecouplingCoefficients,
-    alpha: complex,
-    beta: complex,
-    init: InitialState,
-    n_c: int,
-    n_m: int,
-    *,
-    omega_c: float = 0.0,
-) -> FockState:
-    """Closed-form evolved ket built from the decoupling coefficients.
-
-    Photon-number branches carry the decoupling phases and a mechanical
-    squeezed coherent state displaced once per photon; pass the cavity
-    frequency to obtain the lab-frame ket (fidelity against a lab-frame
-    evolution), or leave it zero for rotating-frame moments.
-    """
-    tau = coeffs.tau
-    k_conj = np.conj(coeffs.displacement)
-    k_n_conj = np.conj(coeffs.number_displacement)
-    mu_m = complex(init.mu_m)
-
-    n = np.arange(n_c)
-    weights = coherent_amplitudes(init.mu_c, n_c)
-    phase_sq = np.exp(-1j * (coeffs.num_sq + coeffs.num_pos * coeffs.num_mom) * n**2)
-    linear = (
-        omega_c * tau
-        + coeffs.num
-        + coeffs.num_pos * coeffs.mom
-        + coeffs.num_mom * coeffs.pos
-        + np.imag(coeffs.number_displacement * mu_m)
-    )
-    phase_lin = np.exp(-1j * linear * n)
-    global_phase = np.exp(
-        -1j * (coeffs.pos * coeffs.mom + np.imag(coeffs.displacement * mu_m))
-    )
-
-    gauss = squeeze_rotation_matrix(alpha, beta, n_m)
-    amplitudes = np.empty((n_c, n_m), dtype=complex)
-    for k in range(n_c):
-        branch = k_conj + k * k_n_conj + mu_m
-        amplitudes[k] = (
-            global_phase
-            * weights[k]
-            * phase_sq[k]
-            * phase_lin[k]
-            * (gauss @ coherent_amplitudes(branch, n_m))
-        )
-    state = FockState(amplitudes)
-    state.require_tail_ok()
-    return state
-
-
-def fidelity(s1: FockState, s2: FockState) -> float:
-    """|<s1|s2>|^2 (insensitive to global phases)."""
-    return float(abs(np.vdot(s1.amplitudes.reshape(-1), s2.amplitudes.reshape(-1))) ** 2)
-
-
-def mechanical_purity(state: FockState) -> float:
-    """Purity of the reduced mechanical density matrix (photon index traced out)."""
-    a = state.amplitudes
-    rho = np.einsum("nm,nk->mk", a, a.conj())
-    return float(np.real(np.sum(np.abs(rho) ** 2)))
 
 
 def default_cutoffs(init: InitialState, coeffs: DecouplingCoefficients) -> tuple[int, int]:

@@ -1,7 +1,7 @@
 """First and second moments of the evolved two-mode state.
 
 All optical moments are reported in the frame co-rotating with the cavity;
-an optional phase-restore step in the engine maps them back to the lab frame.
+``evolve --lab_frame`` in the CLI restores the cavity phase of <a>.
 The covariance matrix uses the complex basis (a, b, a^dag, b^dag) with the
 vacuum normalized to the identity.  Every function works elementwise: given
 coefficients and a Bogoliubov pair that are arrays over tau, it returns
@@ -193,15 +193,6 @@ class CovarianceMatrix(NamedTuple):
 
     sigma: np.ndarray
     d: np.ndarray
-
-    def optical_block(self) -> np.ndarray:
-        return self.sigma[..., ::2, ::2]
-
-    def mechanical_block(self) -> np.ndarray:
-        return self.sigma[..., 1::2, 1::2]
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.sigma - np.conj(np.swapaxes(self.sigma, -1, -2)))))
 
 
 def covariance(m: MomentSet) -> CovarianceMatrix:

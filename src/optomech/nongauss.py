@@ -10,8 +10,8 @@ in any frame that differs from the lab frame by a local Bogoliubov map.
 
 The measure works on e = nu^2 - 1 throughout: the two-mode spectrum comes
 from the trace invariants of sigma - I in closed form, elementwise over
-tau, with no eigenvalue solver.  :func:`symplectic_eigenvalues` is the
-generic routine for any stack of covariance matrices (shape (..., 2n, 2n)).
+tau, with no eigenvalue solver, and the subsystem values e_op and e_me that
+the bounds need come from the same excess.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decoupling import DecouplingCoefficients
 from .errors import DomainError, ValidationError
 from .moments import CovarianceExcess
 
 _CLAMP = 1e-6
 # relative to the bound (absolute below 1): the measure reaches tens of nats
 _BOUND_SLACK = 1e-9
-_HERMITIAN_TOL = 1e-8
 
 
 class NonGaussianityReport(NamedTuple):
@@ -44,31 +42,6 @@ class NonGaussianityReport(NamedTuple):
     nu_full: np.ndarray
     nu_op: float
     nu_me: float
-
-
-def _symplectic_form(n_modes: int) -> np.ndarray:
-    # basis (a_1..a_N, a_1^dag..a_N^dag)
-    return np.diag([-1j] * n_modes + [1j] * n_modes)
-
-
-def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues |eig(i Omega sigma)|, sorted descending along
-    the last axis; ``sigma`` may be one matrix or a stack of them.
-
-    Each eigenvalue of i*Omega*sigma appears twice up to sign; degenerate
-    pairs are averaged.  Physical covariance matrices give values >= 1.
-    """
-    sigma = np.asarray(sigma, dtype=complex)
-    if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2] or sigma.shape[-1] % 2:
-        raise ValidationError("covariance matrix must be square with even dimension")
-    scale = np.maximum(np.max(np.abs(sigma), axis=(-2, -1)), 1.0)
-    defect = np.max(np.abs(sigma - np.conj(np.swapaxes(sigma, -1, -2))), axis=(-2, -1))
-    if np.any(defect > _HERMITIAN_TOL * scale):
-        raise ValidationError(f"covariance matrix not Hermitian (defect {np.max(defect):.3g})")
-    n = sigma.shape[-1] // 2
-    lam = np.linalg.eigvals(1j * _symplectic_form(n) @ sigma)
-    nus = np.sort(np.abs(lam), axis=-1)[..., ::-1]
-    return 0.5 * (nus[..., 0::2] + nus[..., 1::2])
 
 
 def _require_physical(nu) -> None:
@@ -103,53 +76,6 @@ def _excess_entropy(e):
     _require_physical(nu)
     nu = np.maximum(nu, 1.0)
     return _entropy(0.5 * (nu + 1.0), 0.5 * np.maximum(e, 0.0) / (nu + 1.0))
-
-
-def araki_lieb_bounds(nu_op: float, nu_me: float) -> tuple[float, float]:
-    """Lower/upper bounds on the measure from the subsystem entropies."""
-    s_op = mode_entropy(nu_op)
-    s_me = mode_entropy(nu_me)
-    return abs(s_op - s_me), s_op + s_me
-
-
-def subsystem_eigenvalues(coeffs: DecouplingCoefficients, mu_c: complex) -> tuple[float, float]:
-    """Closed-form symplectic eigenvalues of the optical and mechanical
-    subsystems for an initially coherent state.
-
-    Both are independent of the mechanical coherent amplitude.
-    """
-    nc = abs(complex(mu_c)) ** 2
-    k_sq = abs(coeffs.number_displacement) ** 2
-    theta = coeffs.kerr_phase
-
-    nu_me = np.sqrt(1.0 + 4.0 * k_sq * nc)
-
-    decay = np.exp(-4.0 * nc * np.sin(0.5 * theta) ** 2) * np.exp(-k_sq)
-    cross = np.real(
-        np.exp(1j * theta)
-        * np.exp(nc * (np.exp(2j * theta) - 1.0))
-        * np.exp(2.0 * nc * (np.exp(-1j * theta) - 1.0))
-    )
-    nu_op_sq = (
-        1.0
-        + 4.0 * nc * (1.0 - decay)
-        + 4.0
-        * nc**2
-        * (
-            1.0
-            - 2.0 * decay
-            - np.exp(-4.0 * k_sq) * np.exp(-4.0 * nc * np.sin(theta) ** 2)
-            + 2.0 * np.exp(-3.0 * k_sq) * cross
-        )
-    )
-    nu_op = np.sqrt(np.maximum(nu_op_sq, 0.0))
-
-    bound = 1.0 + 2.0 * nc
-    if np.any(nu_op > bound * (1.0 + _BOUND_SLACK)):
-        raise ValidationError(
-            f"optical eigenvalue {np.max(nu_op):.12g} exceeds its bound {bound:.12g}"
-        )
-    return nu_op, nu_me
 
 
 def _two_mode_excess(excess: CovarianceExcess, e_op, e_me):
@@ -191,10 +117,15 @@ def non_gaussianity(
     Any frame related to the lab frame by a local Gaussian unitary gives the
     same report; the engine passes the closed-form squeezing frame.  The
     mechanical subsystem excess is 4 |k|^2 |mu_c|^2 in every frame; the
-    optical one is read from the optical block.
+    optical one is read from the optical block and may not exceed that of
+    the fully dephased mode, 4 n_c (1 + n_c) with n_c = |mu_c|^2.
     """
+    nc = abs(complex(mu_c)) ** 2
     e_op = excess.e11 * (excess.e11 + 2.0) - abs(excess.s13) ** 2
-    e_me = 4.0 * abs(number_displacement) ** 2 * abs(complex(mu_c)) ** 2
+    e_me = 4.0 * abs(number_displacement) ** 2 * nc
+    bound = 4.0 * nc * (1.0 + nc)
+    if np.any(e_op - bound > _BOUND_SLACK * max(bound, 1.0)):
+        raise ValidationError(f"optical excess {np.max(e_op):.12g} exceeds its bound {bound:.12g}")
     e_full = np.stack(_two_mode_excess(excess, e_op, e_me), axis=-1)
     delta = np.sum(_excess_entropy(e_full), axis=-1)
     s_op = _excess_entropy(e_op)

@@ -147,3 +147,9 @@ class SystemParams(NamedTuple):
     omega_c: float = 1.0
     coupling: Coupling = Coupling()
     squeezing: SqueezingProfile = ConstantSqueezing(0.0)
+
+    @property
+    def is_time_independent(self) -> bool:
+        """Constant squeezing, coupling and drive: the closed forms and the
+        oracle's exact propagation apply."""
+        return isinstance(self.squeezing, ConstantSqueezing) and self.coupling.is_constant

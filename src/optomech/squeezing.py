@@ -206,12 +206,6 @@ def solve_quadratic(
     )
 
 
-def constant_solution(d2: float, tau):
-    """Closed-form (cosine-like, sine-like) solutions (c0, tau*c1) for constant squeezing."""
-    c0, c1, _, _ = stumpff(d2, tau)
-    return c0, np.asarray(tau, dtype=float) * c1
-
-
 def constant_bogoliubov(d2: float, tau):
     """Closed-form Bogoliubov coefficients for constant squeezing:
     alpha = c0 - i(1 + 2*d2)*tau*c1 and beta = -2i*d2*tau*c1."""
@@ -244,16 +238,6 @@ def two_scale_solution(d2: float, tau):
     cos_like = np.cos(t) * ch - np.sin(t) * sh
     sin_like = -(np.cos(t) * sh - np.sin(t) * ch) / (1.0 - d2)
     return cos_like, sin_like
-
-
-def rwa_mode(d2: float, tau):
-    """Rotating-wave mode function exp(-i tau) cosh(d2 tau) + i exp(i tau) sinh(d2 tau).
-
-    Equals the two-scale mode function once the 1/(1 - d2) factor is replaced
-    by unity, which is consistent at the order the two-scale form is valid.
-    """
-    t = np.asarray(tau, dtype=float)
-    return np.exp(-1j * t) * np.cosh(d2 * t) + 1j * np.exp(1j * t) * np.sinh(d2 * t)
 
 
 def mathieu_params(d2: float, omega0: float):

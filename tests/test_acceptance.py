@@ -22,7 +22,6 @@ from optomech import (
     ModulatedSqueezing,
     NonGaussianityReport,
     SystemParams,
-    araki_lieb_bounds,
     constant_bogoliubov,
     constant_coefficients,
     covariance,
@@ -30,16 +29,15 @@ from optomech import (
     evaluate_point,
     evaluate_trajectory,
     mode_entropy,
-    number_displacement_sq_resonant,
-    resonant_coefficients,
     solve_quadratic,
-    subsystem_eigenvalues,
-    symplectic_eigenvalues,
     two_scale_solution,
 )
 from optomech import fock
 from optomech.cli import main as cli_main
 from optomech.decoupling import DecouplingTables
+from reference import (analytic_ket, fidelity, mechanical_block, number_displacement_sq_resonant,
+                       optical_block, resonant_coefficients, squeezing_frame_report,
+                       symplectic_eigenvalues)
 
 TWO_PI = 2 * np.pi
 F_FIELDS = ("num", "num_sq", "pos", "mom", "num_pos", "num_mom")
@@ -81,8 +79,7 @@ def oracle_run():
     rec = evaluate_point(system, init, tau)
     final = fock.evolve(fock.product_coherent(init, 16, 48), system, tau)
     measured = fock.measure_moments(final, system.omega_c, tau)
-    ket = fock.analytic_ket(rec.coeffs, rec.alpha, rec.beta, init, 16, 48,
-                            omega_c=system.omega_c)
+    ket = analytic_ket(rec.coeffs, rec.alpha, rec.beta, init, 16, 48, omega_c=system.omega_c)
     return rec, final, measured, ket, time.perf_counter() - start
 
 
@@ -123,17 +120,14 @@ def test_c02_closed_form_agreement():
                 worst_f,
                 max(abs(getattr(closed, f) - getattr(quad, f)) for f in F_FIELDS),
             )
-            nu_op, nu_me = subsystem_eigenvalues(closed, init_mu_c)
             rec = evaluate_point(
                 SystemParams(1.0, Coupling(g=1.0), ConstantSqueezing(d2)),
                 InitialState(init_mu_c, 0.2 - 0.3j),
                 tau,
             )
-            worst_nu = max(
-                worst_nu,
-                abs(nu_op - symplectic_eigenvalues(rec.covariance.optical_block())[0]),
-                abs(nu_me - symplectic_eigenvalues(rec.covariance.mechanical_block())[0]),
-            )
+            blocks = (optical_block(rec.covariance), mechanical_block(rec.covariance))
+            for nu, block in zip((rec.report.nu_op, rec.report.nu_me), blocks):
+                worst_nu = max(worst_nu, abs(nu - symplectic_eigenvalues(block)[0]))
     ok = worst_f < 1e-7 and worst_nu < 1e-8
     report(2, ok, f"quadrature vs closed coefficients {worst_f:.1e}, "
                   f"subsystem eigenvalues vs block trace {worst_nu:.1e}")
@@ -188,11 +182,11 @@ def test_c05_resonant_growth_and_log_scaling():
         warnings.simplefilter("ignore")
         k_early = abs(resonant_coefficients(1.0, 0.1, TWO_PI).number_displacement) ** 2
         k_late = abs(resonant_coefficients(1.0, 0.1, 10 * np.pi).number_displacement) ** 2
-        bounds = {
-            tau: araki_lieb_bounds(*subsystem_eigenvalues(resonant_coefficients(1.0, 0.1, tau), 1.0))
+        delta_max = {
+            tau: squeezing_frame_report(resonant_coefficients(1.0, 0.1, tau), 1.0).delta_max
             for tau in (TWO_PI, 10 * np.pi)
         }
-    growth = k_late > k_early and bounds[10 * np.pi][1] > bounds[TWO_PI][1]
+    growth = k_late > k_early and delta_max[10 * np.pi] > delta_max[TWO_PI]
 
     def leading_entropy(tau):
         return mode_entropy(2.0 * np.sqrt(number_displacement_sq_resonant(1.0, 0.1, tau)))
@@ -202,10 +196,10 @@ def test_c05_resonant_growth_and_log_scaling():
 
     ok = growth and scaling
     report(5, ok, f"|K|^2 {k_early:.3f}->{k_late:.3f}, delta_max "
-                  f"{bounds[TWO_PI][1]:.3f}->{bounds[10 * np.pi][1]:.3f}, "
+                  f"{delta_max[TWO_PI]:.3f}->{delta_max[10 * np.pi]:.3f}, "
                   f"log-scaling ratio {ratio:.4f}")
     assert k_late > k_early
-    assert bounds[10 * np.pi][1] > bounds[TWO_PI][1]
+    assert delta_max[10 * np.pi] > delta_max[TWO_PI]
     assert scaling
 
 
@@ -232,7 +226,7 @@ def test_c07_oracle_equivalence(oracle_run):
         err = abs(ana - orc)
         assert err <= max(1e-3 * abs(orc), 1e-6), name
         worst_rel = max(worst_rel, err / max(abs(orc), 1e-6))
-    fid = fock.fidelity(ket, final)
+    fid = fidelity(ket, final)
     ok = fid >= 0.999 and elapsed < 180
     report(7, ok, f"worst moment rel err {worst_rel:.1e}, ket fidelity {fid:.6f}, "
                   f"{elapsed:.1f}s")

@@ -419,6 +419,20 @@ def test_traced_names_resolve_and_main_returns(tmp_path):
         assert type(rc) is int and rc == 0, argv
 
 
+def test_public_api_exports_only_what_runs():
+    """Star import works, every ``__all__`` entry resolves, and no name that
+    moved to the test references or was deleted is exported."""
+    import optomech
+    import reference
+
+    namespace = {}
+    exec("from optomech import *", namespace)
+    assert all(namespace[name] is getattr(optomech, name) for name in optomech.__all__)
+    gone = {name for name, obj in vars(reference).items()
+            if getattr(obj, "__module__", "") == "reference"}
+    assert not (gone | {"araki_lieb_bounds", "subsystem_eigenvalues"}) & set(namespace)
+
+
 def test_csv_blocks_join_to_per_value_formatting(tmp_path):
     # more rows than one written block, in exponent form, with -0.0 and 1e-300
     rng = np.random.default_rng(7)

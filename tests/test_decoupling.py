@@ -11,11 +11,10 @@ from optomech import (
     TabulatedSignal,
     constant_bogoliubov,
     constant_coefficients,
-    number_displacement_sq_resonant,
-    resonant_coefficients,
     solve_quadratic,
 )
 from optomech.decoupling import DecouplingTables, _cumulative_simpson
+from reference import number_displacement_sq_resonant, resonant_coefficients
 
 TWO_PI = 2 * np.pi
 FIELDS = ("num", "num_sq", "pos", "mom", "num_pos", "num_mom")
@@ -70,12 +69,17 @@ class TestQuadratureRoute:
         assert all(getattr(got, f) == 0.0 for f in FIELDS)
 
     def test_matches_constant_closed_form(self):
-        # oscillating, free (d2 = -1/4) and inverted (d2 < -1/4) sectors
+        # oscillating, free (d2 = -1/4) and inverted (d2 < -1/4) sectors,
+        # undriven and driven: the drive's num, pos and mom are nonzero
         for d2 in (0.5, -0.25, -0.4, -1.0):
             sol = solve_quadratic(ConstantSqueezing(d2), TWO_PI)
-            tables = DecouplingTables(sol, Coupling(g=1.0))
-            diff = max_component_diff(tables.at(np.pi), constant_coefficients(1.0, d2, np.pi))
-            assert diff < 1e-7, d2
+            for g, d1 in ((1.0, 0.0), (0.7, 0.45)):
+                tables = DecouplingTables(sol, Coupling(g=g, drive=d1))
+                closed = constant_coefficients(g, d2, np.pi, d1=d1)
+                assert (closed.num != 0.0) == (closed.pos != 0.0) == (d1 != 0.0)
+                if d1 == 0.0:  # the undriven fields stay the scalar 0
+                    assert all(type(getattr(closed, f)) is float for f in ("num", "pos", "mom"))
+                assert max_component_diff(tables.at(np.pi), closed) < 1e-7, (d2, d1)
 
     def test_free_full_period(self):
         sol = solve_quadratic(ConstantSqueezing(0.0), TWO_PI)

@@ -14,7 +14,6 @@ from optomech import (
     ModulatedSqueezing,
     SystemParams,
     ValidationError,
-    araki_lieb_bounds,
     InitialState,
     constant_coefficients,
     covariance,
@@ -24,10 +23,9 @@ from optomech import (
     moments,
     non_gaussianity,
     squeezing_frame_excess,
-    subsystem_eigenvalues,
-    symplectic_eigenvalues,
 )
 from optomech.cli import main as cli_main
+from reference import squeezing_frame_report, subsystem_eigenvalues_mp, symplectic_eigenvalues
 
 TWO_LN_2 = 2 * np.log(2.0)
 
@@ -116,53 +114,53 @@ class TestModeEntropy:
         assert mode_entropy(nu + bump) > mode_entropy(nu)
 
 
+def _decoupled_report(nu_op, nu_me=1.0, mu_c=30.0):
+    """The report on a hand-built excess with no s12, s13, s14: e11 = nu_op - 1
+    gives e_op = nu_op^2 - 1, and |k|^2 = (nu_me^2 - 1) / (4 |mu_c|^2) e_me."""
+    excess = CovarianceExcess(e11=nu_op - 1.0, e22=0.0, s12=0.0, s13=0.0, s14=0.0, s24=0.0)
+    k = np.sqrt((nu_me**2 - 1.0) / (4.0 * mu_c**2))
+    return non_gaussianity(excess, number_displacement=k, mu_c=mu_c)
+
+
 class TestArakiLiebBounds:
     def test_pure_subsystems(self):
-        assert araki_lieb_bounds(1.0, 1.0) == (0.0, 0.0)
+        r = _decoupled_report(1.0, 1.0)
+        assert (r.delta_min, r.delta_max) == (0.0, 0.0)
 
     def test_one_trivial_subsystem_pins_both_bounds(self):
-        lo, hi = araki_lieb_bounds(3.0, 1.0)
-        assert lo == pytest.approx(TWO_LN_2)
-        assert hi == pytest.approx(TWO_LN_2)
+        r = _decoupled_report(3.0, 1.0)
+        assert r.delta_min == pytest.approx(TWO_LN_2)
+        assert r.delta_max == pytest.approx(TWO_LN_2)
 
     def test_generic_pair(self):
-        lo, hi = araki_lieb_bounds(3.0, np.sqrt(17.0))
+        r = _decoupled_report(3.0, np.sqrt(17.0))
         s17 = mode_entropy(np.sqrt(17.0))
-        assert lo == pytest.approx(s17 - TWO_LN_2)
-        assert hi == pytest.approx(s17 + TWO_LN_2)
+        assert r.delta_min == pytest.approx(s17 - TWO_LN_2)
+        assert r.delta_max == pytest.approx(s17 + TWO_LN_2)
 
     @settings(max_examples=60, deadline=None)
     @given(nu_op=st.floats(1.0, 30.0), nu_me=st.floats(1.0, 30.0))
     def test_ordering(self, nu_op, nu_me):
-        lo, hi = araki_lieb_bounds(nu_op, nu_me)
-        assert 0.0 <= lo <= hi
+        r = _decoupled_report(nu_op, nu_me)
+        assert 0.0 <= r.delta_min <= r.delta_max
 
 
 class TestSubsystemEigenvalues:
     def test_no_kicks_leaves_mechanics_pure(self):
-        coeffs = constant_coefficients(0.0, 0.0, 1.0)
-        nu_op, nu_me = subsystem_eigenvalues(coeffs, 1.0)
-        assert nu_me == pytest.approx(1.0)
-        assert nu_op == pytest.approx(1.0)
+        r = squeezing_frame_report(constant_coefficients(0.0, 0.0, 1.0), 1.0)
+        assert r.nu_me == pytest.approx(1.0)
+        assert r.nu_op == pytest.approx(1.0)
 
     def test_mechanical_closed_form(self):
         # |per-photon displacement|^2 = 4 and one photon on average
-        coeffs = constant_coefficients(1.0, 0.0, np.pi)
-        _, nu_me = subsystem_eigenvalues(coeffs, 1.0)
-        assert nu_me == pytest.approx(np.sqrt(17.0))
-        assert nu_me == pytest.approx(4.1231056, abs=1e-7)
-
-    def test_matches_block_trace(self, benchmark_system, coherent_init):
-        rec = evaluate_point(benchmark_system, coherent_init, np.pi)
-        nu_op, nu_me = subsystem_eigenvalues(rec.coeffs, coherent_init.mu_c)
-        assert abs(nu_op - symplectic_eigenvalues(rec.covariance.optical_block())[0]) < 1e-8
-        assert abs(nu_me - symplectic_eigenvalues(rec.covariance.mechanical_block())[0]) < 1e-8
+        r = squeezing_frame_report(constant_coefficients(1.0, 0.0, np.pi), 1.0)
+        assert r.nu_me == pytest.approx(np.sqrt(17.0))
+        assert r.nu_me == pytest.approx(4.1231056, abs=1e-7)
 
     def test_optical_bound(self):
         for tau in np.linspace(0.1, 2 * np.pi, 17):
-            coeffs = constant_coefficients(2.0, 0.0, tau)
-            nu_op, _ = subsystem_eigenvalues(coeffs, 1.0)
-            assert nu_op <= np.sqrt(1 + 4 + 4) + 1e-9
+            r = squeezing_frame_report(constant_coefficients(2.0, 0.0, tau), 1.0)
+            assert r.nu_op <= np.sqrt(1 + 4 + 4) + 1e-9
 
     def test_asymptotic_optical_entropy(self):
         # with many photons and a nonzero kick the optical entropy approaches
@@ -171,9 +169,25 @@ class TestSubsystemEigenvalues:
         mu_c = 5.0
         coeffs = constant_coefficients(1.0, 0.0, np.pi)
         assert abs(coeffs.number_displacement) < 2 * abs(mu_c)
-        nu_op, _ = subsystem_eigenvalues(coeffs, mu_c)
+        r = squeezing_frame_report(coeffs, mu_c)
         target = mode_entropy(1 + 2 * abs(mu_c) ** 2)
-        assert abs(mode_entropy(nu_op) - target) <= 0.10 * target
+        assert abs(mode_entropy(r.nu_op) - target) <= 0.10 * target
+
+    def test_bright_cavity_matches_high_precision(self):
+        # the n_c^2 bracket of the closed form cancels for a bright cavity;
+        # evaluated in double it lost 2.6e-7 relative here
+        system = SystemParams(1.0, Coupling(g=0.01), ConstantSqueezing(0.0))
+        rec = evaluate_point(system, InitialState(30.0, 0.0), 2 * np.pi)
+        nu_op, nu_me = subsystem_eigenvalues_mp(rec.coeffs, 30.0)
+        assert abs(rec.report.nu_op - nu_op) <= 1e-10 * nu_op
+        assert abs(rec.report.nu_me - nu_me) <= 1e-10 * nu_me
+
+    def test_optical_excess_above_its_bound_rejected(self):
+        # nu_op = 1 + 2 n_c is the fully dephased mode; beyond it the excess
+        # describes no state
+        assert _decoupled_report(3.0, mu_c=1.0).nu_op == 3.0
+        with pytest.raises(ValidationError, match="optical excess"):
+            _decoupled_report(3.0 + 1e-6, mu_c=1.0)
 
 
 class TestNonGaussianity:

@@ -11,12 +11,11 @@ from optomech import (
     TabulatedSignal,
     ValidityWarning,
     constant_bogoliubov,
-    constant_solution,
     mathieu_params,
-    rwa_mode,
     solve_quadratic,
     two_scale_solution,
 )
+from reference import constant_solution, rwa_mode
 
 TWO_PI = 2 * np.pi
 TABLE_GRID = np.linspace(0, 8 * np.pi, 600)
