@@ -11,13 +11,13 @@ the whole chain on small parameters.
 
 import os
 
-# Every matrix here is small (2x2 Magnus steps, 4x4 covariances, one
-# mechanical block per photon number), yet an idle OpenBLAS worker busy-waits
-# beside the main thread: on 2 cores it burnt 0.05-0.18 s of CPU per CLI run,
-# and in some processes a real 40x40 eigh took 16 ms instead of 0.23 ms.  With
-# a timeout of 2^4 cycles idle workers sleep; the thread count stays.  Numpy
-# first loads in the imports below, so the default is set here; a value the
-# user set wins.
+# Nothing here needs threaded BLAS (2x2 Magnus steps, 4x4 covariances, the
+# oracle's five-point stencil), yet OpenBLAS starts its workers at import and
+# an idle one busy-waits beside the main thread: on 2 cores a bare
+# `import numpy` took 0.22 s of wall and of CPU with the library's timeout,
+# and 0.15 s with a timeout of 2^4 cycles, after which idle workers sleep;
+# the thread count stays.  Numpy first loads in the imports below, so the
+# default is set here; a value the user set wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .decoupling import DecouplingCoefficients, DecouplingTables, constant_coefficients

@@ -1,16 +1,17 @@
 """Brute-force validator in a truncated two-mode Fock space.
 
 The Hamiltonian conserves the photon number, so the state evolves as one
-mechanical block per photon number n, with omega_c*n an exact phase.  A
-time-independent system is propagated exactly from each block's
-eigendecomposition; a time-dependent one by fourth-order commutator-free
-Magnus steps (CF4): two exponentials per uniform step, of the Hamiltonian
-mixed from its values at the two Gauss-Legendre nodes, each applied to all
-blocks at once by a Taylor series of the pentadiagonal stencil.  The same
-moments as the analytic pipeline are then measured.  Nothing here reads the
-analytic chain beyond sizing the default cutoffs, so the oracle stays an
-independent referee.  Only the small-parameter envelope is certified; large
-couplings blow past any affordable cutoff.  Uses numpy alone.
+mechanical block per photon number n, with omega_c*n an exact phase.  Every
+exponential is applied to all blocks at once by a Taylor series of the
+pentadiagonal stencil; no dense block is formed.  A time-independent system
+takes one exponential over the whole span; a time-dependent one takes
+fourth-order commutator-free Magnus steps (CF4): two exponentials per uniform
+step, of the Hamiltonian mixed from its values at the two Gauss-Legendre
+nodes.  The same moments as the analytic pipeline are then measured.
+Nothing here reads the analytic chain beyond sizing the default cutoffs, so
+the oracle stays an independent referee.  Only the small-parameter envelope
+is certified; large couplings blow past any affordable cutoff.  Uses numpy
+alone, and no LAPACK routine.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ class BlockHamiltonian:
 
     H commutes with the photon number, so H = sum_n |n><n| x H_n with the
     mechanical block H_n = omega_c*n + diag + lin[n]*X + d2*(b^2 + b^dag^2),
-    X = b + b^dag.  Only the real pentadiagonal part H_n - omega_c*n is held:
-    the cavity term is a phase on each block.  ``diag`` is N + d2 times the
+    X = b + b^dag.  Only the real pentadiagonal part H_n - omega_c*n is held,
+    as the five-point ``stencil``; no block is laid out densely, and the
+    cavity term is a phase on each block.  ``diag`` is N + d2 times the
     diagonal of the truncated X @ X (2m+1, and m at the last level), so every
     block equals the truncation of the full Hamiltonian.
     """
@@ -134,13 +136,6 @@ class BlockHamiltonian:
     @property
     def n_m(self) -> int:
         return self.diag.size
-
-    def block(self, n: int) -> np.ndarray:
-        """Dense H_n - omega_c*n, laid out from the stencil."""
-        rows = np.arange(self.n_m)[:, None]
-        h = np.zeros((self.n_m, self.n_m + 4))
-        h[rows, rows + np.arange(5)] = self.stencil[n]
-        return h[:, 2:-2]
 
     @cached_property
     def stencil(self) -> np.ndarray:
@@ -193,19 +188,6 @@ def default_dt(system: SystemParams, tau_final: float, n_c: int) -> float:
     g_scale = system.coupling.g_max(tau_final) * np.sqrt(n_c)
     omega0 = abs(getattr(system.squeezing, "omega0", 0.0))  # modulated profiles only
     return 2.0 * np.pi / (25.0 * max(rate_sq, g_scale, omega0, 1.0))
-
-
-def _propagate_exact(psi: np.ndarray, h: BlockHamiltonian, tau: float) -> np.ndarray:
-    """exp(-i (H_n - omega_c*n) tau) on each block, from one block's eigh at a
-    time so that only one dense n_m x n_m array is alive."""
-    out = np.empty_like(psi)
-    for n in range(psi.shape[0]):
-        lam, vec = np.linalg.eigh(h.block(n))
-        # the real eigenvectors act on the (re, im) columns of the block
-        coef = (vec.T @ psi[n].view(float).reshape(-1, 2)).view(complex)[:, 0]
-        coef *= np.exp(-1j * lam * tau)
-        out[n] = (vec @ coef.view(float).reshape(-1, 2)).view(complex)[:, 0]
-    return out
 
 
 def _taylor_step(psi: np.ndarray, h: BlockHamiltonian, dt: float) -> np.ndarray:
@@ -264,13 +246,14 @@ def evolve(
     """Evolve a truncated state to tau_final, one photon-number block at a time.
 
     omega_c*n is applied exactly, as the phase exp(-i omega_c n tau_final) on
-    block n.  A time-independent system is propagated exactly from each
-    block's eigendecomposition; ``dt`` and ``check_convergence`` do not apply
-    to it.  Otherwise each uniform step is a fourth-order commutator-free
-    Magnus step (two exponentials of the Hamiltonian mixed from its values at
-    the two Gauss-Legendre nodes), and with ``check_convergence`` the run is
-    repeated at half the step and the moments must agree to 1e-4 relative;
-    the finer state is returned.  Norm drift or occupied basis tails raise
+    block n.  A time-independent system takes one exponential of its constant
+    Hamiltonian over the whole span, by the same substepped Taylor series of
+    the stencil as every stepped exponential; there is no time
+    discretization, so ``dt`` and ``check_convergence`` do not apply to it.  Otherwise each uniform step is
+    a fourth-order commutator-free Magnus step (two exponentials of the
+    Hamiltonian mixed from its values at the two Gauss-Legendre nodes), and
+    with ``check_convergence`` the run is repeated at half the step and the
+    moments must agree to 1e-4 relative; the finer state is returned.  Norm drift or occupied basis tails raise
     flagged-run errors with diagnostics.
     """
     if tau_final < 0.0:
@@ -281,7 +264,7 @@ def evolve(
 
     psi0_amp = np.ascontiguousarray(psi0.amplitudes, dtype=complex)
     if system.is_time_independent:
-        psi = _propagate_exact(psi0_amp, build_hamiltonian(system, 0.0, n_c, n_m), tau_final)
+        psi = _taylor_step(psi0_amp, build_hamiltonian(system, 0.0, n_c, n_m), tau_final)
     else:
         if dt is None:
             dt = default_dt(system, tau_final, n_c)

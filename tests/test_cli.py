@@ -521,6 +521,29 @@ class TestImportBudget:
         assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-check", "--g0", "0.5", "--d2", "0.3", "--squeezing", "constant", "--tau", "0.5"],
+        ["oracle-check", "--g0", "0.3", "--d2", "0.1", "--squeezing", "modulated",
+         "--tau", "0.5"],
+        ["evolve", "--squeezing", "constant", "--d2", "0.3", "--points", "5"],
+        ["evolve", "--squeezing", "modulated", "--d2", "0.1", "--points", "5"],
+        ["sweep", "--squeezing", "modulated", "--d2", "0.1", "--axis1", "tau,0,3,3,linear"],
+    ],
+    ids=["oracle-check", "modulated-oracle-check", "evolve", "modulated-evolve", "sweep"],
+)
+def test_modes_call_no_lapack(tmp_path, monkeypatch, argv):
+    # every mode, the Fock oracle included, runs on numpy's elementwise and
+    # BLAS kernels; no dense factorization or solve is needed anywhere
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK routine called")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "4"), ("10", "10")])
 def test_openblas_thread_timeout_default(preset, expected):
     # idle OpenBLAS workers sleep by default; a value the user set wins

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from optomech import (
     evaluate_point,
 )
 from optomech import fock
-from reference import (analytic_ket, destroy, fidelity, mechanical_purity, photon_weights,
-                       squeeze_rotation_matrix, zero_coefficients)
+from reference import (analytic_ket, dense_block, destroy, fidelity, mechanical_purity,
+                       photon_weights, squeeze_rotation_matrix, zero_coefficients)
 
 
 def free_system(omega_c=1.0):
@@ -56,7 +57,7 @@ def kron_hamiltonian(system, tau, n_c, n_m):
 def block_matrix(system, tau, n_c, n_m):
     """block_diag(omega_c*n + H_n) from the photon-number blocks."""
     h = fock.build_hamiltonian(system, tau, n_c, n_m)
-    return block_diag(*(h.block(n) + system.omega_c * n * np.eye(n_m) for n in range(n_c)))
+    return block_diag(*(dense_block(h, n) + system.omega_c * n * np.eye(n_m) for n in range(n_c)))
 
 
 def cf4_expm_multiply(psi0, system, tau, dt):
@@ -93,7 +94,7 @@ class TestBuildHamiltonian:
         system = SystemParams(1.2, Coupling(g=0.5, drive=0.2), ConstantSqueezing(0.3))
         h = fock.build_hamiltonian(system, 0.0, 6, 8)
         for n in range(6):
-            block = h.block(n)
+            block = dense_block(h, n)
             assert block.dtype == float
             assert np.array_equal(block, block.T)
 
@@ -121,7 +122,9 @@ class TestBuildHamiltonian:
 
         def ground(n_m):
             h = fock.build_hamiltonian(system, 0.0, 6, n_m)
-            return min(np.linalg.eigvalsh(h.block(n))[0] + system.omega_c * n for n in range(6))
+            return min(
+                np.linalg.eigvalsh(dense_block(h, n))[0] + system.omega_c * n for n in range(6)
+            )
 
         assert abs(ground(24) - ground(48)) < 1e-6
 
@@ -166,7 +169,7 @@ class TestEvolve:
 
     def test_step_halving_stability(self):
         # halving the step must not move any moment appreciably (the stepped
-        # route; a static system is propagated exactly and does not step)
+        # route; a static system takes one exponential and does not step)
         system = SystemParams(1.0, Coupling(g=0.4), ModulatedSqueezing(0.1, 2.0))
         init, tau = InitialState(1.0, 0.0), 1.2
         psi0 = fock.product_coherent(init, 16, 48)
@@ -199,13 +202,41 @@ class TestEvolve:
         fine = fock.evolve(psi0, system, tau, dt=0.025)
         assert np.array_equal(coarse.amplitudes, fine.amplitudes)
 
-    def test_static_route_matches_dense_expm(self, certified_point):
-        system, init, tau = certified_point
-        psi0 = fock.product_coherent(init, 16, 48)
-        h = kron_hamiltonian(system, 0.0, 16, 48).toarray()
-        want = (expm(-1j * tau * h) @ psi0.amplitudes.reshape(-1)).reshape(16, 48)
+    @pytest.mark.parametrize(
+        "system, init, tau, n_m",
+        [
+            (SystemParams(1.0, Coupling(g=0.5), ConstantSqueezing(0.3)),
+             InitialState(1.0, 0.0), np.pi / 2, 48),
+            # the free particle (1 + 4*d2 = 0) and the inverted oscillator
+            (SystemParams(1.0, Coupling(g=0.3), ConstantSqueezing(-0.25)),
+             InitialState(1.0, 0.0), 1.0, 48),
+            (SystemParams(1.0, Coupling(g=0.3), ConstantSqueezing(-0.4)),
+             InitialState(1.0, 0.0), 1.0, 64),
+            (SystemParams(1.0, Coupling(g=0.5, drive=0.2), ConstantSqueezing(0.3)),
+             InitialState(1.0, 0.3), np.pi / 2, 48),
+        ],
+        ids=["certified", "free", "inverted", "driven-displaced"],
+    )
+    def test_static_route_matches_dense_expm(self, system, init, tau, n_m):
+        psi0 = fock.product_coherent(init, 16, n_m)
+        h = kron_hamiltonian(system, 0.0, 16, n_m).toarray()
+        want = (expm(-1j * tau * h) @ psi0.amplitudes.reshape(-1)).reshape(16, n_m)
         final = fock.evolve(psi0, system, tau)
         assert np.max(np.abs(final.amplitudes - want)) <= 1e-12
+
+    def test_static_route_allocates_a_few_states(self):
+        # the stencil exponential holds a few state-sized buffers and the
+        # five-point weights; a dense n_m x n_m block per photon number
+        # would take ~50 states here
+        system = SystemParams(1.0, Coupling(g=0.3), ConstantSqueezing(0.2))
+        psi0 = fock.product_coherent(InitialState(1.0, 0.0), 12, 400)
+        tracemalloc.start()
+        try:
+            fock.evolve(psi0, system, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * psi0.amplitudes.nbytes
 
     @pytest.mark.parametrize(
         "system, dt, mu_m, n_m",
