@@ -249,12 +249,13 @@ def evolve(
     block n.  A time-independent system takes one exponential of its constant
     Hamiltonian over the whole span, by the same substepped Taylor series of
     the stencil as every stepped exponential; there is no time
-    discretization, so ``dt`` and ``check_convergence`` do not apply to it.  Otherwise each uniform step is
-    a fourth-order commutator-free Magnus step (two exponentials of the
-    Hamiltonian mixed from its values at the two Gauss-Legendre nodes), and
-    with ``check_convergence`` the run is repeated at half the step and the
-    moments must agree to 1e-4 relative; the finer state is returned.  Norm drift or occupied basis tails raise
-    flagged-run errors with diagnostics.
+    discretization, so ``dt`` and ``check_convergence`` do not apply to it.
+    Otherwise each uniform step is a fourth-order commutator-free Magnus step
+    (two exponentials of the Hamiltonian mixed from its values at the two
+    Gauss-Legendre nodes), and with ``check_convergence`` the run is repeated
+    at half the step and the moments must agree to 1e-4 relative; the finer
+    state is returned.  Norm drift or occupied basis tails raise flagged-run
+    errors with diagnostics.
     """
     if tau_final < 0.0:
         raise DomainError("tau_final must be non-negative")
