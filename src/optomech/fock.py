@@ -16,7 +16,6 @@ alone, and no LAPACK routine.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -116,67 +115,45 @@ def _ladder_roots(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(m), np.sqrt(m[:-1] * m[1:])
 
 
-class BlockHamiltonian:
-    """The Hamiltonian at one instant, split by photon number.
+def _stencil(d2: float, g: float, d1: float, n_c: int, n_m: int) -> np.ndarray:
+    """The Hamiltonian at squeezing d2, coupling g and drive d1, split by
+    photon number, as (n_c, n_m, 5) real weights.
 
     H commutes with the photon number, so H = sum_n |n><n| x H_n with the
-    mechanical block H_n = omega_c*n + diag + lin[n]*X + d2*(b^2 + b^dag^2),
-    X = b + b^dag.  Only the real pentadiagonal part H_n - omega_c*n is held,
-    as the five-point ``stencil``; no block is laid out densely, and the
-    cavity term is a phase on each block.  ``diag`` is N + d2 times the
-    diagonal of the truncated X @ X (2m+1, and m at the last level), so every
-    block equals the truncation of the full Hamiltonian.
+    mechanical block H_n = omega_c*n + diag + (d1 - g*n)*X + d2*(b^2 + b^dag^2),
+    X = b + b^dag.  (H_n - omega_c*n) psi_n at level m is the sum over k of
+    w[n, m, k] * psi_n[m + k - 2] (zero off the basis); no block is laid out
+    densely, and the cavity term is a phase on each block.  ``diag`` is
+    N + d2 times the diagonal of the truncated X @ X (2m+1, and m at the last
+    level), so every block equals the truncation of the full Hamiltonian.
     """
-
-    def __init__(self, diag: np.ndarray, lin: np.ndarray, d2: float):
-        self.diag = diag  # (n_m,)
-        self.lin = lin  # (n_c,) linear coefficient d1 - g*n
-        self.d2 = d2
-
-    @property
-    def n_m(self) -> int:
-        return self.diag.size
-
-    @cached_property
-    def stencil(self) -> np.ndarray:
-        """(n_c, n_m, 5) weights: (H_n - omega_c*n) psi_n at level m is the sum
-        over k of stencil[n, m, k] * psi_n[m + k - 2] (zero off the basis)."""
-        root1, root2 = _ladder_roots(self.n_m)
-        w = np.zeros((self.lin.size, self.n_m, 5))
-        w[:, :, 2] = self.diag
-        w[:, 1:, 1] = w[:, :-1, 3] = np.outer(self.lin, root1)
-        w[:, 2:, 0] = w[:, :-2, 4] = self.d2 * root2
-        return w
-
-    def spectral_bounds(self) -> tuple[float, float]:
-        """Gershgorin interval holding the spectrum of every H_n - omega_c*n."""
-        radius = np.abs(self.stencil[:, :, [0, 1, 3, 4]]).sum(axis=2)
-        return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
-
-
-def build_hamiltonian(system: SystemParams, tau: float, n_c: int, n_m: int) -> BlockHamiltonian:
-    """Photon-number blocks of the Hamiltonian at time tau on the truncated space."""
-    return _blocks_at(
-        float(system.squeezing.d2_at(tau)),
-        float(system.coupling.g_at(tau)),
-        float(system.coupling.drive_at(tau)),
-        n_c,
-        n_m,
-    )
-
-
-def _blocks_at(d2: float, g: float, d1: float, n_c: int, n_m: int) -> BlockHamiltonian:
-    """The blocks at squeezing d2, coupling g and drive d1: each H_n is affine
-    in the three scalars, with the mechanical number operator fixed."""
     if n_c < 2 or n_m < 2:
         raise DomainError("Fock cutoffs must be at least 2")
     m = np.arange(n_m, dtype=float)
     pos_sq_diag = 2.0 * m + 1.0
     pos_sq_diag[-1] = m[-1]
-    return BlockHamiltonian(
-        diag=m + d2 * pos_sq_diag,
-        lin=d1 - g * np.arange(n_c, dtype=float),
-        d2=d2,
+    root1, root2 = _ladder_roots(n_m)
+    w = np.zeros((n_c, n_m, 5))
+    w[:, :, 2] = m + d2 * pos_sq_diag
+    w[:, 1:, 1] = w[:, :-1, 3] = np.outer(d1 - g * np.arange(n_c, dtype=float), root1)
+    w[:, 2:, 0] = w[:, :-2, 4] = d2 * root2
+    return w
+
+
+def spectral_bounds(w: np.ndarray) -> tuple[float, float]:
+    """Gershgorin interval holding the spectrum of every H_n - omega_c*n."""
+    radius = np.abs(w[:, :, [0, 1, 3, 4]]).sum(axis=2)
+    return float(np.min(w[:, :, 2] - radius)), float(np.max(w[:, :, 2] + radius))
+
+
+def build_hamiltonian(system: SystemParams, tau: float, n_c: int, n_m: int) -> np.ndarray:
+    """The stencil of the Hamiltonian at time tau on the truncated space."""
+    return _stencil(
+        float(system.squeezing.d2_at(tau)),
+        float(system.coupling.g_at(tau)),
+        float(system.coupling.drive_at(tau)),
+        n_c,
+        n_m,
     )
 
 
@@ -190,14 +167,14 @@ def default_dt(system: SystemParams, tau_final: float, n_c: int) -> float:
     return 2.0 * np.pi / (25.0 * max(rate_sq, g_scale, omega0, 1.0))
 
 
-def _taylor_step(psi: np.ndarray, h: BlockHamiltonian, dt: float) -> np.ndarray:
+def _taylor_step(psi: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i (H_n - omega_c*n) dt) on every block at once, by a Taylor series
     of the stencil matvec about 0; the step is split into equal substeps
     wherever dt times the largest magnitude in the Gershgorin interval exceeds
     _TAYLOR_REACH, so no series term can grow large."""
-    lo, hi = h.spectral_bounds()
+    lo, hi = spectral_bounds(w)
     n_sub = max(int(np.ceil(dt * max(-lo, hi) / _TAYLOR_REACH)), 1)
-    weights = (-1j * dt / n_sub) * h.stencil
+    weights = (-1j * dt / n_sub) * w
     # two alternating term buffers and the running sum, each padded by two
     # zero levels on either side: the five neighbours of every level are one
     # strided view, and since the padding stays zero, norms, scalings and
@@ -231,7 +208,7 @@ def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
         for at in (system.squeezing.d2_at, system.coupling.g_at, system.coupling.drive_at)
     ]
     for d2, g, d1 in zip(*scalars):
-        psi = _taylor_step(psi, _blocks_at(d2, g, d1, *psi.shape), 0.5 * dt)
+        psi = _taylor_step(psi, _stencil(d2, g, d1, *psi.shape), 0.5 * dt)
     return psi
 
 
@@ -275,8 +252,7 @@ def evolve(
             fine = _run_steps(psi0_amp, system, tau_final, 2 * n_steps)
             coarse = measure_moments(FockState(psi), 0.0, tau_final)
             refined = measure_moments(FockState(fine), 0.0, tau_final)
-            for name in ("a", "b", "a2", "b2", "na", "nb", "ab", "ab_dag"):
-                x, y = getattr(coarse, name), getattr(refined, name)
+            for name, x, y in zip(MeasuredMoments._fields, coarse, refined):
                 drift = abs(x - y) / max(abs(y), 1e-6)
                 if drift > _HALVING_TOL:
                     raise ConvergenceError(

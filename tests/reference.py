@@ -8,7 +8,7 @@ import numpy as np
 
 from optomech import (DecouplingCoefficients, InitialState, ValidationError, ValidityWarning,
                       moments, non_gaussianity, squeezing_frame_excess)
-from optomech.fock import BlockHamiltonian, FockState, coherent_amplitudes
+from optomech.fock import FockState, coherent_amplitudes
 from optomech.squeezing import stumpff
 
 _HERMITIAN_TOL = 1e-8
@@ -174,11 +174,12 @@ def destroy(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n)), 1)
 
 
-def dense_block(h: BlockHamiltonian, n: int) -> np.ndarray:
-    """Dense H_n - omega_c*n, laid out from the stencil."""
-    rows = np.arange(h.n_m)[:, None]
-    out = np.zeros((h.n_m, h.n_m + 4))
-    out[rows, rows + np.arange(5)] = h.stencil[n]
+def dense_block(w: np.ndarray, n: int) -> np.ndarray:
+    """Dense H_n - omega_c*n, laid out from the (n_c, n_m, 5) stencil."""
+    n_m = w.shape[1]
+    rows = np.arange(n_m)[:, None]
+    out = np.zeros((n_m, n_m + 4))
+    out[rows, rows + np.arange(5)] = w[n]
     return out[:, 2:-2]
 
 
