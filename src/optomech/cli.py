@@ -55,6 +55,7 @@ _ORACLE_LIMITS = {
     "mu": 2.0,
     "tau": 2.0 * np.pi,
     "dim": 60_000,
+    "steps": 500,  # CF4 steps of a time-dependent system, at --dt or the default
 }
 
 
@@ -354,7 +355,7 @@ def run_mathieu(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def _check_oracle_envelope(cfg: RunConfig, n_c: int, n_m: int) -> None:
+def _check_oracle_envelope(cfg: RunConfig, n_c: int, n_m: int, steps: int) -> None:
     problems = []
     if abs(cfg.g0) > _ORACLE_LIMITS["g0"]:
         problems.append(f"g0={cfg.g0:g} exceeds {_ORACLE_LIMITS['g0']:g}")
@@ -370,6 +371,8 @@ def _check_oracle_envelope(cfg: RunConfig, n_c: int, n_m: int) -> None:
         problems.append(f"tau={cfg.tau:g} exceeds {_ORACLE_LIMITS['tau']:g}")
     if n_c * n_m > _ORACLE_LIMITS["dim"]:
         problems.append(f"truncated dimension {n_c * n_m} exceeds {_ORACLE_LIMITS['dim']}")
+    if steps > _ORACLE_LIMITS["steps"]:
+        problems.append(f"{steps} time steps exceed {_ORACLE_LIMITS['steps']}")
     if problems:
         raise ConvergenceError(
             "oracle-check refused, parameters outside the certified envelope: "
@@ -382,29 +385,33 @@ def run_oracle_check(cfg: RunConfig) -> int:
 
     system = cfg.system()
     init = cfg.initial_state()
-    rec = evaluate_point(system, init, cfg.tau)
+    resolution = cfg.resolution if cfg.resolution > 0 else None
+    rec = evaluate_point(system, init, cfg.tau, resolution=resolution)
 
     n_c, n_m = fock.default_cutoffs(init, rec.coeffs)
     if cfg.n_c > 0:
         n_c = cfg.n_c
     if cfg.n_m > 0:
         n_m = cfg.n_m
-    _check_oracle_envelope(cfg, n_c, n_m)
 
     dt = cfg.dt if cfg.dt > 0 else None
     attempts = 0
     while True:
+        _check_oracle_envelope(cfg, n_c, n_m, fock.step_count(system, cfg.tau, n_c, dt))
         try:
             psi0 = fock.product_coherent(init, n_c, n_m)
             final = fock.evolve(psi0, system, cfg.tau, dt)
             break
-        except CutoffInsufficientError:
+        except CutoffInsufficientError as exc:
             attempts += 1
             # fixed cutoffs are an explicit user request; do not override them
             if attempts > 2 or cfg.n_c > 0 or cfg.n_m > 0:
                 raise
-            n_c, n_m = 2 * n_c, 2 * n_m
-            _check_oracle_envelope(cfg, n_c, n_m)
+            # grow only the cutoff whose tail filled
+            if exc.diagnostics["optical_tail"] > fock._TAIL_TOL:
+                n_c *= 2
+            if exc.diagnostics["mechanical_tail"] > fock._TAIL_TOL:
+                n_m *= 2
     measured = fock.measure_moments(final, system.omega_c, cfg.tau)
 
     rows = []

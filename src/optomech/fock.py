@@ -1,13 +1,15 @@
 """Brute-force validator in a truncated two-mode Fock space.
 
 The Hamiltonian conserves the photon number, so the state evolves as one
-mechanical block per photon number n, with omega_c*n an exact phase.  Every
-exponential is applied to all blocks at once by a Taylor series of the
-pentadiagonal stencil; no dense block is formed.  A time-independent system
-takes one exponential over the whole span; a time-dependent one takes
-fourth-order commutator-free Magnus steps (CF4): two exponentials per uniform
-step, of the Hamiltonian mixed from its values at the two Gauss-Legendre
-nodes.  The same moments as the analytic pipeline are then measured.
+mechanical block per photon number n, with omega_c*n an exact phase.  The
+Hamiltonian has one form, an (n_c, n_m, 5) array of real weights: the
+pentadiagonal stencil of every block.  Every exponential is applied to all
+blocks at once by a Taylor series of that stencil; no dense block is formed.
+A time-independent system takes one exponential over the whole span; a
+time-dependent one takes ``step_count`` fourth-order commutator-free Magnus
+steps (CF4): two exponentials per uniform step, of the Hamiltonian mixed from
+its values at the two Gauss-Legendre nodes.  The same moments as the analytic
+pipeline are then measured.
 Nothing here reads the analytic chain beyond sizing the default cutoffs, so
 the oracle stays an independent referee.  Only the small-parameter envelope
 is certified; large couplings blow past any affordable cutoff.  Uses numpy
@@ -167,6 +169,17 @@ def default_dt(system: SystemParams, tau_final: float, n_c: int) -> float:
     return 2.0 * np.pi / (25.0 * max(rate_sq, g_scale, omega0, 1.0))
 
 
+def step_count(system: SystemParams, tau_final: float, n_c: int,
+               dt: float | None = None) -> int:
+    """The uniform CF4 steps over [0, tau_final] at dt (default_dt if None);
+    a time-independent system takes none."""
+    if system.is_time_independent:
+        return 0
+    if dt is None:
+        dt = default_dt(system, tau_final, n_c)
+    return max(int(np.ceil(tau_final / dt - 1e-12)), 1)
+
+
 def _taylor_step(psi: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i (H_n - omega_c*n) dt) on every block at once, by a Taylor series
     of the stencil matvec about 0; the step is split into equal substeps
@@ -227,11 +240,12 @@ def evolve(
     Hamiltonian over the whole span, by the same substepped Taylor series of
     the stencil as every stepped exponential; there is no time
     discretization, so ``dt`` and ``check_convergence`` do not apply to it.
-    Otherwise each uniform step is a fourth-order commutator-free Magnus step
-    (two exponentials of the Hamiltonian mixed from its values at the two
-    Gauss-Legendre nodes), and with ``check_convergence`` the run is repeated
-    at half the step and the moments must agree to 1e-4 relative; the finer
-    state is returned.  Norm drift or occupied basis tails raise flagged-run
+    Otherwise it takes ``step_count`` uniform steps, each a fourth-order
+    commutator-free Magnus step (two exponentials of the stencil mixed from
+    its values at the two Gauss-Legendre nodes), and with
+    ``check_convergence`` the run is repeated at half the step and the eight
+    ``MeasuredMoments`` must agree to 1e-4 relative; the finer state is
+    returned.  Norm drift or occupied basis tails raise flagged-run
     errors with diagnostics.
     """
     if tau_final < 0.0:
@@ -244,9 +258,7 @@ def evolve(
     if system.is_time_independent:
         psi = _taylor_step(psi0_amp, build_hamiltonian(system, 0.0, n_c, n_m), tau_final)
     else:
-        if dt is None:
-            dt = default_dt(system, tau_final, n_c)
-        n_steps = max(int(np.ceil(tau_final / dt - 1e-12)), 1)
+        n_steps = step_count(system, tau_final, n_c, dt)
         psi = _run_steps(psi0_amp, system, tau_final, n_steps)
         if check_convergence:
             fine = _run_steps(psi0_amp, system, tau_final, 2 * n_steps)
@@ -312,7 +324,7 @@ def measure_moments(state: FockState, omega_c: float, tau: float) -> MeasuredMom
 
 def default_cutoffs(init: InitialState, coeffs: DecouplingCoefficients) -> tuple[int, int]:
     """Heuristic cutoffs sized from the coherent amplitudes; callers should
-    double them if the tail check trips."""
+    double each one whose tail the tail check finds filled."""
 
     def room(amplitude: float) -> int:
         return int(np.ceil(amplitude**2 + 6.0 * amplitude + 8.0))

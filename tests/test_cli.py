@@ -104,6 +104,11 @@ class TestConfig:
                    "--resolution", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "resolution" in capsys.readouterr().err
+        # the oracle's analytic side reads the same knob
+        rc = main(["oracle-check", "--g0", "0.3", "--d2", "0.1", "--squeezing", "modulated",
+                   "--tau", "0.5", "--resolution", "1", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "resolution" in capsys.readouterr().err
 
     def test_removed_workers_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -356,6 +361,30 @@ class TestOracleCheck:
         rc = main(["oracle-check", "--g0", "5.0", "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "envelope" in capsys.readouterr().err
+
+    def test_only_the_failing_cutoff_grows(self, tmp_path, capsys):
+        # the inverted sector fills the mechanical tail alone: n_m doubles
+        # twice from 57 while n_c keeps its default 15
+        rc = main(["oracle-check", "--squeezing", "constant", "--d2", "-1", "--g0", "0.3",
+                   "--tau", "1", "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert "increase the cutoffs (15, 228)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, steps", [(["--omega0", "1000"], 23874),
+                                              (["--dt", "1e-4"], 60000)],
+                             ids=["fast-modulation", "tiny-dt"])
+    def test_step_count_refused_up_front(self, tmp_path, capsys, monkeypatch, flags, steps):
+        from optomech import fock
+
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("the refused run propagated")
+
+        monkeypatch.setattr(fock, "evolve", no_evolve)
+        rc = main(["oracle-check", "--squeezing", "modulated", "--d2", "0.1", "--g0", "0.3",
+                   "--tau", "6", *flags, "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "envelope" in err and f"{steps} time steps exceed 500" in err
 
     def test_fast_modulation_sets_the_step(self, tmp_path):
         # at omega0 = 20 the modulation is the fastest scale; a step that
