@@ -51,7 +51,6 @@ from .profiles import (
     ModulatedSqueezing,
     SqueezingProfile,
     SystemParams,
-    TabulatedSignal,
 )
 from .squeezing import (
     QuadraticSolution,
@@ -85,7 +84,6 @@ __all__ = [
     "SqueezingProfile",
     "StateRecord",
     "SystemParams",
-    "TabulatedSignal",
     "ValidationError",
     "ValidityWarning",
     "constant_bogoliubov",

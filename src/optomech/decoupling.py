@@ -5,9 +5,9 @@ exponentials of six fixed generators: the photon number operator N, its
 square N^2, the mechanical position and momentum generators x = b + b^dag
 and p = i(b^dag - b), and their photon-number-conditioned versions N*x and
 N*p.  Each exponential carries a real scalar coefficient obtained from
-definite integrals of the coupling profiles weighted by the complex mode
-function of the quadratic sector; for constant squeezing, coupling and drive
-they close through its Stumpff functions, for any real squeezing strength.
+definite integrals of the mode function of the quadratic sector, scaled by
+the constant coupling and drive; for constant squeezing they close through
+its Stumpff functions, for any real squeezing strength.
 """
 
 from __future__ import annotations
@@ -84,12 +84,10 @@ class DecouplingTables:
     """
 
     def __init__(self, sol: QuadraticSolution, coupling: Coupling):
-        coupling.require_span(sol.tau_max)
         self._sol = sol
         self._step = sol.step
 
-        grid = sol.tau
-        g = np.asarray(coupling.g_at(grid), dtype=float)
+        g, d1 = map(float, coupling)
         re = sol.cos_sol
         im = -sol.sin_sol  # imaginary part of the mode function
 
@@ -109,8 +107,7 @@ class DecouplingTables:
             "num_pos": (-cum_g_re, -g_re),
             "num_mom": (cum(g_im), g_im),
         }
-        if not coupling.drive_is_zero:
-            d1 = np.asarray(coupling.drive_at(grid), dtype=float)
+        if d1 != 0.0:
             d_re = d1 * re
             d_im = d1 * im
             cum_d_re = cum(d_re)

@@ -2,9 +2,9 @@
 
 Given system parameters and an initial coherent state, produce the
 decoupling coefficients, Bogoliubov pair, moments, covariance matrix and
-non-Gaussianity report on a time grid.  Constant squeezing with a constant
-coupling and drive dispatches to the closed forms; everything else runs
-through the Magnus propagator and the quadrature tables.  Each stage runs
+non-Gaussianity report on a time grid.  The coupling and drive are
+constants; constant squeezing dispatches to the closed forms, and modulated
+squeezing runs through the Magnus propagator and the quadrature tables.  Each stage runs
 once over the whole array of times, so a trajectory is one record whose
 fields are arrays over tau.
 
@@ -76,7 +76,7 @@ def evaluate_trajectory(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if system.is_time_independent:
             d2 = system.squeezing.d2
-            g, d1 = float(system.coupling.g), float(system.coupling.drive)
+            g, d1 = map(float, system.coupling)
             coeffs = constant_coefficients(g, d2, taus, d1=d1)
             alpha, beta = constant_bogoliubov(d2, taus)
         else:

@@ -150,21 +150,16 @@ def spectral_bounds(w: np.ndarray) -> tuple[float, float]:
 
 def build_hamiltonian(system: SystemParams, tau: float, n_c: int, n_m: int) -> np.ndarray:
     """The stencil of the Hamiltonian at time tau on the truncated space."""
-    return _stencil(
-        float(system.squeezing.d2_at(tau)),
-        float(system.coupling.g_at(tau)),
-        float(system.coupling.drive_at(tau)),
-        n_c,
-        n_m,
-    )
+    g, d1 = map(float, system.coupling)
+    return _stencil(float(system.squeezing.d2_at(tau)), g, d1, n_c, n_m)
 
 
 def default_dt(system: SystemParams, tau_final: float, n_c: int) -> float:
     """Fourth-order steps, 25 per period of the fastest mechanical scale,
     the squeezing modulation's included; the cavity frequency is applied
     exactly as a per-block phase and sets no step."""
-    rate_sq = 1.0 + 4.0 * system.squeezing.max_abs(tau_final)
-    g_scale = system.coupling.g_max(tau_final) * np.sqrt(n_c)
+    rate_sq = 1.0 + 4.0 * abs(system.squeezing.d2)
+    g_scale = abs(float(system.coupling.g)) * np.sqrt(n_c)
     omega0 = abs(getattr(system.squeezing, "omega0", 0.0))  # modulated profiles only
     return 2.0 * np.pi / (25.0 * max(rate_sq, g_scale, omega0, 1.0))
 
@@ -212,15 +207,12 @@ def _taylor_step(psi: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
 
 def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
                n_steps: int) -> np.ndarray:
-    """n_steps CF4 steps, with each profile sampled at all 2*n_steps nodes in
+    """n_steps CF4 steps, with the squeezing sampled at all 2*n_steps nodes in
     one call; the exponentials run in step order, two per step."""
     dt = tau_final / n_steps
     nodes = (np.arange(n_steps)[:, None] + _CF4_NODES) * dt
-    scalars = [
-        np.einsum("ki,ji->kj", at(nodes), _CF4_MIX).ravel()
-        for at in (system.squeezing.d2_at, system.coupling.g_at, system.coupling.drive_at)
-    ]
-    for d2, g, d1 in zip(*scalars):
+    g, d1 = map(float, system.coupling)
+    for d2 in np.einsum("ki,ji->kj", system.squeezing.d2_at(nodes), _CF4_MIX).ravel():
         psi = _taylor_step(psi, _stencil(d2, g, d1, *psi.shape), 0.5 * dt)
     return psi
 

@@ -12,10 +12,6 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError
-
-_SPAN_SLACK = 1e-9
-
 
 class ConstantSqueezing(NamedTuple):
     """Constant squeezing strength D2(tau) = d2."""
@@ -24,12 +20,6 @@ class ConstantSqueezing(NamedTuple):
 
     def d2_at(self, tau):
         return np.full(np.shape(np.asarray(tau, dtype=float)), float(self.d2))
-
-    def max_abs(self, tau_max: float) -> float:
-        return abs(self.d2)
-
-    def require_span(self, tau_max: float) -> None:
-        pass
 
 
 class ModulatedSqueezing(NamedTuple):
@@ -41,99 +31,15 @@ class ModulatedSqueezing(NamedTuple):
     def d2_at(self, tau):
         return self.d2 * np.cos(self.omega0 * np.asarray(tau, dtype=float))
 
-    def max_abs(self, tau_max: float) -> float:
-        return abs(self.d2)
 
-    def require_span(self, tau_max: float) -> None:
-        pass
-
-
-class TabulatedSignal:
-    """A real signal sampled on a strictly increasing time grid, usable as a
-    squeezing profile or as a coupling/drive signal.
-
-    Values between samples come from a monotone piecewise-cubic (PCHIP)
-    interpolant, which does not overshoot the tabulated range.
-    """
-
-    def __init__(self, tau, values):
-        from scipy.interpolate import PchipInterpolator
-
-        tau = np.asarray(tau, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if tau.ndim != 1 or values.shape != tau.shape or tau.size < 2:
-            raise DomainError("tabulated signal needs matching 1-d arrays with >= 2 samples")
-        if not np.all(np.isfinite(tau)) or not np.all(np.isfinite(values)):
-            raise DomainError("tabulated signal contains non-finite entries")
-        if np.any(np.diff(tau) <= 0):
-            raise DomainError("tabulated signal times must be strictly increasing")
-        self.tau = tau
-        self.values = values
-        self._interp = PchipInterpolator(tau, values, extrapolate=False)
-
-    def at(self, tau):
-        t = np.asarray(tau, dtype=float)
-        if np.any(t < self.tau[0] - _SPAN_SLACK) or np.any(t > self.tau[-1] + _SPAN_SLACK):
-            raise DomainError("requested time outside the tabulated signal span")
-        return self._interp(np.clip(t, self.tau[0], self.tau[-1]))
-
-    d2_at = at
-
-    def max_abs(self, tau_max: float) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def require_span(self, tau_max: float) -> None:
-        if self.tau[0] > _SPAN_SLACK or self.tau[-1] < tau_max - _SPAN_SLACK:
-            raise DomainError(
-                f"tabulated signal covers [{self.tau[0]:g}, {self.tau[-1]:g}], "
-                f"needed [0, {tau_max:g}]"
-            )
-
-
-SqueezingProfile = Union[ConstantSqueezing, ModulatedSqueezing, TabulatedSignal]
-
-
-Signal = Union[float, TabulatedSignal]
-
-
-def _signal_at(sig: Signal, tau):
-    if isinstance(sig, TabulatedSignal):
-        return sig.at(tau)
-    return np.broadcast_to(float(sig), np.shape(np.asarray(tau, dtype=float)))
+SqueezingProfile = Union[ConstantSqueezing, ModulatedSqueezing]
 
 
 class Coupling(NamedTuple):
-    """Light-matter coupling g and linear mechanical drive, each either a
-    constant or a :class:`TabulatedSignal`."""
+    """Constant light-matter coupling g and linear mechanical drive."""
 
-    g: Signal = 0.0
-    drive: Signal = 0.0
-
-    def g_at(self, tau):
-        return _signal_at(self.g, tau)
-
-    def drive_at(self, tau):
-        return _signal_at(self.drive, tau)
-
-    @property
-    def is_constant(self) -> bool:
-        return not isinstance(self.g, TabulatedSignal) and not isinstance(
-            self.drive, TabulatedSignal
-        )
-
-    @property
-    def drive_is_zero(self) -> bool:
-        return not isinstance(self.drive, TabulatedSignal) and float(self.drive) == 0.0
-
-    def g_max(self, tau_max: float) -> float:
-        if isinstance(self.g, TabulatedSignal):
-            return self.g.max_abs(tau_max)
-        return abs(float(self.g))
-
-    def require_span(self, tau_max: float) -> None:
-        for sig in (self.g, self.drive):
-            if isinstance(sig, TabulatedSignal):
-                sig.require_span(tau_max)
+    g: float = 0.0
+    drive: float = 0.0
 
 
 class SystemParams(NamedTuple):
@@ -150,6 +56,6 @@ class SystemParams(NamedTuple):
 
     @property
     def is_time_independent(self) -> bool:
-        """Constant squeezing, coupling and drive: the closed forms and the
-        oracle's exact propagation apply."""
-        return isinstance(self.squeezing, ConstantSqueezing) and self.coupling.is_constant
+        """Constant squeezing (the coupling and drive always are): the closed
+        forms and the oracle's exact propagation apply."""
+        return isinstance(self.squeezing, ConstantSqueezing)

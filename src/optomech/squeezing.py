@@ -19,13 +19,15 @@ import numpy as np
 
 from ._interp import hermite_eval
 from .errors import DomainError, SingularFactorError, ValidityWarning
-from .profiles import _SPAN_SLACK, SqueezingProfile
+from .profiles import SqueezingProfile
 
 # Grid defaults: the fastest oscillation must stay well resolved because the
 # decoupling quadrature reuses this grid.
 _SAMPLES_PER_UNIT = 256.0
 _MIN_SAMPLES_PER_UNIT = 16.0
 _MIN_POINTS = 4096
+# times this far past either end of the solved span still count as inside it
+_SPAN_SLACK = 1e-9
 
 # Gauss-Legendre nodes of a unit interval
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
@@ -34,9 +36,10 @@ _GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
 _STUMPFF_SERIES = np.array([[1.0 / math.factorial(2 * j + k) for j in range(10)] for k in range(4)])
 
 
-def oscillation_rate(profile: SqueezingProfile, tau_max: float) -> float:
-    """Effective angular rate sqrt(1 + 4*max|D2|) used to size grids."""
-    return float(np.sqrt(1.0 + 4.0 * profile.max_abs(tau_max)))
+def oscillation_rate(profile: SqueezingProfile) -> float:
+    """Effective angular rate sqrt(1 + 4*max|D2|) used to size grids; d2 is
+    the amplitude of either profile."""
+    return float(np.sqrt(1.0 + 4.0 * abs(profile.d2)))
 
 
 def stumpff(d2: float, tau):
@@ -154,9 +157,8 @@ def solve_quadratic(
     """
     if tau_max <= 0.0:
         raise DomainError("tau_max must be positive")
-    profile.require_span(tau_max)
 
-    rate = oscillation_rate(profile, tau_max)
+    rate = oscillation_rate(profile)
     if resolution is None:
         resolution = _SAMPLES_PER_UNIT * rate
     elif resolution < _MIN_SAMPLES_PER_UNIT * rate:

@@ -2,6 +2,7 @@
 the package computes, kept apart from the code it referees."""
 
 import warnings
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -12,6 +13,17 @@ from optomech.fock import FockState, coherent_amplitudes
 from optomech.squeezing import stumpff
 
 _HERMITIAN_TOL = 1e-8
+
+
+class OffsetCosineSqueezing(NamedTuple):
+    """D2(tau) = 0.35*cos(1.7*tau) + 0.05: a modulation about a nonzero mean,
+    which neither package profile covers; ``d2`` bounds |D2| and so sizes the
+    solver grid, as in the package profiles."""
+
+    d2: float = 0.4
+
+    def d2_at(self, tau):
+        return 0.35 * np.cos(1.7 * np.asarray(tau, dtype=float)) + 0.05
 
 
 def zero_coefficients() -> DecouplingCoefficients:

@@ -459,7 +459,8 @@ def test_public_api_exports_only_what_runs():
     assert all(namespace[name] is getattr(optomech, name) for name in optomech.__all__)
     gone = {name for name, obj in vars(reference).items()
             if getattr(obj, "__module__", "") == "reference"}
-    assert not (gone | {"araki_lieb_bounds", "subsystem_eigenvalues"}) & set(namespace)
+    deleted = {"araki_lieb_bounds", "subsystem_eigenvalues", "TabulatedSignal"}
+    assert not (gone | deleted) & set(namespace)
 
 
 def test_csv_blocks_join_to_per_value_formatting(tmp_path):
@@ -490,9 +491,9 @@ _DATACLASSES_LOADED = "import sys; print('dataclasses' in sys.modules)"
 
 
 class TestImportBudget:
-    """Every mode, the Fock oracle included, loads numpy alone; only a
-    tabulated profile loads scipy (for its PCHIP interpolant).  The records
-    are NamedTuples, so the import and the oracle load no dataclasses."""
+    """Every mode, the Fock oracle included, loads numpy alone: nothing in
+    the package loads scipy.  The records are NamedTuples, so the import and
+    the oracle load no dataclasses."""
 
     def test_cli_import_loads_no_scipy(self):
         proc = _run_python("import optomech.cli; " + _SCIPY_LOADED)

