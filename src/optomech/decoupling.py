@@ -4,10 +4,11 @@ The nonlinear part of the evolution factors into an ordered product of
 exponentials of six fixed generators: the photon number operator N, its
 square N^2, the mechanical position and momentum generators x = b + b^dag
 and p = i(b^dag - b), and their photon-number-conditioned versions N*x and
-N*p.  Each exponential carries a real scalar coefficient obtained from
-definite integrals of the mode function of the quadratic sector, scaled by
-the constant coupling and drive; for constant squeezing they close through
-its Stumpff functions, for any real squeezing strength.
+N*p.  Each exponential carries a real scalar coefficient: the constant
+coupling g and drive d1 scale one of three unit functions (g = 1, no drive),
+integrals of the mode function u of the quadratic sector.  Quadrature tables
+give them on the solver grid; for constant squeezing they close through its
+Stumpff functions, for any real squeezing strength.
 """
 
 from __future__ import annotations
@@ -74,82 +75,63 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-class DecouplingTables:
-    """Cumulative quadrature tables for the decoupling coefficients.
+def _scaled(g, d1: float, u_pos, u_mom, u_sq, tau) -> DecouplingCoefficients:
+    """The six coefficients from the three unit functions (g = 1, no drive):
+    num_pos = g*u_pos, num_mom = g*u_mom, num_sq = g^2*u_sq, pos = -d1*u_pos,
+    mom = -d1*u_mom and num = -2*g*d1*u_sq.  Without a drive num, pos and mom
+    stay the scalar 0.  ``g`` may be an array that broadcasts against the
+    unit functions."""
+    num = pos = mom = 0.0
+    if d1 != 0.0:
+        num, pos, mom = -2.0 * g * d1 * u_sq, -d1 * u_pos, -d1 * u_mom
+    return DecouplingCoefficients(
+        num=num, num_sq=g**2 * u_sq, pos=pos, mom=mom, num_pos=g * u_pos, num_mom=g * u_mom,
+        tau=tau,
+    )
 
-    The nested double integrals reuse one cumulative inner integral across the
-    outer sweep, so building the tables costs O(grid) and evaluation at any
-    tau is an interpolation.  The quadrature grid is the solution grid; the
-    solver resolution is the single accuracy knob.
+
+class DecouplingTables:
+    """Cumulative quadrature tables of the three unit functions.
+
+    The nested double integral reuses the cumulative inner integral across
+    the outer sweep, so building the tables costs O(grid) and evaluation at
+    any tau is an interpolation, scaled by the coupling and drive.  The
+    quadrature grid is the solution grid; the solver resolution is the
+    single accuracy knob.
     """
 
     def __init__(self, sol: QuadraticSolution, coupling: Coupling):
         self._sol = sol
         self._step = sol.step
+        self._coupling = coupling
 
-        g, d1 = map(float, coupling)
         re = sol.cos_sol
         im = -sol.sin_sol  # imaginary part of the mode function
-
-        g_re = g * re
-        g_im = g * im
-
-        def cum(y):
-            return _cumulative_simpson(y, self._step)
-
-        cum_g_re = cum(g_re)
-        num_sq_rate = 2.0 * g_im * cum_g_re
-
-        # (values, derivative-on-grid) pairs for Hermite interpolation; the
-        # drive's three tables are identically zero without a drive
-        self._tables = {
-            "num_sq": (cum(num_sq_rate), num_sq_rate),
-            "num_pos": (-cum_g_re, -g_re),
-            "num_mom": (cum(g_im), g_im),
-        }
-        if d1 != 0.0:
-            d_re = d1 * re
-            d_im = d1 * im
-            cum_d_re = cum(d_re)
-            num_rate = -2.0 * (d_im * cum_g_re + g_im * cum_d_re)
-            self._tables.update(
-                num=(cum(num_rate), num_rate),
-                pos=(cum_d_re, d_re),
-                mom=(-cum(d_im), -d_im),
-            )
+        cum_re = _cumulative_simpson(re, self._step)
+        sq_rate = 2.0 * im * cum_re
+        # (values, derivative-on-grid) pairs for Hermite interpolation, in
+        # the order u_pos, u_mom, u_sq
+        self._tables = (
+            (-cum_re, -re),
+            (_cumulative_simpson(im, self._step), im),
+            (_cumulative_simpson(sq_rate, self._step), sq_rate),
+        )
 
     def at(self, tau) -> DecouplingCoefficients:
         """Coefficients at one time or, elementwise, at an array of times."""
         self._sol._check_span(tau)
-        vals = {"num": 0.0, "pos": 0.0, "mom": 0.0}
-        for name, (y, dy) in self._tables.items():
-            vals[name] = hermite_eval(self._step, y, dy, tau)
-        return DecouplingCoefficients(tau=tau, **vals)
+        units = (hermite_eval(self._step, y, dy, tau) for y, dy in self._tables)
+        return _scaled(*self._coupling, *units, tau)
 
 
-def constant_coefficients(
-    g0: float, d2: float, tau, *, d1: float = 0.0
-) -> DecouplingCoefficients:
+def constant_coefficients(g0, d2: float, tau, *, d1: float = 0.0) -> DecouplingCoefficients:
     """Closed-form coefficients for constant squeezing, coupling and drive.
 
-    With the Stumpff functions c_k of x = (1 + 4*d2)*tau^2: num_pos = -g0*tau*c1,
-    num_mom = -g0*tau^2*c2 and num_sq = -4*g0^2*tau^3*c3(4x) = -g0^2*tau^3*(c2 +
-    c0*c3) by the duplication identity; the drive gives pos = d1*tau*c1,
-    mom = d1*tau^2*c2 and num = 2*g0*d1*tau^3*(c2 + c0*c3).  Without a drive
-    num, pos and mom stay the scalar 0.  ``tau`` may be a scalar or an array.
+    With the Stumpff functions c_k of x = (1 + 4*d2)*tau^2 the unit functions
+    are u_pos = -tau*c1, u_mom = -tau^2*c2 and u_sq = -4*tau^3*c3(4x) =
+    -tau^3*(c2 + c0*c3) by the duplication identity.  ``tau`` may be a scalar
+    or an array, and ``g0`` an array that broadcasts against it.
     """
     c0, c1, c2, c3 = stumpff(d2, tau)
     t = np.asarray(tau, dtype=float)
-    num = pos = mom = 0.0
-    if d1 != 0.0:
-        num = 2.0 * g0 * d1 * t**3 * (c2 + c0 * c3)
-        pos, mom = d1 * t * c1, d1 * t**2 * c2
-    return DecouplingCoefficients(
-        num=num,
-        num_sq=-(g0**2) * t**3 * (c2 + c0 * c3),
-        pos=pos,
-        mom=mom,
-        num_pos=-g0 * t * c1,
-        num_mom=-g0 * t**2 * c2,
-        tau=t,
-    )
+    return _scaled(g0, d1, -t * c1, -t**2 * c2, -t**3 * (c2 + c0 * c3), t)

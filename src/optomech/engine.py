@@ -76,8 +76,7 @@ def evaluate_trajectory(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if system.is_time_independent:
             d2 = system.squeezing.d2
-            g, d1 = map(float, system.coupling)
-            coeffs = constant_coefficients(g, d2, taus, d1=d1)
+            coeffs = constant_coefficients(system.coupling.g, d2, taus, d1=system.coupling.drive)
             alpha, beta = constant_bogoliubov(d2, taus)
         else:
             sol = solve_quadratic(system.squeezing, float(np.max(taus, initial=1e-6)), resolution)

@@ -154,7 +154,7 @@ def build_hamiltonian(system: SystemParams, tau: float, n_c: int, n_m: int) -> n
     return _stencil(float(system.squeezing.d2_at(tau)), g, d1, n_c, n_m)
 
 
-def default_dt(system: SystemParams, tau_final: float, n_c: int) -> float:
+def default_dt(system: SystemParams, n_c: int) -> float:
     """Fourth-order steps, 25 per period of the fastest mechanical scale,
     the squeezing modulation's included; the cavity frequency is applied
     exactly as a per-block phase and sets no step."""
@@ -171,7 +171,7 @@ def step_count(system: SystemParams, tau_final: float, n_c: int,
     if system.is_time_independent:
         return 0
     if dt is None:
-        dt = default_dt(system, tau_final, n_c)
+        dt = default_dt(system, n_c)
     return max(int(np.ceil(tau_final / dt - 1e-12)), 1)
 
 

@@ -36,7 +36,11 @@ SqueezingProfile = Union[ConstantSqueezing, ModulatedSqueezing]
 
 
 class Coupling(NamedTuple):
-    """Constant light-matter coupling g and linear mechanical drive."""
+    """Constant light-matter coupling g and linear mechanical drive.
+
+    The analytic pipeline also takes g as an array shaped like the times, as
+    ``sweep`` passes it along a g0 axis; the Fock oracle needs floats, and
+    ``oracle-check`` passes floats."""
 
     g: float = 0.0
     drive: float = 0.0

@@ -9,6 +9,8 @@ import numpy as np
 
 from optomech import (DecouplingCoefficients, InitialState, ValidationError, ValidityWarning,
                       moments, non_gaussianity, squeezing_frame_excess)
+from optomech._interp import hermite_eval
+from optomech.decoupling import _cumulative_simpson
 from optomech.fock import FockState, coherent_amplitudes
 from optomech.squeezing import stumpff
 
@@ -46,6 +48,55 @@ def rwa_mode(d2: float, tau):
     t = np.asarray(tau, dtype=float)
     return np.exp(-1j * t) * np.cosh(d2 * t) + 1j * np.exp(1j * t) * np.sinh(d2 * t)
 
+
+
+class SixTables:
+    """The six coefficients from six cumulative tables, each integrand
+    multiplied by g or d1 before it is integrated: a second route to the
+    (g, d1) scaling of the three unit tables in ``DecouplingTables``."""
+
+    def __init__(self, sol, coupling):
+        self._sol = sol
+        self._step = sol.step
+
+        g, d1 = map(float, coupling)
+        re = sol.cos_sol
+        im = -sol.sin_sol  # imaginary part of the mode function
+
+        g_re = g * re
+        g_im = g * im
+
+        def cum(y):
+            return _cumulative_simpson(y, self._step)
+
+        cum_g_re = cum(g_re)
+        num_sq_rate = 2.0 * g_im * cum_g_re
+
+        # (values, derivative-on-grid) pairs for Hermite interpolation; the
+        # drive's three tables are identically zero without a drive
+        self._tables = {
+            "num_sq": (cum(num_sq_rate), num_sq_rate),
+            "num_pos": (-cum_g_re, -g_re),
+            "num_mom": (cum(g_im), g_im),
+        }
+        if d1 != 0.0:
+            d_re = d1 * re
+            d_im = d1 * im
+            cum_d_re = cum(d_re)
+            num_rate = -2.0 * (d_im * cum_g_re + g_im * cum_d_re)
+            self._tables.update(
+                num=(cum(num_rate), num_rate),
+                pos=(cum_d_re, d_re),
+                mom=(-cum(d_im), -d_im),
+            )
+
+    def at(self, tau) -> DecouplingCoefficients:
+        """Coefficients at one time or, elementwise, at an array of times."""
+        self._sol._check_span(tau)
+        vals = {"num": 0.0, "pos": 0.0, "mom": 0.0}
+        for name, (y, dy) in self._tables.items():
+            vals[name] = hermite_eval(self._step, y, dy, tau)
+        return DecouplingCoefficients(tau=tau, **vals)
 
 def _resonant_warn(d2: float, tau: float) -> None:
     stretch = abs(d2) * np.cosh(d2 * tau)

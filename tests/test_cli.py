@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optomech import ConstantSqueezing, Coupling, InitialState, SystemParams, evaluate_point
+from optomech import (ConstantSqueezing, Coupling, InitialState, ModulatedSqueezing,
+                      SystemParams, evaluate_point, solve_quadratic)
 from optomech.cli import _PARSERS, Axis, RunConfig, _fmt, _write_csv, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -247,19 +248,48 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: axis1: tau values must be non-negative")
 
     def test_cells_match_single_points(self, tmp_path):
-        # tau as the outer axis interleaves the (g0, d2) groups across rows
+        # tau as the outer axis interleaves the g0 values across rows; the
+        # driven modulated sweep shares one solve per d2 across a g0 axis
+        # that starts at 0, and at its fixed tau each single point solves on
+        # the same grid
         cfg = write_config(tmp_path, BASE_CONFIG)
-        out = tmp_path / "s.csv"
-        rc = main(["sweep", "--config", cfg, "--d2", "0.3", "--axis1", "tau,0.5,3,3,linear",
-                   "--axis2", "g0,0.5,2,3,linear", "--out", str(out)])
-        assert rc == 0
         init = InitialState(1.0, 0.0)
-        for tau, g0, delta, delta_min, delta_max in np.loadtxt(out, delimiter=",", skiprows=1):
-            system = SystemParams(1.0, Coupling(g=g0), ConstantSqueezing(0.3))
-            want = evaluate_point(system, init, tau).report
-            assert (delta, delta_min, delta_max) == pytest.approx(
-                (want.delta, want.delta_min, want.delta_max), rel=1e-12, abs=1e-15
-            )
+        cases = [
+            (["--d2", "0.3", "--axis1", "tau,0.5,3,3,linear", "--axis2", "g0,0.5,2,3,linear"],
+             lambda tau, g0: (tau, SystemParams(1.0, Coupling(g0), ConstantSqueezing(0.3)))),
+            (["--squeezing", "modulated", "--d1", "0.3", "--tau", "2.5",
+              "--axis1", "d2,0.05,0.2,2,linear", "--axis2", "g0,0,2,5,linear"],
+             lambda d2, g0: (2.5, SystemParams(1.0, Coupling(g0, 0.3),
+                                               ModulatedSqueezing(d2, 2.0)))),
+        ]
+        for k, (flags, point) in enumerate(cases):
+            out = tmp_path / f"s{k}.csv"
+            assert main(["sweep", "--config", cfg, *flags, "--out", str(out)]) == 0
+            for x, g0, delta, delta_min, delta_max in np.loadtxt(out, delimiter=",", skiprows=1):
+                if g0 == 0.0:
+                    assert delta == 0.0
+                tau, system = point(x, g0)
+                want = evaluate_point(system, init, tau).report
+                assert (delta, delta_min, delta_max) == pytest.approx(
+                    (want.delta, want.delta_min, want.delta_max), rel=1e-12, abs=1e-15
+                )
+
+    @pytest.mark.parametrize("axis1, solves", [("d2,0.05,0.2,3,linear", 3),
+                                               ("tau,0.5,3,3,linear", 1)], ids=["d2", "tau"])
+    def test_one_solve_per_d2(self, tmp_path, monkeypatch, axis1, solves):
+        from optomech import engine
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_quadratic(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "solve_quadratic", counted)
+        rc = main(["sweep", "--squeezing", "modulated", "--d2", "0.1", "--axis1", axis1,
+                   "--axis2", "g0,0.5,2,3,linear", "--out", str(tmp_path / "s.csv")])
+        assert rc == 0
+        assert len(calls) == solves
 
     def test_squeezing_suppression_trend(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)

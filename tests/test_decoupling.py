@@ -13,7 +13,7 @@ from optomech import (
     solve_quadratic,
 )
 from optomech.decoupling import DecouplingTables, _cumulative_simpson
-from reference import number_displacement_sq_resonant, resonant_coefficients
+from reference import SixTables, number_displacement_sq_resonant, resonant_coefficients
 
 TWO_PI = 2 * np.pi
 FIELDS = ("num", "num_sq", "pos", "mom", "num_pos", "num_mom")
@@ -52,7 +52,8 @@ class TestQuadratureRoute:
 
     def test_zero_drive_skips_its_tables(self, modulated_solution):
         # a zero drive leaves num, pos and mom the scalar 0; a drive of 1e-300
-        # runs the full six-table path, and the coupling's tables do not move
+        # scales the unit tables into arrays over the times, and leaves the
+        # coupling's fields bit for bit as they were
         taus = np.linspace(0.0, modulated_solution.tau_max, 101)
         bare = DecouplingTables(modulated_solution, Coupling(0.7, 0.0)).at(taus)
         full = DecouplingTables(modulated_solution, Coupling(0.7, 1e-300)).at(taus)
@@ -62,6 +63,27 @@ class TestQuadratureRoute:
             assert np.max(np.abs(getattr(full, name))) < 1e-290
         for name in ("num_sq", "num_pos", "num_mom"):
             np.testing.assert_array_equal(getattr(bare, name), getattr(full, name))
+
+    @pytest.mark.parametrize(
+        "profile",
+        [ConstantSqueezing(0.5), ConstantSqueezing(-0.25), ConstantSqueezing(-1.0),
+         ModulatedSqueezing(0.1, 2.0)],
+        ids=["d2=0.5", "d2=-0.25", "d2=-1", "modulated"],
+    )
+    @pytest.mark.parametrize("g, d1", [(0.7, 0.0), (0.7, 0.45)], ids=["undriven", "driven"])
+    def test_unit_scaling_matches_six_tables(self, profile, g, d1):
+        # the scaled unit tables against the six tables integrated with g
+        # and d1 inside, to rounding of each field's largest value
+        sol = solve_quadratic(profile, TWO_PI)
+        taus = np.linspace(0.0, sol.tau_max, 201)
+        got = DecouplingTables(sol, Coupling(g, d1)).at(taus)
+        want = SixTables(sol, Coupling(g, d1)).at(taus)
+        for name in FIELDS:
+            x, y = getattr(got, name), getattr(want, name)
+            if d1 == 0.0 and name in ("num", "pos", "mom"):
+                assert np.ndim(x) == 0 and x == 0.0 and y == 0.0
+                continue
+            assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y)), name
 
     def test_all_zero_at_start(self, modulated_solution):
         got = DecouplingTables(modulated_solution, Coupling(g=1.0, drive=0.3)).at(0.0)

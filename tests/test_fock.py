@@ -252,7 +252,7 @@ class TestEvolve:
     def test_stepped_route_matches_cf4_expm_multiply(self, system, dt, mu_m, n_m):
         init, tau = InitialState(0.8, mu_m), 1.5
         psi0 = fock.product_coherent(init, 12, n_m)
-        step = fock.default_dt(system, tau, 12) if dt is None else dt
+        step = fock.default_dt(system, 12) if dt is None else dt
         if dt is not None:
             # each exponential spans half a step, and that is long enough
             # that the Taylor series must substep
@@ -266,12 +266,12 @@ class TestEvolve:
         for squeezing in (ConstantSqueezing(0.3), ModulatedSqueezing(0.1, 2.0)):
             slow = SystemParams(1.0, Coupling(g=0.5), squeezing)
             fast = SystemParams(5.0, Coupling(g=0.5), squeezing)
-            assert fock.default_dt(fast, 1.5, 16) == fock.default_dt(slow, 1.5, 16)
+            assert fock.default_dt(fast, 16) == fock.default_dt(slow, 16)
 
     def test_default_dt_resolves_the_modulation(self):
         # 25 steps per modulation period once omega0 is the fastest scale
         system = SystemParams(1.0, Coupling(g=0.2), ModulatedSqueezing(0.1, 20.0))
-        assert fock.default_dt(system, 3.0, 16) == 2.0 * np.pi / (25.0 * 20.0)
+        assert fock.default_dt(system, 16) == 2.0 * np.pi / (25.0 * 20.0)
 
     @pytest.mark.parametrize(
         "squeezing", [ConstantSqueezing(0.3), ModulatedSqueezing(0.1, 2.0)],
@@ -283,7 +283,7 @@ class TestEvolve:
         init, tau = InitialState(1.0, 0.0), 1.0
         slow = SystemParams(1.0, Coupling(g=0.5), squeezing)
         fast = SystemParams(5.0, Coupling(g=0.5), squeezing)
-        dt = fock.default_dt(slow, tau, 16)
+        dt = fock.default_dt(slow, 16)
         psi0 = fock.product_coherent(init, 16, 48)
         m1 = fock.measure_moments(fock.evolve(psi0, slow, tau, dt), slow.omega_c, tau)
         m5 = fock.measure_moments(fock.evolve(psi0, fast, tau, dt), fast.omega_c, tau)
