@@ -27,12 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import evaluate_point, evaluate_trajectory
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    CutoffInsufficientError,
-    OptomechError,
-)
+from .errors import ConfigError, ConvergenceError, OptomechError
 from .moments import InitialState
 from .profiles import ConstantSqueezing, Coupling, ModulatedSqueezing, SystemParams
 from .squeezing import mathieu_params, solve_quadratic, two_scale_solution
@@ -54,7 +49,6 @@ _ORACLE_LIMITS = {
     "d2_modulated": 0.3,
     "mu": 2.0,
     "tau": 2.0 * np.pi,
-    "dim": 60_000,
     "steps": 500,  # CF4 steps of a time-dependent system, at --dt or the default
 }
 
@@ -356,7 +350,7 @@ def run_mathieu(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def _check_oracle_envelope(cfg: RunConfig, n_c: int, n_m: int, steps: int) -> None:
+def _check_oracle_envelope(cfg: RunConfig, steps: int) -> None:
     problems = []
     if abs(cfg.g0) > _ORACLE_LIMITS["g0"]:
         problems.append(f"g0={cfg.g0:g} exceeds {_ORACLE_LIMITS['g0']:g}")
@@ -370,8 +364,6 @@ def _check_oracle_envelope(cfg: RunConfig, n_c: int, n_m: int, steps: int) -> No
         problems.append(f"coherent amplitudes must stay within {_ORACLE_LIMITS['mu']:g}")
     if cfg.tau > _ORACLE_LIMITS["tau"]:
         problems.append(f"tau={cfg.tau:g} exceeds {_ORACLE_LIMITS['tau']:g}")
-    if n_c * n_m > _ORACLE_LIMITS["dim"]:
-        problems.append(f"truncated dimension {n_c * n_m} exceeds {_ORACLE_LIMITS['dim']}")
     if steps > _ORACLE_LIMITS["steps"]:
         problems.append(f"{steps} time steps exceed {_ORACLE_LIMITS['steps']}")
     if problems:
@@ -396,23 +388,8 @@ def run_oracle_check(cfg: RunConfig) -> int:
         n_m = cfg.n_m
 
     dt = cfg.dt if cfg.dt > 0 else None
-    attempts = 0
-    while True:
-        _check_oracle_envelope(cfg, n_c, n_m, fock.step_count(system, cfg.tau, n_c, dt))
-        try:
-            psi0 = fock.product_coherent(init, n_c, n_m)
-            final = fock.evolve(psi0, system, cfg.tau, dt)
-            break
-        except CutoffInsufficientError as exc:
-            attempts += 1
-            # fixed cutoffs are an explicit user request; do not override them
-            if attempts > 2 or cfg.n_c > 0 or cfg.n_m > 0:
-                raise
-            # grow only the cutoff whose tail filled
-            if exc.diagnostics["optical_tail"] > fock._TAIL_TOL:
-                n_c *= 2
-            if exc.diagnostics["mechanical_tail"] > fock._TAIL_TOL:
-                n_m *= 2
+    _check_oracle_envelope(cfg, fock.step_count(system, cfg.tau, n_c, dt))
+    final = fock.evolve(fock.product_coherent(init, n_c, n_m), system, cfg.tau, dt)
     measured = fock.measure_moments(final, system.omega_c, cfg.tau)
 
     rows = []

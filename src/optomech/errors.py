@@ -24,7 +24,8 @@ class NonFiniteError(OptomechError):
 
 
 class CutoffInsufficientError(OptomechError):
-    """A truncated-basis state leaks into the reserved tail of the basis."""
+    """A state fills the reserved tail of its truncated basis, or the basis it
+    needs exceeds the oracle's cap."""
 
     def __init__(self, message: str, **diagnostics):
         super().__init__(message)

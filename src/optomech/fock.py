@@ -10,10 +10,11 @@ time-dependent one takes ``step_count`` fourth-order commutator-free Magnus
 steps (CF4): two exponentials per uniform step, of the Hamiltonian mixed from
 its values at the two Gauss-Legendre nodes.  The same moments as the analytic
 pipeline are then measured.
-Nothing here reads the analytic chain beyond sizing the default cutoffs, so
-the oracle stays an independent referee.  Only the small-parameter envelope
-is certified; large couplings blow past any affordable cutoff.  Uses numpy
-alone, and no LAPACK routine.
+``evolve`` owns the basis: it doubles n_m until the mechanical tail is empty.
+Nothing here reads the analytic chain beyond sizing the default starting
+cutoffs, so the oracle stays an independent referee.  Only the
+small-parameter envelope is certified; large couplings blow past any
+affordable cutoff.  Uses numpy alone, and no LAPACK routine.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ _NORM_TOL = 1e-8
 _TAIL_TOL = 1e-8
 _TAIL_FRACTION = 0.1
 _HALVING_TOL = 1e-4
+# the largest truncated dimension n_c * n_m the oracle propagates
+_DIM_CAP = 60_000
 # Taylor series: stop below this fraction of the state norm; substep so that
 # dt times the largest Gershgorin magnitude stays within the reach (no term
 # exceeds 8**8/8! ~ 416 times the state norm)
@@ -234,38 +237,51 @@ def evolve(
     discretization, so ``dt`` and ``check_convergence`` do not apply to it.
     Otherwise it takes ``step_count`` uniform steps, each a fourth-order
     commutator-free Magnus step (two exponentials of the stencil mixed from
-    its values at the two Gauss-Legendre nodes), and with
-    ``check_convergence`` the run is repeated at half the step and the eight
-    ``MeasuredMoments`` must agree to 1e-4 relative; the finer state is
-    returned.  Norm drift or occupied basis tails raise flagged-run
+    its values at the two Gauss-Legendre nodes).  ``psi0`` sets the starting
+    basis.  The photon number is conserved, so n_c never changes; while the
+    top tenth of the mechanical levels holds more than 1e-8 of the norm,
+    ``psi0`` is padded with empty levels to twice its n_m and the run
+    repeats, so the returned n_m may exceed ``psi0``'s; a run past _DIM_CAP
+    basis states is refused.  On the settled basis, with
+    ``check_convergence``, the run is repeated once at half the step and the
+    eight ``MeasuredMoments`` must agree to 1e-4 relative; the finer state
+    is returned.  Norm drift or occupied basis tails raise flagged-run
     errors with diagnostics.
     """
     if tau_final < 0.0:
         raise DomainError("tau_final must be non-negative")
-    n_c, n_m = psi0.n_c, psi0.n_m
     if tau_final == 0.0:
         return FockState(psi0.amplitudes.copy())
 
     psi0_amp = np.ascontiguousarray(psi0.amplitudes, dtype=complex)
-    if system.is_time_independent:
-        psi = _taylor_step(psi0_amp, build_hamiltonian(system, 0.0, n_c, n_m), tau_final)
-    else:
-        n_steps = step_count(system, tau_final, n_c, dt)
-        psi = _run_steps(psi0_amp, system, tau_final, n_steps)
-        if check_convergence:
-            fine = _run_steps(psi0_amp, system, tau_final, 2 * n_steps)
-            coarse = measure_moments(FockState(psi), 0.0, tau_final)
-            refined = measure_moments(FockState(fine), 0.0, tau_final)
-            for name, x, y in zip(MeasuredMoments._fields, coarse, refined):
-                drift = abs(x - y) / max(abs(y), 1e-6)
-                if drift > _HALVING_TOL:
-                    raise ConvergenceError(
-                        f"moment {name} moved by {drift:.3g} under step halving",
-                        moment=name,
-                        drift=drift,
-                        dt=tau_final / n_steps,
-                    )
-            psi = fine
+    n_steps = step_count(system, tau_final, psi0.n_c, dt)
+    while True:
+        n_c, n_m = psi0_amp.shape
+        if n_c * n_m > _DIM_CAP:
+            raise CutoffInsufficientError(
+                f"cutoffs ({n_c}, {n_m}) give truncated dimension {n_c * n_m}, "
+                f"above the oracle's cap of {_DIM_CAP}", n_c=n_c, n_m=n_m)
+        if n_steps == 0:
+            psi = _taylor_step(psi0_amp, build_hamiltonian(system, 0.0, n_c, n_m), tau_final)
+        else:
+            psi = _run_steps(psi0_amp, system, tau_final, n_steps)
+        if FockState(psi).tail_fractions()[1] <= _TAIL_TOL:
+            break
+        psi0_amp = np.pad(psi0_amp, ((0, 0), (0, n_m)))
+    if n_steps and check_convergence:
+        fine = _run_steps(psi0_amp, system, tau_final, 2 * n_steps)
+        coarse = measure_moments(FockState(psi), 0.0, tau_final)
+        refined = measure_moments(FockState(fine), 0.0, tau_final)
+        for name, x, y in zip(MeasuredMoments._fields, coarse, refined):
+            drift = abs(x - y) / max(abs(y), 1e-6)
+            if drift > _HALVING_TOL:
+                raise ConvergenceError(
+                    f"moment {name} moved by {drift:.3g} under step halving",
+                    moment=name,
+                    drift=drift,
+                    dt=tau_final / n_steps,
+                )
+        psi = fine
     cavity = np.exp(-1j * system.omega_c * tau_final * np.arange(n_c))
     state = FockState(cavity[:, None] * psi)
 
@@ -315,8 +331,8 @@ def measure_moments(state: FockState, omega_c: float, tau: float) -> MeasuredMom
 
 
 def default_cutoffs(init: InitialState, coeffs: DecouplingCoefficients) -> tuple[int, int]:
-    """Heuristic cutoffs sized from the coherent amplitudes; callers should
-    double each one whose tail the tail check finds filled."""
+    """Heuristic starting cutoffs sized from the coherent amplitudes; n_c
+    holds the optical state for good, and ``evolve`` grows n_m as needed."""
 
     def room(amplitude: float) -> int:
         return int(np.ceil(amplitude**2 + 6.0 * amplitude + 8.0))

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -361,6 +362,10 @@ class TestMathieu:
         assert rc == 2
 
 
+# constant d2 = -1 fills the mechanical tail of the default 15 x 57 basis
+INVERTED_POINT = ["--squeezing", "constant", "--d2", "-1", "--g0", "0.3", "--tau", "1"]
+
+
 class TestOracleCheck:
     def test_decoupled_cavity_matches_exactly(self, tmp_path):
         # with g0 = 0 the dynamics is purely quadratic: agreement to
@@ -392,13 +397,59 @@ class TestOracleCheck:
         assert rc == 3
         assert "envelope" in capsys.readouterr().err
 
-    def test_only_the_failing_cutoff_grows(self, tmp_path, capsys):
+    def test_only_the_failing_cutoff_grows(self, tmp_path, monkeypatch):
         # the inverted sector fills the mechanical tail alone: n_m doubles
-        # twice from 57 while n_c keeps its default 15
-        rc = main(["oracle-check", "--squeezing", "constant", "--d2", "-1", "--g0", "0.3",
-                   "--tau", "1", "--out", str(tmp_path / "o.csv")])
+        # three times from 57 while n_c keeps its default 15
+        from optomech import fock
+
+        shapes = []
+        evolve = fock.evolve
+
+        def recorded(*args, **kwargs):
+            final = evolve(*args, **kwargs)
+            shapes.append(final.amplitudes.shape)
+            return final
+
+        monkeypatch.setattr(fock, "evolve", recorded)
+        rc = main(["oracle-check", *INVERTED_POINT, "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
+        assert shapes == [(15, 456)]
+
+    def test_dimension_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        from optomech import fock
+
+        monkeypatch.setattr(fock, "_DIM_CAP", 15 * 228)
+        rc = main(["oracle-check", *INVERTED_POINT, "--out", str(tmp_path / "o.csv")])
         assert rc == 3
-        assert "increase the cutoffs (15, 228)" in capsys.readouterr().err
+        assert "truncated dimension 6840" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, runs",
+        [
+            # a benchmark oracle point that grows n_m once
+            (["--omega0", "2.0", "--d2", "0.13610002242866331", "--g0", "0.394787148477993",
+              "--tau", "1.5371594661819736"], [(55, 13), (110, 13), (110, 26)]),
+            (["--omega0", "10", "--d2", "0.3", "--g0", "0.5", "--tau", "6.28"],
+             [(9, 250), (18, 250), (36, 250), (72, 250), (144, 250), (144, 500)]),
+        ],
+        ids=["benchmark-point", "omega0-10"],
+    )
+    def test_halving_runs_once_on_the_settled_basis(self, tmp_path, monkeypatch, flags, runs):
+        # coarse runs while n_m doubles, then one run at half the step
+        from optomech import fock
+
+        calls = []
+        run_steps = fock._run_steps
+
+        def counted(psi, system, tau_final, n_steps):
+            calls.append((psi.shape[1], n_steps))
+            return run_steps(psi, system, tau_final, n_steps)
+
+        monkeypatch.setattr(fock, "_run_steps", counted)
+        rc = main(["oracle-check", "--squeezing", "modulated", *flags,
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
+        assert calls == runs
 
     @pytest.mark.parametrize("flags, steps", [(["--omega0", "1000"], 23874),
                                               (["--dt", "1e-4"], 60000)],
@@ -476,6 +527,16 @@ def test_traced_names_resolve_and_main_returns(tmp_path):
                  ["oracle-check", "--g0", "0.3", "--d2", "0.1", "--tau", "0.5"]):
         rc = main(argv + ["--out", str(tmp_path / "o.csv")])
         assert type(rc) is int and rc == 0, argv
+
+
+def test_cli_leaves_the_oracle_basis_to_fock():
+    """The cutoff policy lives in ``fock.evolve``: the CLI reads no private
+    name of ``fock`` and no exception's ``diagnostics``."""
+    tree = ast.parse(Path(SRC, "optomech", "cli.py").read_text())
+    reads = [(node.value.id if isinstance(node.value, ast.Name) else "", node.attr)
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert not [attr for owner, attr in reads if owner == "fock" and attr.startswith("_")]
+    assert not [attr for _, attr in reads if attr == "diagnostics"]
 
 
 def test_public_api_exports_only_what_runs():

@@ -27,6 +27,13 @@ def free_system(omega_c=1.0):
     return SystemParams(omega_c, Coupling(g=0.0), ConstantSqueezing(0.0))
 
 
+def evolve_inverted(n_m):
+    """The inverted sector at g = 0.3, which fills the mechanical tail of a
+    15 x 57 basis by tau = 1."""
+    system = SystemParams(1.0, Coupling(g=0.3), ConstantSqueezing(-1.0))
+    return fock.evolve(fock.product_coherent(InitialState(1.0, 0.0), 15, n_m), system, 1.0)
+
+
 @pytest.fixture(scope="module")
 def certified_point():
     system = SystemParams(1.0, Coupling(g=0.5), ConstantSqueezing(0.3))
@@ -290,6 +297,28 @@ class TestEvolve:
         for name in ("a", "b", "a2", "b2", "na", "nb", "ab", "ab_dag"):
             x, y = complex(getattr(m5, name)), complex(getattr(m1, name))
             assert abs(x - y) <= 1e-10 * max(abs(y), 1.0), name
+
+    def test_mechanical_cutoff_doubles_until_the_tail_empties(self):
+        # mu_m = 0, so padding the vacuum with empty levels is exact: growing
+        # from 15 x 57 ends on the very run that starts at 15 x 456
+        grown, direct = evolve_inverted(57), evolve_inverted(456)
+        assert grown.amplitudes.shape == (15, 456)
+        assert np.array_equal(grown.amplitudes, direct.amplitudes)
+
+    def test_growth_refused_past_the_dimension_cap(self, monkeypatch):
+        sizes = []
+        taylor_step = fock._taylor_step
+
+        def counted(psi, w, dt):
+            sizes.append(psi.shape)
+            return taylor_step(psi, w, dt)
+
+        monkeypatch.setattr(fock, "_taylor_step", counted)
+        monkeypatch.setattr(fock, "_DIM_CAP", 15 * 228)
+        with pytest.raises(CutoffInsufficientError, match="truncated dimension 6840") as err:
+            evolve_inverted(57)
+        assert sizes == [(15, 57), (15, 114), (15, 228)]
+        assert err.value.diagnostics == {"n_c": 15, "n_m": 456}
 
     def test_undersized_basis_flagged(self):
         with pytest.raises(CutoffInsufficientError) as err:
