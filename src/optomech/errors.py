@@ -24,8 +24,7 @@ class NonFiniteError(OptomechError):
 
 
 class CutoffInsufficientError(OptomechError):
-    """A state fills the reserved tail of its truncated basis, or the basis it
-    needs exceeds the oracle's cap."""
+    """A state fills the reserved tail of its basis, or a basis passes the cap."""
 
     def __init__(self, message: str, **diagnostics):
         super().__init__(message)

@@ -104,8 +104,16 @@ def coherent_amplitudes(mu: complex, n: int) -> np.ndarray:
     return np.exp(log_mag) * np.exp(1j * m * np.angle(mu))
 
 
+def _require_within_cap(n_c: int, n_m: int) -> None:
+    if n_c * n_m > _DIM_CAP:
+        raise CutoffInsufficientError(
+            f"cutoffs ({n_c}, {n_m}) give truncated dimension {n_c * n_m}, "
+            f"above the oracle's cap of {_DIM_CAP}", n_c=n_c, n_m=n_m)
+
+
 def product_coherent(init: InitialState, n_c: int, n_m: int) -> FockState:
-    """Separable coherent state |mu_c> x |mu_m>."""
+    """Separable coherent state |mu_c> x |mu_m>, refused past _DIM_CAP."""
+    _require_within_cap(n_c, n_m)
     state = FockState(
         np.outer(coherent_amplitudes(init.mu_c, n_c), coherent_amplitudes(init.mu_m, n_m))
     )
@@ -257,10 +265,7 @@ def evolve(
     n_steps = step_count(system, tau_final, psi0.n_c, dt)
     while True:
         n_c, n_m = psi0_amp.shape
-        if n_c * n_m > _DIM_CAP:
-            raise CutoffInsufficientError(
-                f"cutoffs ({n_c}, {n_m}) give truncated dimension {n_c * n_m}, "
-                f"above the oracle's cap of {_DIM_CAP}", n_c=n_c, n_m=n_m)
+        _require_within_cap(n_c, n_m)
         if n_steps == 0:
             psi = _taylor_step(psi0_amp, build_hamiltonian(system, 0.0, n_c, n_m), tau_final)
         else:

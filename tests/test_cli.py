@@ -423,6 +423,21 @@ class TestOracleCheck:
         assert rc == 3
         assert "truncated dimension 6840" in capsys.readouterr().err
 
+    def test_explicit_cutoffs_past_the_cap_refused_before_allocation(
+            self, tmp_path, capsys, monkeypatch):
+        # a static run takes no steps, so only the dimension cap stands
+        # between these cutoffs and a 160 GB state
+        from optomech import fock
+
+        def unreachable(*args):
+            raise AssertionError("amplitudes built past the cap")
+
+        monkeypatch.setattr(fock, "coherent_amplitudes", unreachable)
+        rc = main(["oracle-check", "--squeezing", "constant", "--n_c", "100000",
+                   "--n_m", "100000", "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert "truncated dimension 10000000000" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags, runs",
         [

@@ -325,6 +325,10 @@ class TestEvolve:
             fock.product_coherent(InitialState(1.0, 0.0), 4, 6)
         assert err.value.diagnostics["n_c"] == 4
 
+    def test_basis_past_the_cap_refused(self):
+        with pytest.raises(CutoffInsufficientError, match="truncated dimension 60015"):
+            fock.product_coherent(InitialState(1.0, 0.0), 15, 4001)
+
     @pytest.mark.parametrize(
         "system, init, tau, n_m",
         [
