@@ -6,11 +6,11 @@ Hamiltonian has one form, an (n_c, n_m, 5) array of real weights: the
 pentadiagonal stencil of every block.  Every exponential is applied to all
 blocks at once by a Taylor series of that stencil; no dense block is formed.
 A time-independent system takes one exponential over the whole span; a
-time-dependent one takes ``step_count`` fourth-order commutator-free Magnus
-steps (CF4): two exponentials per uniform step, of the Hamiltonian mixed from
-its values at the two Gauss-Legendre nodes.  The same moments as the analytic
-pipeline are then measured.
-``evolve`` owns the basis: it doubles n_m until the mechanical tail is empty.
+time-dependent one takes ``_step_count`` fourth-order commutator-free Magnus
+steps (CF4), two exponentials per uniform step of the Hamiltonian mixed from
+its values at the two Gauss-Legendre nodes, and is refused past _STEP_CAP
+steps before any exponential.  The same moments as the analytic pipeline are
+then measured.  ``evolve`` owns the basis: n_m doubles until its tail empties.
 Nothing here reads the analytic chain beyond sizing the default starting
 cutoffs, so the oracle stays an independent referee.  Only the
 small-parameter envelope is certified; large couplings blow past any
@@ -35,6 +35,7 @@ _TAIL_FRACTION = 0.1
 _HALVING_TOL = 1e-4
 # the largest truncated dimension n_c * n_m the oracle propagates
 _DIM_CAP = 60_000
+_STEP_CAP = 500  # the most CF4 steps a time-dependent run takes
 # Taylor series: stop below this fraction of the state norm; substep so that
 # dt times the largest Gershgorin magnitude stays within the reach (no term
 # exceeds 8**8/8! ~ 416 times the state norm)
@@ -67,12 +68,13 @@ class FockState(NamedTuple):
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     def tail_fractions(self) -> tuple[float, float]:
-        """Occupation fraction in the top 10% of each index."""
+        """Occupation fraction in the top 10% of each index, and at least in
+        the last two mechanical levels, which no state of one parity skips."""
         p = np.abs(self.amplitudes) ** 2
         total = max(np.sum(p), 1e-300)
-        # the window always covers at least the last basis state
+        # photon numbers are Poisson, so the last optical level alone will do
         c_edge = min(int(np.ceil((1.0 - _TAIL_FRACTION) * self.n_c)), self.n_c - 1)
-        m_edge = min(int(np.ceil((1.0 - _TAIL_FRACTION) * self.n_m)), self.n_m - 1)
+        m_edge = min(int(np.ceil((1.0 - _TAIL_FRACTION) * self.n_m)), self.n_m - 2)
         return (
             float(np.sum(p[c_edge:, :]) / total),
             float(np.sum(p[:, m_edge:]) / total),
@@ -175,8 +177,8 @@ def default_dt(system: SystemParams, n_c: int) -> float:
     return 2.0 * np.pi / (25.0 * max(rate_sq, g_scale, omega0, 1.0))
 
 
-def step_count(system: SystemParams, tau_final: float, n_c: int,
-               dt: float | None = None) -> int:
+def _step_count(system: SystemParams, tau_final: float, n_c: int,
+                dt: float | None = None) -> int:
     """The uniform CF4 steps over [0, tau_final] at dt (default_dt if None);
     a time-independent system takes none."""
     if system.is_time_independent:
@@ -243,18 +245,18 @@ def evolve(
     Hamiltonian over the whole span, by the same substepped Taylor series of
     the stencil as every stepped exponential; there is no time
     discretization, so ``dt`` and ``check_convergence`` do not apply to it.
-    Otherwise it takes ``step_count`` uniform steps, each a fourth-order
+    Otherwise it takes ``_step_count`` uniform steps, each a fourth-order
     commutator-free Magnus step (two exponentials of the stencil mixed from
-    its values at the two Gauss-Legendre nodes).  ``psi0`` sets the starting
-    basis.  The photon number is conserved, so n_c never changes; while the
-    top tenth of the mechanical levels holds more than 1e-8 of the norm,
-    ``psi0`` is padded with empty levels to twice its n_m and the run
-    repeats, so the returned n_m may exceed ``psi0``'s; a run past _DIM_CAP
-    basis states is refused.  On the settled basis, with
-    ``check_convergence``, the run is repeated once at half the step and the
-    eight ``MeasuredMoments`` must agree to 1e-4 relative; the finer state
-    is returned.  Norm drift or occupied basis tails raise flagged-run
-    errors with diagnostics.
+    its values at the two Gauss-Legendre nodes), refused past _STEP_CAP before
+    any exponential.  ``psi0`` sets the starting basis.  The photon number is
+    conserved, so n_c never changes; while the top tenth of the mechanical
+    levels (at least two) holds more than 1e-8 of the norm, ``psi0`` is padded
+    with empty levels to twice its n_m and the run repeats, so the returned
+    n_m may exceed ``psi0``'s; a run past _DIM_CAP basis states is refused.
+    On the settled basis, with ``check_convergence``, the run is repeated once
+    at half the step and the eight ``MeasuredMoments`` must agree to 1e-4
+    relative; the finer state is returned.  Norm drift or occupied basis tails
+    raise flagged-run errors with diagnostics.
     """
     if tau_final < 0.0:
         raise DomainError("tau_final must be non-negative")
@@ -262,7 +264,9 @@ def evolve(
         return FockState(psi0.amplitudes.copy())
 
     psi0_amp = np.ascontiguousarray(psi0.amplitudes, dtype=complex)
-    n_steps = step_count(system, tau_final, psi0.n_c, dt)
+    n_steps = _step_count(system, tau_final, psi0.n_c, dt)
+    if n_steps > _STEP_CAP:
+        raise ConvergenceError(f"{n_steps} time steps exceed the limit of {_STEP_CAP}")
     while True:
         n_c, n_m = psi0_amp.shape
         _require_within_cap(n_c, n_m)

@@ -11,7 +11,7 @@ import pytest
 
 from optomech import (ConstantSqueezing, Coupling, InitialState, ModulatedSqueezing,
                       SystemParams, evaluate_point, solve_quadratic)
-from optomech.cli import _PARSERS, Axis, RunConfig, _fmt, _write_csv, main
+from optomech.cli import _ORACLE_LIMITS, _PARSERS, Axis, RunConfig, _fmt, _write_csv, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -392,7 +392,13 @@ class TestOracleCheck:
         assert rc == 3
         assert "cutoff" in capsys.readouterr().err.lower()
 
-    def test_envelope_refusal_is_explained(self, tmp_path, capsys):
+    def test_envelope_refusal_is_explained(self, tmp_path, capsys, monkeypatch):
+        # the envelope reads the config alone, so a refused point costs no
+        # analytic work
+        def no_point(*args, **kwargs):
+            raise AssertionError("the refused point was evaluated")
+
+        monkeypatch.setattr("optomech.cli.evaluate_point", no_point)
         rc = main(["oracle-check", "--g0", "5.0", "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "envelope" in capsys.readouterr().err
@@ -470,17 +476,29 @@ class TestOracleCheck:
                                               (["--dt", "1e-4"], 60000)],
                              ids=["fast-modulation", "tiny-dt"])
     def test_step_count_refused_up_front(self, tmp_path, capsys, monkeypatch, flags, steps):
+        # fock.evolve counts the steps and refuses before its first step
         from optomech import fock
 
-        def no_evolve(*args, **kwargs):
+        def no_steps(*args, **kwargs):
             raise AssertionError("the refused run propagated")
 
-        monkeypatch.setattr(fock, "evolve", no_evolve)
+        monkeypatch.setattr(fock, "_run_steps", no_steps)
         rc = main(["oracle-check", "--squeezing", "modulated", "--d2", "0.1", "--g0", "0.3",
                    "--tau", "6", *flags, "--out", str(tmp_path / "o.csv")])
         assert rc == 3
-        err = capsys.readouterr().err
-        assert "envelope" in err and f"{steps} time steps exceed 500" in err
+        assert f"{steps} time steps exceed the limit of 500" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--squeezing", "constant", "--d2", "-1", "--tau", "1"],
+         ["--squeezing", "modulated", "--omega0", "4", "--d2", "0.3", "--tau", "6.283"]],
+        ids=["inverted", "modulated"],
+    )
+    def test_parity_conserving_point_passes(self, tmp_path, flags):
+        # at g0 = 0 the squeezed vacuum fills only even phonon levels, so at
+        # the default n_m 8 the tail window must reach below the empty level 7
+        rc = main(["oracle-check", "--g0", "0", *flags, "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
 
     def test_fast_modulation_sets_the_step(self, tmp_path):
         # at omega0 = 20 the modulation is the fastest scale; a step that
@@ -545,13 +563,15 @@ def test_traced_names_resolve_and_main_returns(tmp_path):
 
 
 def test_cli_leaves_the_oracle_basis_to_fock():
-    """The cutoff policy lives in ``fock.evolve``: the CLI reads no private
-    name of ``fock`` and no exception's ``diagnostics``."""
+    """The cutoff and step policies live in ``fock.evolve``: the CLI reads no
+    private name of ``fock`` and no exception's ``diagnostics``, and its
+    envelope holds only the physical parameters of a point."""
     tree = ast.parse(Path(SRC, "optomech", "cli.py").read_text())
     reads = [(node.value.id if isinstance(node.value, ast.Name) else "", node.attr)
              for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
     assert not [attr for owner, attr in reads if owner == "fock" and attr.startswith("_")]
     assert not [attr for _, attr in reads if attr == "diagnostics"]
+    assert set(_ORACLE_LIMITS) == {"g0", "d2_constant", "d2_modulated", "mu", "tau"}
 
 
 def test_public_api_exports_only_what_runs():

@@ -10,6 +10,7 @@ from scipy.special import gammaln
 
 from optomech import (
     ConstantSqueezing,
+    ConvergenceError,
     Coupling,
     CutoffInsufficientError,
     DomainError,
@@ -319,6 +320,30 @@ class TestEvolve:
             evolve_inverted(57)
         assert sizes == [(15, 57), (15, 114), (15, 228)]
         assert err.value.diagnostics == {"n_c": 15, "n_m": 456}
+
+    def test_step_count_refused_before_any_exponential(self, monkeypatch):
+        calls = []
+
+        def counted(psi, w, dt):
+            calls.append(dt)
+            return psi
+
+        monkeypatch.setattr(fock, "_taylor_step", counted)
+        system = SystemParams(1.0, Coupling(g=0.3), ModulatedSqueezing(0.1, 2.0))
+        psi0 = fock.product_coherent(InitialState(0.5, 0.0), 8, 16)
+        with pytest.raises(ConvergenceError, match="501 time steps exceed the limit of 500"):
+            fock.evolve(psi0, system, 1.0, dt=1.0 / 500.5)
+        assert calls == []
+        # at the limit itself the run goes ahead, two exponentials a step
+        fock.evolve(psi0, system, 1.0, dt=1.0 / 500.0, check_convergence=False)
+        assert len(calls) == 1000
+
+    def test_tail_window_sees_a_state_of_one_parity(self):
+        # at g0 = 0 a squeezed vacuum fills only the even phonon levels; at
+        # n_m 8 the top tenth rounds to the empty level 7 alone
+        amplitudes = np.zeros((2, 8), dtype=complex)
+        amplitudes[0, [0, 2, 4, 6]] = np.sqrt([0.4, 0.2, 0.1, 0.3])
+        assert fock.FockState(amplitudes).tail_fractions() == (0.0, pytest.approx(0.3))
 
     def test_undersized_basis_flagged(self):
         with pytest.raises(CutoffInsufficientError) as err:
