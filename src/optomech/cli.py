@@ -379,14 +379,8 @@ def run_oracle_check(cfg: RunConfig) -> int:
     resolution = cfg.resolution if cfg.resolution > 0 else None
     rec = evaluate_point(system, init, cfg.tau, resolution=resolution)
 
-    n_c, n_m = fock.default_cutoffs(init, rec.coeffs)
-    if cfg.n_c > 0:
-        n_c = cfg.n_c
-    if cfg.n_m > 0:
-        n_m = cfg.n_m
-
     dt = cfg.dt if cfg.dt > 0 else None
-    final = fock.evolve(fock.product_coherent(init, n_c, n_m), system, cfg.tau, dt)
+    final = fock.evolve(fock.product_coherent(init, cfg.n_c, cfg.n_m), system, cfg.tau, dt)
     measured = fock.measure_moments(final, system.omega_c, cfg.tau)
 
     rows = []

@@ -10,11 +10,12 @@ time-dependent one takes ``_step_count`` fourth-order commutator-free Magnus
 steps (CF4), two exponentials per uniform step of the Hamiltonian mixed from
 its values at the two Gauss-Legendre nodes, and is refused past _STEP_CAP
 steps before any exponential.  The same moments as the analytic pipeline are
-then measured.  ``evolve`` owns the basis: n_m doubles until its tail empties.
-Nothing here reads the analytic chain beyond sizing the default starting
-cutoffs, so the oracle stays an independent referee.  Only the
-small-parameter envelope is certified; large couplings blow past any
-affordable cutoff.  Uses numpy alone, and no LAPACK routine.
+then measured.  ``evolve`` owns the basis: n_m doubles until its tail stays
+empty along the whole run, from a start that ``product_coherent`` sizes from
+the initial state alone.
+Nothing here reads the analytic chain, so the oracle stays an independent
+referee.  Only the small-parameter envelope is certified; large couplings
+blow past any affordable cutoff.  Uses numpy alone, and no LAPACK routine.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .decoupling import DecouplingCoefficients
 from .errors import ConvergenceError, CutoffInsufficientError, DomainError
 from .moments import InitialState
 from .profiles import SystemParams
@@ -113,8 +113,13 @@ def _require_within_cap(n_c: int, n_m: int) -> None:
             f"above the oracle's cap of {_DIM_CAP}", n_c=n_c, n_m=n_m)
 
 
-def product_coherent(init: InitialState, n_c: int, n_m: int) -> FockState:
-    """Separable coherent state |mu_c> x |mu_m>, refused past _DIM_CAP."""
+def product_coherent(init: InitialState, n_c: int = 0, n_m: int = 0) -> FockState:
+    """Separable coherent state |mu_c> x |mu_m>, refused past _DIM_CAP.  A
+    cutoff left at 0 is sized from its own amplitude as |mu|^2 + 6|mu| + 8
+    levels, rounded up: the photon number is conserved, so that n_c holds the
+    optical state for good, and ``evolve`` grows n_m as the state needs."""
+    n_c, n_m = (n or int(np.ceil(abs(mu) ** 2 + 6.0 * abs(mu) + 8.0))
+                for n, mu in ((n_c, init.mu_c), (n_m, init.mu_m)))
     _require_within_cap(n_c, n_m)
     state = FockState(
         np.outer(coherent_amplitudes(init.mu_c, n_c), coherent_amplitudes(init.mu_m, n_m))
@@ -188,11 +193,13 @@ def _step_count(system: SystemParams, tau_final: float, n_c: int,
     return max(int(np.ceil(tau_final / dt - 1e-12)), 1)
 
 
-def _taylor_step(psi: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
+def _taylor_step(psi: np.ndarray, w: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
     """exp(-i (H_n - omega_c*n) dt) on every block at once, by a Taylor series
     of the stencil matvec about 0; the step is split into equal substeps
     wherever dt times the largest magnitude in the Gershgorin interval exceeds
-    _TAYLOR_REACH, so no series term can grow large."""
+    _TAYLOR_REACH, so no series term can grow large.  Also returns the largest
+    mechanical tail fraction at the end of any substep: a state that overflows
+    the basis mid-run is reflected and can end with an empty tail."""
     lo, hi = spectral_bounds(w)
     n_sub = max(int(np.ceil(dt * max(-lo, hi) / _TAYLOR_REACH)), 1)
     weights = (-1j * dt / n_sub) * w
@@ -206,6 +213,7 @@ def _taylor_step(psi: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
     levels = pads[:, :, 2:-2]
     total = pads[2]
     levels[2] = psi
+    tail = 0.0
     for _ in range(n_sub):
         floor = _TAYLOR_TOL**2 * np.vdot(total, total).real
         pads[0] = total
@@ -215,19 +223,23 @@ def _taylor_step(psi: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
             k += 1
             pads[k % 2] *= 1.0 / k
             total += pads[k % 2]
-    return levels[2].copy()
+        tail = max(tail, FockState(levels[2]).tail_fractions()[1])
+    return levels[2].copy(), tail
 
 
 def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
-               n_steps: int) -> np.ndarray:
+               n_steps: int) -> tuple[np.ndarray, float]:
     """n_steps CF4 steps, with the squeezing sampled at all 2*n_steps nodes in
-    one call; the exponentials run in step order, two per step."""
+    one call; the exponentials run in step order, two per step.  Also returns
+    the largest mechanical tail fraction along the way."""
     dt = tau_final / n_steps
     nodes = (np.arange(n_steps)[:, None] + _CF4_NODES) * dt
     g, d1 = map(float, system.coupling)
+    tail = 0.0
     for d2 in np.einsum("ki,ji->kj", system.squeezing.d2_at(nodes), _CF4_MIX).ravel():
-        psi = _taylor_step(psi, _stencil(d2, g, d1, *psi.shape), 0.5 * dt)
-    return psi
+        psi, step_tail = _taylor_step(psi, _stencil(d2, g, d1, *psi.shape), 0.5 * dt)
+        tail = max(tail, step_tail)
+    return psi, tail
 
 
 def evolve(
@@ -248,9 +260,11 @@ def evolve(
     Otherwise it takes ``_step_count`` uniform steps, each a fourth-order
     commutator-free Magnus step (two exponentials of the stencil mixed from
     its values at the two Gauss-Legendre nodes), refused past _STEP_CAP before
-    any exponential.  ``psi0`` sets the starting basis.  The photon number is
-    conserved, so n_c never changes; while the top tenth of the mechanical
-    levels (at least two) holds more than 1e-8 of the norm, ``psi0`` is padded
+    any exponential.  ``psi0`` sets the starting basis; ``product_coherent``
+    sizes each cutoff not given from the initial amplitudes alone.  The
+    photon number is conserved, so n_c never changes; while the top tenth of
+    the mechanical levels (at least two) holds more than 1e-8 of the norm at
+    the end of any Taylor substep, not only at tau_final, ``psi0`` is padded
     with empty levels to twice its n_m and the run repeats, so the returned
     n_m may exceed ``psi0``'s; a run past _DIM_CAP basis states is refused.
     On the settled basis, with ``check_convergence``, the run is repeated once
@@ -271,14 +285,15 @@ def evolve(
         n_c, n_m = psi0_amp.shape
         _require_within_cap(n_c, n_m)
         if n_steps == 0:
-            psi = _taylor_step(psi0_amp, build_hamiltonian(system, 0.0, n_c, n_m), tau_final)
+            psi, tail = _taylor_step(psi0_amp, build_hamiltonian(system, 0.0, n_c, n_m),
+                                     tau_final)
         else:
-            psi = _run_steps(psi0_amp, system, tau_final, n_steps)
-        if FockState(psi).tail_fractions()[1] <= _TAIL_TOL:
+            psi, tail = _run_steps(psi0_amp, system, tau_final, n_steps)
+        if tail <= _TAIL_TOL:
             break
         psi0_amp = np.pad(psi0_amp, ((0, 0), (0, n_m)))
     if n_steps and check_convergence:
-        fine = _run_steps(psi0_amp, system, tau_final, 2 * n_steps)
+        fine, _ = _run_steps(psi0_amp, system, tau_final, 2 * n_steps)
         coarse = measure_moments(FockState(psi), 0.0, tau_final)
         refined = measure_moments(FockState(fine), 0.0, tau_final)
         for name, x, y in zip(MeasuredMoments._fields, coarse, refined):
@@ -337,21 +352,3 @@ def measure_moments(state: FockState, omega_c: float, tau: float) -> MeasuredMom
     ab = complex(np.vdot(psi[:-1, :-1], root_c * root_m * psi[1:, 1:])) * phase
     ab_dag = complex(np.vdot(psi[:-1, 1:], root_c * root_m * psi[1:, :-1])) * phase
     return MeasuredMoments(a=a, b=b, a2=a2, b2=b2, na=na, nb=nb, ab=ab, ab_dag=ab_dag)
-
-
-def default_cutoffs(init: InitialState, coeffs: DecouplingCoefficients) -> tuple[int, int]:
-    """Heuristic starting cutoffs sized from the coherent amplitudes; n_c
-    holds the optical state for good, and ``evolve`` grows n_m as needed."""
-
-    def room(amplitude: float) -> int:
-        return int(np.ceil(amplitude**2 + 6.0 * amplitude + 8.0))
-
-    mu_c = abs(complex(init.mu_c))
-    n_c = room(mu_c)
-    n_occ = int(np.ceil(mu_c**2 + 4.0 * mu_c + 4.0))
-    reach = (
-        abs(complex(init.mu_m))
-        + abs(coeffs.displacement)
-        + min(n_occ, n_c - 1) * abs(coeffs.number_displacement)
-    )
-    return n_c, room(reach)

@@ -405,7 +405,7 @@ class TestOracleCheck:
 
     def test_only_the_failing_cutoff_grows(self, tmp_path, monkeypatch):
         # the inverted sector fills the mechanical tail alone: n_m doubles
-        # three times from 57 while n_c keeps its default 15
+        # six times from its default 8 while n_c keeps its default 15
         from optomech import fock
 
         shapes = []
@@ -419,7 +419,7 @@ class TestOracleCheck:
         monkeypatch.setattr(fock, "evolve", recorded)
         rc = main(["oracle-check", *INVERTED_POINT, "--out", str(tmp_path / "o.csv")])
         assert rc == 0
-        assert shapes == [(15, 456)]
+        assert shapes == [(15, 512)]
 
     def test_dimension_cap_exits_3(self, tmp_path, capsys, monkeypatch):
         from optomech import fock
@@ -427,7 +427,7 @@ class TestOracleCheck:
         monkeypatch.setattr(fock, "_DIM_CAP", 15 * 228)
         rc = main(["oracle-check", *INVERTED_POINT, "--out", str(tmp_path / "o.csv")])
         assert rc == 3
-        assert "truncated dimension 6840" in capsys.readouterr().err
+        assert "cutoffs (15, 256) give truncated dimension 3840" in capsys.readouterr().err
 
     def test_explicit_cutoffs_past_the_cap_refused_before_allocation(
             self, tmp_path, capsys, monkeypatch):
@@ -447,11 +447,11 @@ class TestOracleCheck:
     @pytest.mark.parametrize(
         "flags, runs",
         [
-            # a benchmark oracle point that grows n_m once
+            # a benchmark oracle point whose n_m doubles three times from 8
             (["--omega0", "2.0", "--d2", "0.13610002242866331", "--g0", "0.394787148477993",
-              "--tau", "1.5371594661819736"], [(55, 13), (110, 13), (110, 26)]),
+              "--tau", "1.5371594661819736"], [(8, 13), (16, 13), (32, 13), (64, 13), (64, 26)]),
             (["--omega0", "10", "--d2", "0.3", "--g0", "0.5", "--tau", "6.28"],
-             [(9, 250), (18, 250), (36, 250), (72, 250), (144, 250), (144, 500)]),
+             [(8, 250), (16, 250), (32, 250), (64, 250), (128, 250), (256, 250), (256, 500)]),
         ],
         ids=["benchmark-point", "omega0-10"],
     )
@@ -505,6 +505,16 @@ class TestOracleCheck:
         # ignored it failed the halving check on this point
         rc = main(["oracle-check", "--squeezing", "modulated", "--omega0", "20", "--d2", "0.1",
                    "--g0", "0.2", "--tau", "3", "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
+
+    def test_fast_modulation_full_period_passes(self, tmp_path):
+        # at n_m 36 the top tenth of the levels read empty, yet nb was off
+        # by 3.5e-6 (exit 4); n_m now doubles from 8 to 64, where nb misses
+        # by 1.6e-9, under the 1e-6 absolute floor.  The window still bounds
+        # no moment, so a cutoff-halving check is the real fix
+        rc = main(["oracle-check", "--squeezing", "modulated", "--omega0", "20", "--d2", "0.1",
+                   "--g0", "0.3", "--tau", "6.283185307179586",
+                   "--out", str(tmp_path / "o.csv")])
         assert rc == 0
 
     def test_mismatch_exit_code(self, tmp_path):

@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +142,18 @@ class TestBuildHamiltonian:
             fock.build_hamiltonian(free_system(), 0.0, 1, 8)
 
 
+def test_fock_imports_nothing_from_the_analytic_chain():
+    """The oracle referees the decoupled solution, so it reads none of the
+    modules that compute it; it shares only the input records."""
+    tree = ast.parse(Path(fock.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((getattr(node, "module", None) or "").split("."))
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert not names & {"decoupling", "engine", "squeezing", "nongauss"}
+
+
 class TestCoherentAmplitudes:
     @pytest.mark.parametrize("mu", [0.3, 1.0 - 0.5j, 2.0, 10.0, -30.0j])
     def test_matches_gammaln(self, mu):
@@ -154,6 +168,18 @@ class TestCoherentAmplitudes:
         scale = 1e-13 * (1.0 + gammaln(m[live] + 1.0))
         assert np.all(np.abs(got[live] - ref[live]) <= scale * np.abs(ref[live]))
         assert np.all(np.abs(got[~live]) < 1e-300)
+
+
+class TestProductCoherent:
+    @pytest.mark.parametrize(
+        "mu_c, mu_m, shape",
+        [(1.0, 0.0, (15, 8)), (0.8 - 0.3j, -0.4 + 0.3j, (14, 12)), (0.0, 2.5j, (8, 30))],
+    )
+    def test_automatic_cutoffs_read_the_initial_state_alone(self, mu_c, mu_m, shape):
+        # a cutoff left at 0 gets |mu|^2 + 6|mu| + 8 levels of its own mode
+        init = InitialState(mu_c, mu_m)
+        assert fock.product_coherent(init).amplitudes.shape == shape
+        assert fock.product_coherent(init, 0, 48).amplitudes.shape == (shape[0], 48)
 
 
 class TestEvolve:
@@ -306,6 +332,18 @@ class TestEvolve:
         assert grown.amplitudes.shape == (15, 456)
         assert np.array_equal(grown.amplitudes, direct.amplitudes)
 
+    def test_basis_holds_the_whole_path(self):
+        # a drive at the mechanical frequency carries the vacuum out to
+        # |b| = 6 at tau = pi and back by 2 pi; at n_m 64 the state brushes
+        # the top levels mid-run and ends with an empty tail, yet <b> is off
+        # by 3e-4, so the tail is checked along the run
+        system = SystemParams(1.0, Coupling(g=0.0, drive=3.0), ConstantSqueezing(0.0))
+        final = fock.evolve(fock.product_coherent(InitialState(0.0, 0.0), 2, 8), system,
+                            2 * np.pi)
+        measured = fock.measure_moments(final, 1.0, 2 * np.pi)
+        assert final.n_m == 128
+        assert abs(measured.b) < 1e-12 and measured.nb < 1e-12
+
     def test_growth_refused_past_the_dimension_cap(self, monkeypatch):
         sizes = []
         taylor_step = fock._taylor_step
@@ -326,7 +364,7 @@ class TestEvolve:
 
         def counted(psi, w, dt):
             calls.append(dt)
-            return psi
+            return psi, 0.0
 
         monkeypatch.setattr(fock, "_taylor_step", counted)
         system = SystemParams(1.0, Coupling(g=0.3), ModulatedSqueezing(0.1, 2.0))
