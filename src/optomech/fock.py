@@ -5,14 +5,15 @@ mechanical block per photon number n, with omega_c*n an exact phase.  The
 Hamiltonian has one form, an (n_c, n_m, 5) array of real weights: the
 pentadiagonal stencil of every block.  Every exponential is applied to all
 blocks at once by a Taylor series of that stencil; no dense block is formed.
-A time-independent system takes one exponential over the whole span; a
-time-dependent one takes ``_step_count`` fourth-order commutator-free Magnus
-steps (CF4), two exponentials per uniform step of the Hamiltonian mixed from
-its values at the two Gauss-Legendre nodes, and is refused past _STEP_CAP
-steps before any exponential.  The same moments as the analytic pipeline are
-then measured.  ``evolve`` owns the basis: n_m doubles until its tail stays
-empty along the whole run, from a start that ``product_coherent`` sizes from
-the initial state alone.
+Every run is one schedule of exponentials (``_run_steps``): a static system
+takes one over the whole span; a time-dependent one takes ``_step_count``
+fourth-order commutator-free Magnus steps (CF4), two exponentials per uniform
+step of the Hamiltonian mixed from its values at the two Gauss-Legendre nodes,
+and is refused past _STEP_CAP steps before any exponential.  The same moments
+as the analytic pipeline are then measured.  ``evolve`` owns the basis: n_m
+doubles until its tail stays empty along every run it keeps, the half-step
+re-run included, from a start that ``product_coherent`` sizes from the
+initial state alone.
 Nothing here reads the analytic chain, so the oracle stays an independent
 referee.  Only the small-parameter envelope is certified; large couplings
 blow past any affordable cutoff.  Uses numpy alone, and no LAPACK routine.
@@ -193,16 +194,24 @@ def _step_count(system: SystemParams, tau_final: float, n_c: int,
     return max(int(np.ceil(tau_final / dt - 1e-12)), 1)
 
 
-def _taylor_step(psi: np.ndarray, w: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
-    """exp(-i (H_n - omega_c*n) dt) on every block at once, by a Taylor series
-    of the stencil matvec about 0; the step is split into equal substeps
-    wherever dt times the largest magnitude in the Gershgorin interval exceeds
-    _TAYLOR_REACH, so no series term can grow large.  Also returns the largest
-    mechanical tail fraction at the end of any substep: a state that overflows
-    the basis mid-run is reflected and can end with an empty tail."""
-    lo, hi = spectral_bounds(w)
-    n_sub = max(int(np.ceil(dt * max(-lo, hi) / _TAYLOR_REACH)), 1)
-    weights = (-1j * dt / n_sub) * w
+def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
+               n_steps: int) -> tuple[np.ndarray, float]:
+    """Propagate psi over [0, tau_final] by one schedule of exponentials of
+    H_n - omega_c*n: one at D2(0) over the span if n_steps is 0, else the
+    2*n_steps CF4 exponentials over dt/2, in step order.  Each is a Taylor
+    series of the stencil on every block at once, in substeps of at most
+    _TAYLOR_REACH over the largest Gershgorin magnitude.  Also returns the
+    largest mechanical tail fraction at a substep's end, returning at the
+    first past _TAIL_TOL: an overflowing state is reflected off the top level
+    and can end with an empty tail."""
+    g, d1 = map(float, system.coupling)
+    if n_steps == 0:
+        span, d2s = tau_final, [float(system.squeezing.d2_at(0.0))]
+    else:
+        dt = tau_final / n_steps
+        nodes = (np.arange(n_steps)[:, None] + _CF4_NODES) * dt
+        span = 0.5 * dt
+        d2s = np.einsum("ki,ji->kj", system.squeezing.d2_at(nodes), _CF4_MIX).ravel()
     # two alternating term buffers and the running sum, each padded by two
     # zero levels on either side: the five neighbours of every level are one
     # strided view, and since the padding stays zero, norms, scalings and
@@ -214,32 +223,24 @@ def _taylor_step(psi: np.ndarray, w: np.ndarray, dt: float) -> tuple[np.ndarray,
     total = pads[2]
     levels[2] = psi
     tail = 0.0
-    for _ in range(n_sub):
-        floor = _TAYLOR_TOL**2 * np.vdot(total, total).real
-        pads[0] = total
-        k = 0
-        while np.vdot(pads[k % 2], pads[k % 2]).real > floor:
-            np.einsum("cmk,cmk->cm", windows[k % 2], weights, out=levels[(k + 1) % 2])
-            k += 1
-            pads[k % 2] *= 1.0 / k
-            total += pads[k % 2]
-        tail = max(tail, FockState(levels[2]).tail_fractions()[1])
+    for d2 in d2s:
+        w = _stencil(d2, g, d1, n_c, n_m)
+        lo, hi = spectral_bounds(w)
+        n_sub = max(int(np.ceil(span * max(-lo, hi) / _TAYLOR_REACH)), 1)
+        weights = (-1j * span / n_sub) * w
+        for _ in range(n_sub):
+            floor = _TAYLOR_TOL**2 * np.vdot(total, total).real
+            pads[0] = total
+            k = 0
+            while np.vdot(pads[k % 2], pads[k % 2]).real > floor:
+                np.einsum("cmk,cmk->cm", windows[k % 2], weights, out=levels[(k + 1) % 2])
+                k += 1
+                pads[k % 2] *= 1.0 / k
+                total += pads[k % 2]
+            tail = max(tail, FockState(levels[2]).tail_fractions()[1])
+            if tail > _TAIL_TOL:
+                return levels[2].copy(), tail
     return levels[2].copy(), tail
-
-
-def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
-               n_steps: int) -> tuple[np.ndarray, float]:
-    """n_steps CF4 steps, with the squeezing sampled at all 2*n_steps nodes in
-    one call; the exponentials run in step order, two per step.  Also returns
-    the largest mechanical tail fraction along the way."""
-    dt = tau_final / n_steps
-    nodes = (np.arange(n_steps)[:, None] + _CF4_NODES) * dt
-    g, d1 = map(float, system.coupling)
-    tail = 0.0
-    for d2 in np.einsum("ki,ji->kj", system.squeezing.d2_at(nodes), _CF4_MIX).ravel():
-        psi, step_tail = _taylor_step(psi, _stencil(d2, g, d1, *psi.shape), 0.5 * dt)
-        tail = max(tail, step_tail)
-    return psi, tail
 
 
 def evolve(
@@ -253,24 +254,23 @@ def evolve(
     """Evolve a truncated state to tau_final, one photon-number block at a time.
 
     omega_c*n is applied exactly, as the phase exp(-i omega_c n tau_final) on
-    block n.  A time-independent system takes one exponential of its constant
-    Hamiltonian over the whole span, by the same substepped Taylor series of
-    the stencil as every stepped exponential; there is no time
-    discretization, so ``dt`` and ``check_convergence`` do not apply to it.
-    Otherwise it takes ``_step_count`` uniform steps, each a fourth-order
-    commutator-free Magnus step (two exponentials of the stencil mixed from
-    its values at the two Gauss-Legendre nodes), refused past _STEP_CAP before
-    any exponential.  ``psi0`` sets the starting basis; ``product_coherent``
-    sizes each cutoff not given from the initial amplitudes alone.  The
-    photon number is conserved, so n_c never changes; while the top tenth of
-    the mechanical levels (at least two) holds more than 1e-8 of the norm at
-    the end of any Taylor substep, not only at tau_final, ``psi0`` is padded
-    with empty levels to twice its n_m and the run repeats, so the returned
-    n_m may exceed ``psi0``'s; a run past _DIM_CAP basis states is refused.
-    On the settled basis, with ``check_convergence``, the run is repeated once
-    at half the step and the eight ``MeasuredMoments`` must agree to 1e-4
-    relative; the finer state is returned.  Norm drift or occupied basis tails
-    raise flagged-run errors with diagnostics.
+    block n.  Every run is one ``_run_steps`` schedule: a time-independent
+    system takes one exponential of its constant Hamiltonian over the whole
+    span, so ``dt`` and ``check_convergence`` do not apply to it; otherwise it
+    takes ``_step_count`` uniform fourth-order commutator-free Magnus steps
+    (two exponentials of the stencil mixed from its values at the two
+    Gauss-Legendre nodes), refused past _STEP_CAP before any exponential.
+    ``psi0`` sets the starting basis; ``product_coherent`` sizes each cutoff
+    not given from the initial amplitudes alone.  n_c never changes, as the
+    photon number is conserved; at the first Taylor substep where the top
+    tenth of the mechanical levels (at least two) holds more than 1e-8 of the
+    norm, the run stops, ``psi0`` is padded with empty levels to twice its n_m
+    and the run repeats, so the returned n_m may exceed ``psi0``'s; a run past
+    _DIM_CAP basis states is refused.  With ``check_convergence``, a stepped
+    run that keeps its tail empty is repeated at half the step, and an
+    overflow there doubles n_m as well; the eight ``MeasuredMoments`` of the
+    two must agree to 1e-4 relative, and the finer state is returned.  Norm
+    drift or occupied basis tails raise flagged-run errors with diagnostics.
     """
     if tau_final < 0.0:
         raise DomainError("tau_final must be non-negative")
@@ -281,21 +281,21 @@ def evolve(
     n_steps = _step_count(system, tau_final, psi0.n_c, dt)
     if n_steps > _STEP_CAP:
         raise ConvergenceError(f"{n_steps} time steps exceed the limit of {_STEP_CAP}")
+    schedules = (n_steps, 2 * n_steps) if n_steps and check_convergence else (n_steps,)
     while True:
         n_c, n_m = psi0_amp.shape
         _require_within_cap(n_c, n_m)
-        if n_steps == 0:
-            psi, tail = _taylor_step(psi0_amp, build_hamiltonian(system, 0.0, n_c, n_m),
-                                     tau_final)
+        runs = []
+        for steps in schedules:
+            psi, tail = _run_steps(psi0_amp, system, tau_final, steps)
+            if tail > _TAIL_TOL:
+                break
+            runs.append(psi)
         else:
-            psi, tail = _run_steps(psi0_amp, system, tau_final, n_steps)
-        if tail <= _TAIL_TOL:
             break
         psi0_amp = np.pad(psi0_amp, ((0, 0), (0, n_m)))
-    if n_steps and check_convergence:
-        fine, _ = _run_steps(psi0_amp, system, tau_final, 2 * n_steps)
-        coarse = measure_moments(FockState(psi), 0.0, tau_final)
-        refined = measure_moments(FockState(fine), 0.0, tau_final)
+    if len(runs) == 2:
+        coarse, refined = (measure_moments(FockState(run), 0.0, tau_final) for run in runs)
         for name, x, y in zip(MeasuredMoments._fields, coarse, refined):
             drift = abs(x - y) / max(abs(y), 1e-6)
             if drift > _HALVING_TOL:
@@ -305,9 +305,8 @@ def evolve(
                     drift=drift,
                     dt=tau_final / n_steps,
                 )
-        psi = fine
     cavity = np.exp(-1j * system.omega_c * tau_final * np.arange(n_c))
-    state = FockState(cavity[:, None] * psi)
+    state = FockState(cavity[:, None] * runs[-1])
 
     drift = abs(state.norm_sq() - 1.0)
     if drift > _NORM_TOL:

@@ -444,12 +444,14 @@ class TestOracleCheck:
         assert rc == 3
         assert "truncated dimension 10000000000" in capsys.readouterr().err
 
+    # a benchmark oracle point whose n_m doubles three times from 8
+    BENCHMARK_POINT = ["--omega0", "2.0", "--d2", "0.13610002242866331",
+                       "--g0", "0.394787148477993", "--tau", "1.5371594661819736"]
+
     @pytest.mark.parametrize(
         "flags, runs",
         [
-            # a benchmark oracle point whose n_m doubles three times from 8
-            (["--omega0", "2.0", "--d2", "0.13610002242866331", "--g0", "0.394787148477993",
-              "--tau", "1.5371594661819736"], [(8, 13), (16, 13), (32, 13), (64, 13), (64, 26)]),
+            (BENCHMARK_POINT, [(8, 13), (16, 13), (32, 13), (64, 13), (64, 26)]),
             (["--omega0", "10", "--d2", "0.3", "--g0", "0.5", "--tau", "6.28"],
              [(8, 250), (16, 250), (32, 250), (64, 250), (128, 250), (256, 250), (256, 500)]),
         ],
@@ -471,6 +473,30 @@ class TestOracleCheck:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 0
         assert calls == runs
+
+    def test_overflowing_run_stops_at_its_first_overflow(self, tmp_path, monkeypatch):
+        # one stencil per exponential: the coarse runs of 13 steps take 26,
+        # so the rungs that overflow stop short, and the settled basis runs
+        # the coarse and the half-step schedules in full
+        from optomech import fock
+
+        runs = []
+        run_steps, stencil = fock._run_steps, fock._stencil
+
+        def counted_run(psi, *args):
+            runs.append([psi.shape[1], 0])
+            return run_steps(psi, *args)
+
+        def counted_stencil(*args):
+            runs[-1][1] += 1
+            return stencil(*args)
+
+        monkeypatch.setattr(fock, "_run_steps", counted_run)
+        monkeypatch.setattr(fock, "_stencil", counted_stencil)
+        rc = main(["oracle-check", "--squeezing", "modulated", *self.BENCHMARK_POINT,
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
+        assert runs == [[8, 4], [16, 12], [32, 20], [64, 26], [64, 52]]
 
     @pytest.mark.parametrize("flags, steps", [(["--omega0", "1000"], 23874),
                                               (["--dt", "1e-4"], 60000)],

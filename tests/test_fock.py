@@ -345,14 +345,15 @@ class TestEvolve:
         assert abs(measured.b) < 1e-12 and measured.nb < 1e-12
 
     def test_growth_refused_past_the_dimension_cap(self, monkeypatch):
+        # the static run is one exponential per basis
         sizes = []
-        taylor_step = fock._taylor_step
+        run_steps = fock._run_steps
 
-        def counted(psi, w, dt):
+        def counted(psi, system, tau_final, n_steps):
             sizes.append(psi.shape)
-            return taylor_step(psi, w, dt)
+            return run_steps(psi, system, tau_final, n_steps)
 
-        monkeypatch.setattr(fock, "_taylor_step", counted)
+        monkeypatch.setattr(fock, "_run_steps", counted)
         monkeypatch.setattr(fock, "_DIM_CAP", 15 * 228)
         with pytest.raises(CutoffInsufficientError, match="truncated dimension 6840") as err:
             evolve_inverted(57)
@@ -360,13 +361,15 @@ class TestEvolve:
         assert err.value.diagnostics == {"n_c": 15, "n_m": 456}
 
     def test_step_count_refused_before_any_exponential(self, monkeypatch):
+        # every exponential builds its own stencil
         calls = []
+        stencil = fock._stencil
 
-        def counted(psi, w, dt):
-            calls.append(dt)
-            return psi, 0.0
+        def counted(*args):
+            calls.append(args)
+            return stencil(*args)
 
-        monkeypatch.setattr(fock, "_taylor_step", counted)
+        monkeypatch.setattr(fock, "_stencil", counted)
         system = SystemParams(1.0, Coupling(g=0.3), ModulatedSqueezing(0.1, 2.0))
         psi0 = fock.product_coherent(InitialState(0.5, 0.0), 8, 16)
         with pytest.raises(ConvergenceError, match="501 time steps exceed the limit of 500"):
@@ -375,6 +378,24 @@ class TestEvolve:
         # at the limit itself the run goes ahead, two exponentials a step
         fock.evolve(psi0, system, 1.0, dt=1.0 / 500.0, check_convergence=False)
         assert len(calls) == 1000
+
+    def test_half_step_overflow_grows_the_basis(self, monkeypatch):
+        # the half-step run is the state returned, so its tail counts like the
+        # coarse run's: an overflow there doubles n_m and repeats both runs
+        calls = []
+        run_steps = fock._run_steps
+
+        def overflowing_once(psi, system, tau_final, n_steps):
+            calls.append((psi.shape[1], n_steps))
+            out, tail = run_steps(psi, system, tau_final, n_steps)
+            return out, 2.0 * fock._TAIL_TOL if len(calls) == 2 else tail
+
+        monkeypatch.setattr(fock, "_run_steps", overflowing_once)
+        system = SystemParams(1.0, Coupling(g=0.3), ModulatedSqueezing(0.1, 2.0))
+        final = fock.evolve(fock.product_coherent(InitialState(0.5, 0.0), 8, 16), system, 0.5)
+        n = calls[0][1]
+        assert calls == [(16, n), (16, 2 * n), (32, n), (32, 2 * n)]
+        assert final.amplitudes.shape == (8, 32)
 
     def test_tail_window_sees_a_state_of_one_parity(self):
         # at g0 = 0 a squeezed vacuum fills only the even phonon levels; at
