@@ -7,14 +7,15 @@ Four modes, all emitting RFC-4180-style CSV with a mandatory header row and
                    subsystem eigenvalues and the non-Gaussianity measure.
 * ``sweep``        the measure and its bounds over 1-2 parameter axes.
 * ``oracle-check`` side-by-side analytic vs truncated-Fock moments; the
-                   oracle evolves one block per photon number, exactly
-                   for a static system, and ``dt`` sets its step otherwise.
+                   oracle evolves one block per photon number and sizes
+                   its own basis and step.
 * ``mathieu``      numeric vs two-scale solutions of the modulated sector.
 
 Configuration is a flat ``key = value`` text file with optional bracketed
-section headers; every key is also a ``--key value`` flag that overrides the
-file.  Exit codes: 0 success, 2 config error, 3 numerical-regime error,
-4 oracle mismatch.
+section headers and ``#`` comments; every key is also a ``--key value`` flag
+that overrides the file.  The solver grid, the oracle's basis and its step
+are set by the program, not by keys.  Exit codes: 0 success, 2 config error,
+3 numerical-regime error, 4 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -77,14 +78,10 @@ class RunConfig(NamedTuple):
     mu_m: complex = 0.0 + 0.0j
     tau_max: float = 2.0 * np.pi
     points: int = 201
-    resolution: float = 0.0
     lab_frame: bool = False
     tau: float = np.pi
     axis1: Axis | None = None
     axis2: Axis | None = None
-    n_c: int = 0
-    n_m: int = 0
-    dt: float = 0.0
     tol: float = 1e-3
     out: str = ""
 
@@ -178,7 +175,8 @@ _PARSERS = {
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value file; bracketed section headers and # comments ignored."""
+    """Flat key=value file; bracketed section headers and # comments, whole
+    lines or trailing a value, are ignored."""
     raw: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -194,7 +192,7 @@ def parse_config_file(path: str) -> dict[str, str]:
         if "=" not in text:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {text!r}")
         key, value = text.split("=", 1)
-        raw[key.strip().lower()] = value.strip()
+        raw[key.strip().lower()] = value.split("#", 1)[0].strip()
     return raw
 
 
@@ -220,10 +218,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"tau: must be non-negative, got {cfg.tau:g}")
     if cfg.tol <= 0:
         raise ConfigError(f"tol: must be positive, got {cfg.tol:g}")
-    for key in ("resolution", "n_c", "n_m", "dt"):
-        value = getattr(cfg, key)
-        if value < 0:
-            raise ConfigError(f"{key}: must be non-negative (0 = automatic), got {value:g}")
     if cfg.axis2 is not None and cfg.axis1 is None:
         raise ConfigError("axis2: set axis1 before axis2")
     cfg.system()  # surfaces an invalid squeezing kind as a config error
@@ -249,8 +243,7 @@ def run_evolve(cfg: RunConfig) -> int:
     system = cfg.system()
     init = cfg.initial_state()
     taus = np.linspace(0.0, cfg.tau_max, cfg.points)
-    resolution = cfg.resolution if cfg.resolution > 0 else None
-    rec = evaluate_trajectory(system, init, taus, resolution=resolution)
+    rec = evaluate_trajectory(system, init, taus)
 
     a = rec.moments.a
     if cfg.lab_frame:
@@ -294,7 +287,6 @@ def _sweep_grid(cfg: RunConfig) -> tuple[list[str], list[tuple[float, ...]]]:
 def run_sweep(cfg: RunConfig) -> int:
     names, combos = _sweep_grid(cfg)
     init = cfg.initial_state()
-    resolution = cfg.resolution if cfg.resolution > 0 else None
 
     # cells sharing d2 share one solve, which g0 only scales: one pass each
     cells = [dict(zip(names, combo)) for combo in combos]
@@ -309,7 +301,6 @@ def run_sweep(cfg: RunConfig) -> int:
             cfg._replace(g0=g0, d2=d2).system(),
             init,
             [cells[i].get("tau", cfg.tau) for i in rows],
-            resolution=resolution,
         )
         measures[rows] = np.column_stack(
             [rec.report.delta, rec.report.delta_min, rec.report.delta_max]
@@ -327,11 +318,7 @@ def run_mathieu(cfg: RunConfig) -> int:
     if cfg.squeezing != "modulated":
         raise ConfigError("squeezing: mathieu mode needs the modulated profile")
     a, q = mathieu_params(cfg.d2, cfg.omega0)
-    sol = solve_quadratic(
-        ModulatedSqueezing(cfg.d2, cfg.omega0),
-        cfg.tau_max,
-        cfg.resolution if cfg.resolution > 0 else None,
-    )
+    sol = solve_quadratic(ModulatedSqueezing(cfg.d2, cfg.omega0), cfg.tau_max)
     taus = np.linspace(0.0, cfg.tau_max, cfg.points)
     cos_ts, sin_ts = two_scale_solution(cfg.d2, taus)
     xi = sol.mode(taus)
@@ -376,11 +363,8 @@ def run_oracle_check(cfg: RunConfig) -> int:
     system = cfg.system()
     init = cfg.initial_state()
     _check_oracle_envelope(cfg)
-    resolution = cfg.resolution if cfg.resolution > 0 else None
-    rec = evaluate_point(system, init, cfg.tau, resolution=resolution)
-
-    dt = cfg.dt if cfg.dt > 0 else None
-    final = fock.evolve(fock.product_coherent(init, cfg.n_c, cfg.n_m), system, cfg.tau, dt)
+    rec = evaluate_point(system, init, cfg.tau)
+    final = fock.evolve(fock.product_coherent(init), system, cfg.tau)
     measured = fock.measure_moments(final, system.omega_c, cfg.tau)
 
     rows = []

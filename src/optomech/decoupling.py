@@ -96,8 +96,8 @@ class DecouplingTables:
     The nested double integral reuses the cumulative inner integral across
     the outer sweep, so building the tables costs O(grid) and evaluation at
     any tau is an interpolation, scaled by the coupling and drive.  The
-    quadrature grid is the solution grid; the solver resolution is the
-    single accuracy knob.
+    quadrature grid is the solution grid, whose fixed density sets the
+    accuracy of both.
     """
 
     def __init__(self, sol: QuadraticSolution, coupling: Coupling):

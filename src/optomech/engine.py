@@ -58,13 +58,7 @@ class StateRecord(NamedTuple):
     report: NonGaussianityReport
 
 
-def evaluate_trajectory(
-    system: SystemParams,
-    init: InitialState,
-    taus,
-    *,
-    resolution: float | None = None,
-) -> StateRecord:
+def evaluate_trajectory(system: SystemParams, init: InitialState, taus) -> StateRecord:
     """Evaluate the full pipeline at the requested times, all at once; a 0-d
     ``taus`` gives scalar fields."""
     taus = np.asarray(taus, dtype=float)
@@ -79,7 +73,7 @@ def evaluate_trajectory(
             coeffs = constant_coefficients(system.coupling.g, d2, taus, d1=system.coupling.drive)
             alpha, beta = constant_bogoliubov(d2, taus)
         else:
-            sol = solve_quadratic(system.squeezing, float(np.max(taus, initial=1e-6)), resolution)
+            sol = solve_quadratic(system.squeezing, float(np.max(taus, initial=1e-6)))
             coeffs = DecouplingTables(sol, system.coupling).at(taus)
             alpha, beta = sol.bogoliubov(taus)
             del sol  # the grid-sized solution is not needed past this point
@@ -98,13 +92,7 @@ def evaluate_trajectory(
         return StateRecord(taus, coeffs, alpha, beta, m, covariance(m), report)
 
 
-def evaluate_point(
-    system: SystemParams,
-    init: InitialState,
-    tau: float,
-    *,
-    resolution: float | None = None,
-) -> StateRecord:
+def evaluate_point(system: SystemParams, init: InitialState, tau: float) -> StateRecord:
     """:func:`evaluate_trajectory` at one time, with scalar fields."""
-    return evaluate_trajectory(system, init, float(tau), resolution=resolution)
+    return evaluate_trajectory(system, init, float(tau))
 

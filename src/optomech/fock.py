@@ -7,13 +7,14 @@ pentadiagonal stencil of every block.  Every exponential is applied to all
 blocks at once by a Taylor series of that stencil; no dense block is formed.
 Every run is one schedule of exponentials (``_run_steps``): a static system
 takes one over the whole span; a time-dependent one takes ``_step_count``
-fourth-order commutator-free Magnus steps (CF4), two exponentials per uniform
-step of the Hamiltonian mixed from its values at the two Gauss-Legendre nodes,
-and is refused past _STEP_CAP steps before any exponential.  The same moments
-as the analytic pipeline are then measured.  ``evolve`` owns the basis: n_m
-doubles until its tail stays empty along every run it keeps, the half-step
-re-run included, from a start that ``product_coherent`` sizes from the
-initial state alone.
+fourth-order commutator-free Magnus steps (CF4) at ``default_dt``, two
+exponentials per uniform step of the Hamiltonian mixed from its values at the
+two Gauss-Legendre nodes, and is refused past _STEP_CAP steps before any
+exponential.  The same moments as the analytic pipeline are then measured.
+The oracle sets its own accuracy: a half-step re-run checks the step, and
+``evolve`` owns the basis: n_m doubles until its tail stays empty along every
+run it keeps, the half-step re-run included, from a start that
+``product_coherent`` sizes from the initial state alone.
 Nothing here reads the analytic chain, so the oracle stays an independent
 referee.  Only the small-parameter envelope is certified; large couplings
 blow past any affordable cutoff.  Uses numpy alone, and no LAPACK routine.
@@ -183,15 +184,12 @@ def default_dt(system: SystemParams, n_c: int) -> float:
     return 2.0 * np.pi / (25.0 * max(rate_sq, g_scale, omega0, 1.0))
 
 
-def _step_count(system: SystemParams, tau_final: float, n_c: int,
-                dt: float | None = None) -> int:
-    """The uniform CF4 steps over [0, tau_final] at dt (default_dt if None);
-    a time-independent system takes none."""
+def _step_count(system: SystemParams, tau_final: float, n_c: int) -> int:
+    """The uniform CF4 steps over [0, tau_final] at default_dt; a
+    time-independent system takes none."""
     if system.is_time_independent:
         return 0
-    if dt is None:
-        dt = default_dt(system, n_c)
-    return max(int(np.ceil(tau_final / dt - 1e-12)), 1)
+    return max(int(np.ceil(tau_final / default_dt(system, n_c) - 1e-12)), 1)
 
 
 def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
@@ -243,34 +241,27 @@ def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
     return levels[2].copy(), tail
 
 
-def evolve(
-    psi0: FockState,
-    system: SystemParams,
-    tau_final: float,
-    dt: float | None = None,
-    *,
-    check_convergence: bool = True,
-) -> FockState:
+def evolve(psi0: FockState, system: SystemParams, tau_final: float) -> FockState:
     """Evolve a truncated state to tau_final, one photon-number block at a time.
 
     omega_c*n is applied exactly, as the phase exp(-i omega_c n tau_final) on
     block n.  Every run is one ``_run_steps`` schedule: a time-independent
     system takes one exponential of its constant Hamiltonian over the whole
-    span, so ``dt`` and ``check_convergence`` do not apply to it; otherwise it
-    takes ``_step_count`` uniform fourth-order commutator-free Magnus steps
-    (two exponentials of the stencil mixed from its values at the two
-    Gauss-Legendre nodes), refused past _STEP_CAP before any exponential.
-    ``psi0`` sets the starting basis; ``product_coherent`` sizes each cutoff
-    not given from the initial amplitudes alone.  n_c never changes, as the
-    photon number is conserved; at the first Taylor substep where the top
-    tenth of the mechanical levels (at least two) holds more than 1e-8 of the
-    norm, the run stops, ``psi0`` is padded with empty levels to twice its n_m
-    and the run repeats, so the returned n_m may exceed ``psi0``'s; a run past
-    _DIM_CAP basis states is refused.  With ``check_convergence``, a stepped
-    run that keeps its tail empty is repeated at half the step, and an
-    overflow there doubles n_m as well; the eight ``MeasuredMoments`` of the
-    two must agree to 1e-4 relative, and the finer state is returned.  Norm
-    drift or occupied basis tails raise flagged-run errors with diagnostics.
+    span; otherwise it takes ``_step_count`` uniform fourth-order
+    commutator-free Magnus steps at ``default_dt`` (two exponentials of the
+    stencil mixed from its values at the two Gauss-Legendre nodes), refused
+    past _STEP_CAP before any exponential.  ``psi0`` sets the starting basis;
+    ``product_coherent`` sizes each cutoff not given from the initial
+    amplitudes alone.  n_c never changes, as the photon number is conserved;
+    at the first Taylor substep where the top tenth of the mechanical levels
+    (at least two) holds more than 1e-8 of the norm, the run stops, ``psi0``
+    is padded with empty levels to twice its n_m and the run repeats, so the
+    returned n_m may exceed ``psi0``'s; a run past _DIM_CAP basis states is
+    refused.  A stepped run that keeps its tail empty is repeated at half the
+    step, and an overflow there doubles n_m as well; the eight
+    ``MeasuredMoments`` of the two must agree to 1e-4 relative, and the finer
+    state is returned.  Norm drift or occupied basis tails raise flagged-run
+    errors with diagnostics.
     """
     if tau_final < 0.0:
         raise DomainError("tau_final must be non-negative")
@@ -278,10 +269,10 @@ def evolve(
         return FockState(psi0.amplitudes.copy())
 
     psi0_amp = np.ascontiguousarray(psi0.amplitudes, dtype=complex)
-    n_steps = _step_count(system, tau_final, psi0.n_c, dt)
+    n_steps = _step_count(system, tau_final, psi0.n_c)
     if n_steps > _STEP_CAP:
         raise ConvergenceError(f"{n_steps} time steps exceed the limit of {_STEP_CAP}")
-    schedules = (n_steps, 2 * n_steps) if n_steps and check_convergence else (n_steps,)
+    schedules = (n_steps, 2 * n_steps) if n_steps else (0,)
     while True:
         n_c, n_m = psi0_amp.shape
         _require_within_cap(n_c, n_m)

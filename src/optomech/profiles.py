@@ -2,8 +2,7 @@
 
 Everything is dimensionless: time is measured in units of the inverse
 mechanical frequency (tau = omega_m * t) and all couplings in units of
-omega_m.  Profile objects are never modified after construction, so they are
-safe to share across threads.
+omega_m.  Profile objects are immutable NamedTuples.
 """
 
 from __future__ import annotations

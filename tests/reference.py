@@ -39,6 +39,21 @@ def constant_solution(d2: float, tau):
     return c0, np.asarray(tau, dtype=float) * c1
 
 
+def identity_residual(sol) -> np.ndarray:
+    """Relative Wronskian defect of a ``QuadraticSolution`` on its grid: |W - 1|
+    over the magnitude of the two products in
+    W = cos_sol * sin_deriv - sin_sol * cos_deriv."""
+    direct = sol.cos_sol * sol.sin_deriv
+    cross = sol.sin_sol * sol.cos_deriv
+    return np.abs(direct - cross - 1.0) / (np.abs(direct) + np.abs(cross))
+
+
+def bogoliubov_residual(sol) -> np.ndarray:
+    """| |alpha|^2 - |beta|^2 - 1 | of a ``QuadraticSolution`` on its grid."""
+    alpha, beta = sol.bogoliubov(sol.tau)
+    return np.abs(np.abs(alpha) ** 2 - np.abs(beta) ** 2 - 1.0)
+
+
 def rwa_mode(d2: float, tau):
     """Rotating-wave mode function exp(-i tau) cosh(d2 tau) + i exp(i tau) sinh(d2 tau).
 

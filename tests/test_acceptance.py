@@ -32,12 +32,12 @@ from optomech import (
     solve_quadratic,
     two_scale_solution,
 )
-from optomech import fock
+from optomech import fock, squeezing
 from optomech.cli import main as cli_main
 from optomech.decoupling import DecouplingTables
-from reference import (analytic_ket, fidelity, mechanical_block, number_displacement_sq_resonant,
-                       optical_block, resonant_coefficients, squeezing_frame_report,
-                       symplectic_eigenvalues)
+from reference import (analytic_ket, bogoliubov_residual, fidelity, identity_residual,
+                       mechanical_block, number_displacement_sq_resonant, optical_block,
+                       resonant_coefficients, squeezing_frame_report, symplectic_eigenvalues)
 
 TWO_PI = 2 * np.pi
 F_FIELDS = ("num", "num_sq", "pos", "mom", "num_pos", "num_mom")
@@ -89,11 +89,11 @@ def test_c01_symplectic_identities():
     worst_identity = 0.0
     for d2 in (0.0, 0.5, 2.0):
         sol = solve_quadratic(ConstantSqueezing(d2), 20 * np.pi)
-        worst_bogo_const = max(worst_bogo_const, np.max(sol.bogoliubov_residual()))
-        worst_identity = max(worst_identity, np.max(sol.identity_residual()))
+        worst_bogo_const = max(worst_bogo_const, np.max(bogoliubov_residual(sol)))
+        worst_identity = max(worst_identity, np.max(identity_residual(sol)))
     mod = solve_quadratic(ModulatedSqueezing(0.1, 2.0), 20 * np.pi)
-    bogo_mod = float(np.max(mod.bogoliubov_residual()))
-    worst_identity = max(worst_identity, float(np.max(mod.identity_residual())))
+    bogo_mod = float(np.max(bogoliubov_residual(mod)))
+    worst_identity = max(worst_identity, float(np.max(identity_residual(mod))))
     elapsed = time.perf_counter() - start
 
     ok = worst_bogo_const < 1e-10 and bogo_mod < 1e-6 and worst_identity < 1e-10 and elapsed < 10
@@ -135,11 +135,14 @@ def test_c02_closed_form_agreement():
     assert worst_nu < 1e-8
 
 
-def test_c03_mathieu_two_scale_bound():
+def test_c03_mathieu_two_scale_bound(monkeypatch):
     start = time.perf_counter()
     profile = ModulatedSqueezing(0.05, 2.0)
     sol = solve_quadratic(profile, 4 * np.pi)
-    fine = solve_quadratic(profile, 4 * np.pi, resolution=600.0)
+    # the refined reference grid: 600 samples per unit tau, over twice the fixed one
+    monkeypatch.setattr(squeezing, "_SAMPLES_PER_UNIT",
+                        600.0 / squeezing.oscillation_rate(profile))
+    fine = solve_quadratic(profile, 4 * np.pi)
     taus = np.linspace(0.0, 4 * np.pi, 1200)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

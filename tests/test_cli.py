@@ -11,9 +11,11 @@ import pytest
 
 from optomech import (ConstantSqueezing, Coupling, InitialState, ModulatedSqueezing,
                       SystemParams, evaluate_point, solve_quadratic)
-from optomech.cli import _ORACLE_LIMITS, _PARSERS, Axis, RunConfig, _fmt, _write_csv, main
+from optomech.cli import (_ORACLE_LIMITS, _PARSERS, Axis, RunConfig, _fmt, _write_csv,
+                          build_config, main, parse_config_file)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 EVOLVE_HEADER = "tau,re_a,im_a,x1,p1,nu_op,nu_me,delta,delta_min,delta_max"
 
@@ -67,17 +69,27 @@ class TestConfig:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {key}: expected a finite number")
 
-    @pytest.mark.parametrize(
-        "mode, key, value",
-        [("evolve", "resolution", "-5"), ("oracle-check", "n_c", "-3"),
-         ("oracle-check", "n_m", "-3"), ("oracle-check", "dt", "-0.01")],
-    )
-    def test_negative_automatic_value_named(self, tmp_path, capsys, mode, key, value):
-        # only 0 selects the automatic value
-        cfg = write_config(tmp_path, BASE_CONFIG)
-        rc = main([mode, "--config", cfg, f"--{key}", value, "--out", str(tmp_path / "o.csv")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: {key}: must be non-negative")
+    @pytest.mark.parametrize("key", ["resolution", "n_c", "n_m", "dt"])
+    def test_removed_accuracy_key_unknown(self, tmp_path, capsys, key):
+        # the solver grid, the oracle's basis and its step are the program's
+        # own, so no key sets them, on the command line or in a file
+        out = str(tmp_path / "o.csv")
+        for mode in ("evolve", "oracle-check"):
+            assert main([mode, f"--{key}", "1", "--out", out]) == 2
+            assert capsys.readouterr().err == f"error: {key}: unknown configuration key\n"
+            cfg = write_config(tmp_path, BASE_CONFIG + f"{key} = 1\n")
+            assert main([mode, "--config", cfg, "--out", out]) == 2
+            assert capsys.readouterr().err == f"error: {key}: unknown configuration key\n"
+
+    @pytest.mark.parametrize("mode", ["evolve", "sweep", "oracle-check", "mathieu"])
+    def test_readme_config_is_a_working_config(self, tmp_path, mode):
+        # the README's ini block, comments and all, sets every key
+        text = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        values = parse_config_file(write_config(tmp_path, text))
+        assert set(values) == set(_PARSERS)
+        cfg = build_config(mode, values, {}, "o.csv")
+        assert cfg.g0 == 1.0 and cfg.squeezing == "constant" and cfg.lab_frame is False
+        assert cfg.axis2 == Axis("g0", 0.1, 3.0, 10, "log")
 
     def test_flag_overrides_file(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -99,18 +111,6 @@ class TestConfig:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: non-finite") and err.rstrip().endswith("first at tau = 105")
-
-    def test_coarse_resolution_exit_code(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, BASE_CONFIG)
-        rc = main(["evolve", "--config", cfg, "--squeezing", "modulated", "--d2", "0.1",
-                   "--resolution", "1", "--out", str(tmp_path / "o.csv")])
-        assert rc == 2
-        assert "resolution" in capsys.readouterr().err
-        # the oracle's analytic side reads the same knob
-        rc = main(["oracle-check", "--g0", "0.3", "--d2", "0.1", "--squeezing", "modulated",
-                   "--tau", "0.5", "--resolution", "1", "--out", str(tmp_path / "o.csv")])
-        assert rc == 2
-        assert "resolution" in capsys.readouterr().err
 
     def test_removed_workers_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -210,6 +210,24 @@ class TestEvolve:
         tau = float(err.split("tau = ")[1].split()[0])
         assert 0.0 < tau <= 700.0 and (tau / 3.5).is_integer()
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, span, nodes",
+        [(["evolve", "--tau_max", "1e308", "--points", "3"], "1e+308", "inf"),
+         (["evolve", "--tau_max", "1e15", "--points", "3"], "1e+15", "3.03e+17"),
+         (["sweep", "--axis1", "tau,0,1e308,3,linear"], "1e+308", "inf")],
+        ids=["evolve-1e308", "evolve-1e15", "sweep-1e308"],
+    )
+    def test_unaffordable_solver_grid_exits_3(self, tmp_path, capsys, argv, span, nodes):
+        # the span is refused by name before its grid is laid out, not by an
+        # overflow in the node count or a failed allocation
+        mode, *flags = argv
+        rc = main([mode, "--squeezing", "modulated", "--d2", "0.1", "--omega0", "3", *flags,
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: tau_max {span} needs {nodes} solver grid points, past the limit of 8388608\n"
+        )
 
     def test_resonant_modulation_grows_in_windowed_mean(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -366,6 +384,14 @@ class TestMathieu:
 INVERTED_POINT = ["--squeezing", "constant", "--d2", "-1", "--g0", "0.3", "--tau", "1"]
 
 
+def start_basis(monkeypatch, n_c, n_m):
+    """Start every oracle run from an explicit n_c x n_m basis."""
+    from optomech import fock
+
+    product_coherent = fock.product_coherent
+    monkeypatch.setattr(fock, "product_coherent", lambda init: product_coherent(init, n_c, n_m))
+
+
 class TestOracleCheck:
     def test_decoupled_cavity_matches_exactly(self, tmp_path):
         # with g0 = 0 the dynamics is purely quadratic: agreement to
@@ -379,16 +405,17 @@ class TestOracleCheck:
         worst = max(float(r.split(",")[5]) for r in rows[1:])
         assert worst < 1e-6
 
-    def test_certified_point_passes(self, tmp_path):
+    def test_certified_point_passes(self, tmp_path, monkeypatch):
         out = tmp_path / "o.csv"
+        start_basis(monkeypatch, 16, 48)
         rc = main(["oracle-check", "--g0", "0.5", "--d2", "0.3", "--squeezing", "constant",
-                   "--tau", str(np.pi / 2), "--n_c", "16", "--n_m", "48", "--out", str(out)])
+                   "--tau", str(np.pi / 2), "--out", str(out)])
         assert rc == 0
 
-    def test_tiny_cutoff_flagged(self, tmp_path, capsys):
+    def test_tiny_cutoff_flagged(self, tmp_path, capsys, monkeypatch):
+        start_basis(monkeypatch, 4, 6)
         rc = main(["oracle-check", "--g0", "0.5", "--d2", "0.3", "--squeezing", "constant",
-                   "--tau", str(np.pi / 2), "--n_c", "4", "--n_m", "6",
-                   "--out", str(tmp_path / "o.csv")])
+                   "--tau", str(np.pi / 2), "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "cutoff" in capsys.readouterr().err.lower()
 
@@ -439,8 +466,8 @@ class TestOracleCheck:
             raise AssertionError("amplitudes built past the cap")
 
         monkeypatch.setattr(fock, "coherent_amplitudes", unreachable)
-        rc = main(["oracle-check", "--squeezing", "constant", "--n_c", "100000",
-                   "--n_m", "100000", "--out", str(tmp_path / "o.csv")])
+        start_basis(monkeypatch, 100000, 100000)
+        rc = main(["oracle-check", "--squeezing", "constant", "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "truncated dimension 10000000000" in capsys.readouterr().err
 
@@ -498,10 +525,10 @@ class TestOracleCheck:
         assert rc == 0
         assert runs == [[8, 4], [16, 12], [32, 20], [64, 26], [64, 52]]
 
-    @pytest.mark.parametrize("flags, steps", [(["--omega0", "1000"], 23874),
-                                              (["--dt", "1e-4"], 60000)],
+    @pytest.mark.parametrize("flags, dt, steps", [(["--omega0", "1000"], None, 23874),
+                                                  ([], 1e-4, 60000)],
                              ids=["fast-modulation", "tiny-dt"])
-    def test_step_count_refused_up_front(self, tmp_path, capsys, monkeypatch, flags, steps):
+    def test_step_count_refused_up_front(self, tmp_path, capsys, monkeypatch, flags, dt, steps):
         # fock.evolve counts the steps and refuses before its first step
         from optomech import fock
 
@@ -509,6 +536,8 @@ class TestOracleCheck:
             raise AssertionError("the refused run propagated")
 
         monkeypatch.setattr(fock, "_run_steps", no_steps)
+        if dt is not None:
+            monkeypatch.setattr(fock, "default_dt", lambda *args: dt)
         rc = main(["oracle-check", "--squeezing", "modulated", "--d2", "0.1", "--g0", "0.3",
                    "--tau", "6", *flags, "--out", str(tmp_path / "o.csv")])
         assert rc == 3
@@ -543,14 +572,18 @@ class TestOracleCheck:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 0
 
-    def test_mismatch_exit_code(self, tmp_path):
+    def test_mismatch_exit_code(self, tmp_path, monkeypatch):
         # a coarse step leaves a 2e-6 disagreement, twice the 1e-6 absolute
         # floor, while the halving drift (2.8e-5) stays well inside its 1e-4
         # check; an absurdly tight tolerance must surface it as a mismatch,
         # not as a regime error
+        from optomech import fock
+
+        start_basis(monkeypatch, 14, 96)
+        monkeypatch.setattr(fock, "default_dt", lambda *args: 0.3)
         rc = main(["oracle-check", "--g0", "0.3", "--d2", "0.1", "--squeezing", "modulated",
-                   "--omega0", "2.0", "--tau", str(np.pi), "--n_c", "14", "--n_m", "96",
-                   "--dt", "0.3", "--tol", "1e-12", "--out", str(tmp_path / "o.csv")])
+                   "--omega0", "2.0", "--tau", str(np.pi), "--tol", "1e-12",
+                   "--out", str(tmp_path / "o.csv")])
         assert rc == 4
 
 

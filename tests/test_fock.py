@@ -69,12 +69,18 @@ def block_matrix(system, tau, n_c, n_m):
     return block_diag(*(dense_block(h, n) + system.omega_c * n * np.eye(n_m) for n in range(n_c)))
 
 
-def cf4_expm_multiply(psi0, system, tau, dt):
+def run_steps(psi0, system, tau, n_steps):
+    """The lab-frame state after n_steps CF4 steps, with no basis growth and
+    no half-step re-run."""
+    psi, _ = fock._run_steps(psi0.amplitudes, system, tau, n_steps)
+    return np.exp(-1j * system.omega_c * tau * np.arange(psi0.n_c))[:, None] * psi
+
+
+def cf4_expm_multiply(psi0, system, tau, n_steps):
     """Fourth-order commutator-free Magnus stepping on the full kron
     Hamiltonian: exp(-i h (a2 H1 + a1 H2)), then exp(-i h (a1 H1 + a2 H2)),
     with H_j sampled at t + (1/2 -+ sqrt(3)/6) h."""
     n_c, n_m = psi0.n_c, psi0.n_m
-    n_steps = max(int(np.ceil(tau / dt - 1e-12)), 1)
     step = tau / n_steps
     a1, a2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
     c1, c2 = 0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0
@@ -206,8 +212,8 @@ class TestEvolve:
         system = SystemParams(1.0, Coupling(g=0.4), ModulatedSqueezing(0.1, 2.0))
         init, tau = InitialState(1.0, 0.0), 1.2
         psi0 = fock.product_coherent(init, 16, 48)
-        coarse = fock.evolve(psi0, system, tau, dt=0.02, check_convergence=False)
-        fine = fock.evolve(psi0, system, tau, dt=0.01, check_convergence=False)
+        coarse = fock.FockState(run_steps(psi0, system, tau, 60))  # dt 0.02
+        fine = fock.FockState(run_steps(psi0, system, tau, 120))  # dt 0.01
         m1 = fock.measure_moments(coarse, system.omega_c, tau)
         m2 = fock.measure_moments(fine, system.omega_c, tau)
         for name in ("a", "b", "a2", "b2", "na", "nb", "ab", "ab_dag"):
@@ -221,18 +227,20 @@ class TestEvolve:
         init, tau = InitialState(1.0, 0.0), 1.2
         psi0 = fock.product_coherent(init, 16, 48)
 
-        def run(dt):
-            return fock.evolve(psi0, system, tau, dt, check_convergence=False).amplitudes
+        def run(n_steps):
+            return run_steps(psi0, system, tau, n_steps)
 
-        ref = run(0.0125)
-        err = [np.max(np.abs(run(dt) - ref)) for dt in (0.2, 0.1)]
+        ref = run(96)  # dt 0.0125
+        err = [np.max(np.abs(run(n) - ref)) for n in (6, 12)]  # dt 0.2 and 0.1
         assert err[0] >= 12.0 * err[1]
 
-    def test_static_route_does_not_step(self, certified_point):
+    def test_static_route_does_not_step(self, certified_point, monkeypatch):
         system, init, tau = certified_point
         psi0 = fock.product_coherent(init, 16, 48)
-        coarse = fock.evolve(psi0, system, tau, dt=0.05)
-        fine = fock.evolve(psi0, system, tau, dt=0.025)
+        monkeypatch.setattr(fock, "default_dt", lambda *args: 0.05)
+        coarse = fock.evolve(psi0, system, tau)
+        monkeypatch.setattr(fock, "default_dt", lambda *args: 0.025)
+        fine = fock.evolve(psi0, system, tau)
         assert np.array_equal(coarse.amplitudes, fine.amplitudes)
 
     @pytest.mark.parametrize(
@@ -286,15 +294,14 @@ class TestEvolve:
     def test_stepped_route_matches_cf4_expm_multiply(self, system, dt, mu_m, n_m):
         init, tau = InitialState(0.8, mu_m), 1.5
         psi0 = fock.product_coherent(init, 12, n_m)
-        step = fock.default_dt(system, 12) if dt is None else dt
+        n_steps = fock._step_count(system, tau, 12) if dt is None else round(tau / dt)
         if dt is not None:
             # each exponential spans half a step, and that is long enough
             # that the Taylor series must substep
             lo, hi = fock.spectral_bounds(fock.build_hamiltonian(system, 0.25, 12, n_m))
             assert 0.5 * dt * max(-lo, hi) > fock._TAYLOR_REACH
-        want = cf4_expm_multiply(psi0, system, tau, step)
-        final = fock.evolve(psi0, system, tau, dt, check_convergence=False)
-        assert np.max(np.abs(final.amplitudes - want)) <= 1e-12
+        want = cf4_expm_multiply(psi0, system, tau, n_steps)
+        assert np.max(np.abs(run_steps(psi0, system, tau, n_steps) - want)) <= 1e-12
 
     def test_default_dt_ignores_omega_c(self):
         for squeezing in (ConstantSqueezing(0.3), ModulatedSqueezing(0.1, 2.0)):
@@ -317,10 +324,10 @@ class TestEvolve:
         init, tau = InitialState(1.0, 0.0), 1.0
         slow = SystemParams(1.0, Coupling(g=0.5), squeezing)
         fast = SystemParams(5.0, Coupling(g=0.5), squeezing)
-        dt = fock.default_dt(slow, 16)
+        assert fock.default_dt(fast, 16) == fock.default_dt(slow, 16)
         psi0 = fock.product_coherent(init, 16, 48)
-        m1 = fock.measure_moments(fock.evolve(psi0, slow, tau, dt), slow.omega_c, tau)
-        m5 = fock.measure_moments(fock.evolve(psi0, fast, tau, dt), fast.omega_c, tau)
+        m1 = fock.measure_moments(fock.evolve(psi0, slow, tau), slow.omega_c, tau)
+        m5 = fock.measure_moments(fock.evolve(psi0, fast, tau), fast.omega_c, tau)
         for name in ("a", "b", "a2", "b2", "na", "nb", "ab", "ab_dag"):
             x, y = complex(getattr(m5, name)), complex(getattr(m1, name))
             assert abs(x - y) <= 1e-10 * max(abs(y), 1.0), name
@@ -361,7 +368,8 @@ class TestEvolve:
         assert err.value.diagnostics == {"n_c": 15, "n_m": 456}
 
     def test_step_count_refused_before_any_exponential(self, monkeypatch):
-        # every exponential builds its own stencil
+        # every exponential builds its own stencil; the step is patched to
+        # put the run one step past the limit, then at it
         calls = []
         stencil = fock._stencil
 
@@ -372,12 +380,15 @@ class TestEvolve:
         monkeypatch.setattr(fock, "_stencil", counted)
         system = SystemParams(1.0, Coupling(g=0.3), ModulatedSqueezing(0.1, 2.0))
         psi0 = fock.product_coherent(InitialState(0.5, 0.0), 8, 16)
+        monkeypatch.setattr(fock, "default_dt", lambda *args: 1.0 / 500.5)
         with pytest.raises(ConvergenceError, match="501 time steps exceed the limit of 500"):
-            fock.evolve(psi0, system, 1.0, dt=1.0 / 500.5)
+            fock.evolve(psi0, system, 1.0)
         assert calls == []
-        # at the limit itself the run goes ahead, two exponentials a step
-        fock.evolve(psi0, system, 1.0, dt=1.0 / 500.0, check_convergence=False)
-        assert len(calls) == 1000
+        # at the limit itself the run goes ahead, two exponentials a step,
+        # and its half-step re-run takes four
+        monkeypatch.setattr(fock, "default_dt", lambda *args: 1.0 / 500.0)
+        fock.evolve(psi0, system, 1.0)
+        assert len(calls) == 1000 + 2000
 
     def test_half_step_overflow_grows_the_basis(self, monkeypatch):
         # the half-step run is the state returned, so its tail counts like the

@@ -14,7 +14,9 @@ from optomech import (
     solve_quadratic,
     two_scale_solution,
 )
-from reference import OffsetCosineSqueezing, constant_solution, rwa_mode
+from optomech import squeezing
+from reference import (OffsetCosineSqueezing, bogoliubov_residual, constant_solution,
+                       identity_residual, rwa_mode)
 
 TWO_PI = 2 * np.pi
 
@@ -56,13 +58,13 @@ class TestSolveQuadratic:
     def test_symplectic_identity_on_grid(self):
         for profile in (ConstantSqueezing(0.5), ModulatedSqueezing(0.1, 2.0)):
             sol = solve_quadratic(profile, 4 * np.pi)
-            assert np.max(sol.identity_residual()) < 1e-10
+            assert np.max(identity_residual(sol)) < 1e-10
 
     def test_identity_is_relative_at_resonance(self):
         # |u| ~ 1e8 at 60 pi: the Wronskian defect is judged against its terms
         sol = solve_quadratic(ModulatedSqueezing(0.1, 2.0), 60 * np.pi)
         assert np.max(np.abs(sol.cos_sol)) > 1e6
-        assert np.max(sol.identity_residual()) <= 1e-10
+        assert np.max(identity_residual(sol)) <= 1e-10
 
     @pytest.mark.parametrize(
         "profile, tau_max",
@@ -124,16 +126,31 @@ class TestSolveQuadratic:
         with pytest.raises(DomainError):
             solve_quadratic(ConstantSqueezing(0.0), 0.0)
 
-    def test_coarse_resolution_rejected(self):
-        with pytest.raises(ValueError):
-            solve_quadratic(ConstantSqueezing(0.0), TWO_PI, resolution=2.0)
+    def test_unaffordable_grid_refused_before_allocation(self, monkeypatch):
+        # the node count is a float, so even a span near the float limit is
+        # refused by name, before any grid is laid out
+        profile = ModulatedSqueezing(0.1, 3.0)
+        monkeypatch.setattr(squeezing, "_MAX_POINTS", 5000)
+        assert solve_quadratic(profile, 15.0).tau.size == 4545
 
-    def test_modulated_tracks_two_scale_form(self):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("grid laid out past the cap")
+
+        monkeypatch.setattr(squeezing.np, "linspace", unreachable)
+        for tau_max, nodes in ((20.0, "6.06e+03"), (1e15, "3.03e+17"), (1e308, "inf")):
+            with pytest.raises(DomainError) as err:
+                solve_quadratic(profile, tau_max)
+            assert str(err.value) == (f"tau_max {tau_max:g} needs {nodes} solver grid points, "
+                                      "past the limit of 5000")
+
+    def test_modulated_tracks_two_scale_form(self, monkeypatch):
         # deviation is dominated by the perturbative truncation, not the
-        # integrator: doubling the resolution must not move it
+        # integrator: a grid of 600 samples per unit tau must not move it
         profile = ModulatedSqueezing(0.1, 2.0)
         sol = solve_quadratic(profile, 4 * np.pi)
-        fine = solve_quadratic(profile, 4 * np.pi, resolution=600.0)
+        monkeypatch.setattr(squeezing, "_SAMPLES_PER_UNIT",
+                            600.0 / squeezing.oscillation_rate(profile))
+        fine = solve_quadratic(profile, 4 * np.pi)
         taus = np.linspace(0, 4 * np.pi, 800)
         with pytest.warns(ValidityWarning):
             c_ts, _ = two_scale_solution(0.1, taus)
@@ -206,9 +223,9 @@ class TestBogoliubov:
 
     def test_grid_residuals(self):
         sol = solve_quadratic(ConstantSqueezing(0.5), 10 * np.pi)
-        assert np.max(sol.bogoliubov_residual()) < 1e-10
+        assert np.max(bogoliubov_residual(sol)) < 1e-10
         mod = solve_quadratic(ModulatedSqueezing(0.1, 2.0), 10 * np.pi)
-        assert np.max(mod.bogoliubov_residual()) < 1e-6
+        assert np.max(bogoliubov_residual(mod)) < 1e-6
 
 
 class TestTwoScaleSolution:
