@@ -42,6 +42,9 @@ _SWEEP_AXES = ("g0", "d2", "tau")
 
 # rows formatted per write: the text of one block stays small
 _CSV_BLOCK_ROWS = 256
+# most output times (or sweep cells) in one run: a pass holds about 700 B
+# per output time, so this is about 0.75 GB
+_MAX_OUTPUTS = 2**20
 
 # certified envelope for the brute-force oracle
 _ORACLE_LIMITS = {
@@ -212,14 +215,18 @@ def build_config(mode: str, file_values: dict[str, str], overrides: dict[str, st
 def _validate(cfg: RunConfig) -> None:
     if cfg.tau_max <= 0:
         raise ConfigError(f"tau_max: must be positive, got {cfg.tau_max:g}")
-    if cfg.points < 2:
-        raise ConfigError(f"points: must be >= 2, got {cfg.points}")
+    if not 2 <= cfg.points <= _MAX_OUTPUTS:
+        raise ConfigError(f"points: must be in [2, {_MAX_OUTPUTS}], got {cfg.points}")
     if cfg.tau < 0:
         raise ConfigError(f"tau: must be non-negative, got {cfg.tau:g}")
     if cfg.tol <= 0:
         raise ConfigError(f"tol: must be positive, got {cfg.tol:g}")
     if cfg.axis2 is not None and cfg.axis1 is None:
         raise ConfigError("axis2: set axis1 before axis2")
+    cells = math.prod(ax.count for ax in (cfg.axis1, cfg.axis2) if ax is not None)
+    if cells > _MAX_OUTPUTS:
+        key = "axis1" if cfg.axis2 is None else "axis1 x axis2"
+        raise ConfigError(f"{key}: {cells} sweep cells, past the limit of {_MAX_OUTPUTS}")
     cfg.system()  # surfaces an invalid squeezing kind as a config error
 
 

@@ -6,9 +6,10 @@ square N^2, the mechanical position and momentum generators x = b + b^dag
 and p = i(b^dag - b), and their photon-number-conditioned versions N*x and
 N*p.  Each exponential carries a real scalar coefficient: the constant
 coupling g and drive d1 scale one of three unit functions (g = 1, no drive),
-integrals of the mode function u of the quadratic sector.  Quadrature tables
-give them on the solver grid; for constant squeezing they close through its
-Stumpff functions, for any real squeezing strength.
+integrals of the mode function u of the quadratic sector.  The two-point
+Hermite rule gives them on the solver grid and its partial steps; for
+constant squeezing they close through its Stumpff functions, for any real
+squeezing strength.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._interp import hermite_eval
 from .profiles import Coupling
 from .squeezing import QuadraticSolution, stumpff
 
@@ -61,18 +61,11 @@ class DecouplingCoefficients(NamedTuple):
         return self.num + self.num_sq + 2.0 * self.num_pos * self.mom
 
 
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Running Simpson integral of samples y on a uniform grid of step h: even
-    intervals use the parabola through the samples ahead, odd intervals and
-    the last one the parabola through the samples behind."""
-    lo, mid, hi = y[:-2:2], 8.0 * y[1:-1:2], y[2::2]
-    out = np.zeros(y.size)
-    out[1:-1:2] = 5.0 * lo + mid - hi  # interval 2j from samples 2j..2j+2
-    out[2::2] = -lo + mid + 5.0 * hi  # interval 2j+1 from samples 2j..2j+2
-    out[-1] = -y[-3] + 8.0 * y[-2] + 5.0 * y[-1]
-    out[1:] *= h / 12.0
-    np.cumsum(out[1:], out=out[1:])
-    return out
+def _hermite_rule(h, ya, yb, dya, dyb):
+    """Integral of y over an interval of length h from its values and
+    derivatives at the two ends, h/2*(ya + yb) + h^2/12*(dya - dyb): the
+    two-point Hermite rule, exact for cubics."""
+    return 0.5 * h * (ya + yb) + h * h / 12.0 * (dya - dyb)
 
 
 def _scaled(g, d1: float, u_pos, u_mom, u_sq, tau) -> DecouplingCoefficients:
@@ -91,37 +84,41 @@ def _scaled(g, d1: float, u_pos, u_mom, u_sq, tau) -> DecouplingCoefficients:
 
 
 class DecouplingTables:
-    """Cumulative quadrature tables of the three unit functions.
-
-    The nested double integral reuses the cumulative inner integral across
-    the outer sweep, so building the tables costs O(grid) and evaluation at
-    any tau is an interpolation, scaled by the coupling and drive.  The
-    quadrature grid is the solution grid, whose fixed density sets the
-    accuracy of both.
+    """Running integrals C = int c, S = int s and Q = int s*C of the
+    cosine- and sine-like solutions at their nodes, by the two-point Hermite
+    rule on the solution's own values and derivatives ((s*C)' = s'*C + s*c).
+    At any tau the rule runs once more, from the node before to the
+    solution's partial step; the unit functions are -C, -S and -2Q, scaled
+    by the coupling and drive.
     """
 
     def __init__(self, sol: QuadraticSolution, coupling: Coupling):
         self._sol = sol
-        self._step = sol.step
         self._coupling = coupling
+        c, dc, s, ds = sol.cos_sol, sol.cos_deriv, sol.sin_sol, sol.sin_deriv
+        h = sol.step
 
-        re = sol.cos_sol
-        im = -sol.sin_sol  # imaginary part of the mode function
-        cum_re = _cumulative_simpson(re, self._step)
-        sq_rate = 2.0 * im * cum_re
-        # (values, derivative-on-grid) pairs for Hermite interpolation, in
-        # the order u_pos, u_mom, u_sq
-        self._tables = (
-            (-cum_re, -re),
-            (_cumulative_simpson(im, self._step), im),
-            (_cumulative_simpson(sq_rate, self._step), sq_rate),
-        )
+        def running(y, dy):
+            out = np.zeros(y.size)
+            np.cumsum(_hermite_rule(h, y[:-1], y[1:], dy[:-1], dy[1:]), out=out[1:])
+            return out
+
+        self._int_c = running(c, dc)
+        self._int_s = running(s, ds)
+        self._int_sc = running(s * self._int_c, ds * self._int_c + s * c)
 
     def at(self, tau) -> DecouplingCoefficients:
         """Coefficients at one time or, elementwise, at an array of times."""
-        self._sol._check_span(tau)
-        units = (hermite_eval(self._step, y, dy, tau) for y, dy in self._tables)
-        return _scaled(*self._coupling, *units, tau)
+        sol = self._sol
+        j, rest, (c, dc, s, ds) = sol._partial_step(tau)
+        cj, dcj, sj, dsj = sol.cos_sol[j], sol.cos_deriv[j], sol.sin_sol[j], sol.sin_deriv[j]
+        int_cj = self._int_c[j]
+        int_c = int_cj + _hermite_rule(rest, cj, c, dcj, dc)
+        int_s = self._int_s[j] + _hermite_rule(rest, sj, s, dsj, ds)
+        int_sc = self._int_sc[j] + _hermite_rule(
+            rest, sj * int_cj, s * int_c, dsj * int_cj + sj * cj, ds * int_c + s * c
+        )
+        return _scaled(*self._coupling, -int_c, -int_s, -2.0 * int_sc, tau)
 
 
 def constant_coefficients(g0, d2: float, tau, *, d1: float = 0.0) -> DecouplingCoefficients:

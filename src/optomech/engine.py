@@ -4,9 +4,10 @@ Given system parameters and an initial coherent state, produce the
 decoupling coefficients, Bogoliubov pair, moments, covariance matrix and
 non-Gaussianity report on a time grid.  The coupling and drive are
 constants; constant squeezing dispatches to the closed forms, and modulated
-squeezing runs through the Magnus propagator and the quadrature tables.  Each stage runs
-once over the whole array of times, so a trajectory is one record whose
-fields are arrays over tau.
+squeezing runs through the Magnus propagator and the running integrals of
+its solutions, both read at each time by one partial step from the grid node
+before it.  Each stage runs once over the whole array of times, so a
+trajectory is one record whose fields are arrays over tau.
 
 The measure, its Araki-Lieb bounds and the subsystem eigenvalues all come
 from one source, the closed-form covariance excess sigma - I in the

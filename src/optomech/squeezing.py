@@ -3,8 +3,9 @@
 The mechanical quadratic Hamiltonian reduces to the parametric-oscillator
 equation u'' + omega_sq(tau) * u = 0 with omega_sq = 1 + 4*D2(tau).  This
 module produces its cosine-like solution (u(0)=1, u'(0)=0) and sine-like
-solution (u(0)=0, u'(0)=1) on a dense grid, together with the complex mode
-function and the Bogoliubov coefficients of the induced Gaussian evolution.
+solution (u(0)=0, u'(0)=1) at the nodes of a dense grid, and anywhere
+between by one partial Magnus step, with the complex mode function and the
+Bogoliubov coefficients of the induced Gaussian evolution.
 Constant-squeezing closed forms go through the Stumpff functions of
 x = (1 + 4*d2)*tau^2, one form for the oscillating, free and inverted sectors.
 """
@@ -17,12 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._interp import hermite_eval
 from .errors import DomainError, SingularFactorError, ValidityWarning
 from .profiles import SqueezingProfile
 
 # Grid: the fastest oscillation must stay well resolved because the
-# decoupling quadrature reuses this grid.  A modulated pass peaks near 115 B
+# decoupling integrals step over this grid.  A modulated pass peaks near 115 B
 # per node, so the largest grid affordable is about 1 GB.
 _SAMPLES_PER_UNIT = 256.0
 _MIN_POINTS = 4096
@@ -62,12 +62,34 @@ def stumpff(d2: float, tau):
     return tuple(f[()] for f in c.reshape(4, *t.shape))
 
 
-class QuadraticSolution(NamedTuple):
-    """Sampled fundamental solutions of the quadratic sector.
+def _magnus_step(profile: SqueezingProfile, start, length):
+    """Entries (m00, m01, m10, m11) of the fourth-order Magnus step of
+    y' = [[0, 1], [-w, 0]] y, w = 1 + 4*D2, from ``start`` over ``length``,
+    elementwise (Blanes et al., Phys. Rep. 470, 151 (2009)).  The exponent
+    [[c, length], [lower, -c]] comes from two Gauss points; being traceless,
+    its exponential is even*I + odd*exponent with s^2 = -det: cosh and
+    sinh(s)/s for s^2 > 0, cos and sinc otherwise.  Length 0 gives I exactly."""
+    length = np.asarray(length, dtype=float)
+    w = 1.0 + 4.0 * np.asarray(  # the Gauss-point times are freed once sampled
+        profile.d2_at(np.asarray(start, dtype=float)[..., None] + length[..., None] * _GAUSS),
+        dtype=float,
+    )
+    c = np.sqrt(3.0) / 12.0 * length * length * (w[..., 1] - w[..., 0])
+    lower = -0.5 * length * (w[..., 0] + w[..., 1])
+    s2 = c * c + length * lower
+    s = np.sqrt(np.abs(s2))
+    even = np.where(s2 > 0.0, np.cosh(s), np.cos(s))
+    odd = np.where(s2 > 0.0, np.sinh(s) / np.where(s > 0.0, s, 1.0), np.sinc(s / np.pi))
+    return even + odd * c, odd * length, odd * lower, even - odd * c
 
-    ``cos_sol``/``sin_sol`` carry the cosine-like and sine-like solutions,
-    ``cos_deriv``/``sin_deriv`` their derivatives and ``omega_sq`` the
-    squared frequency 1 + 4*D2 on the grid.
+
+class QuadraticSolution(NamedTuple):
+    """Fundamental solutions of the quadratic sector at the nodes of a grid.
+
+    ``cos_sol``/``sin_sol`` carry the cosine-like and sine-like solutions
+    and ``cos_deriv``/``sin_deriv`` their derivatives at the nodes ``tau``;
+    ``profile`` is the squeezing they solve, from which one partial Magnus
+    step off the node before gives all four at any time in the span.
     """
 
     tau: np.ndarray
@@ -75,7 +97,7 @@ class QuadraticSolution(NamedTuple):
     cos_deriv: np.ndarray
     sin_sol: np.ndarray
     sin_deriv: np.ndarray
-    omega_sq: np.ndarray
+    profile: SqueezingProfile
 
     @property
     def step(self) -> float:
@@ -85,32 +107,30 @@ class QuadraticSolution(NamedTuple):
     def tau_max(self) -> float:
         return float(self.tau[-1])
 
-    def _check_span(self, tau) -> None:
+    def _partial_step(self, tau):
+        """The node j before each time, the remainder r = tau - tau[j] (zero
+        at a node), and (c, c', s, s') at tau: the node's values times one
+        partial Magnus step over r."""
         t = np.asarray(tau, dtype=float)
         if np.any(t < -_SPAN_SLACK) or np.any(t > self.tau_max + _SPAN_SLACK):
-            raise DomainError(
-                f"tau outside the solved span [0, {self.tau_max:g}]"
-            )
+            raise DomainError(f"tau outside the solved span [0, {self.tau_max:g}]")
+        j = np.clip(np.searchsorted(self.tau, t, side="right") - 1, 0, self.tau.size - 1)
+        rest = t - self.tau[j]
+        m00, m01, m10, m11 = _magnus_step(self.profile, self.tau[j], rest)
+        c, dc, s, ds = self.cos_sol[j], self.cos_deriv[j], self.sin_sol[j], self.sin_deriv[j]
+        return j, rest, (m00 * c + m01 * dc, m10 * c + m11 * dc,
+                         m00 * s + m01 * ds, m10 * s + m11 * ds)
 
     def mode(self, tau):
         """Complex mode function cos_sol(tau) - i * sin_sol(tau)."""
-        self._check_span(tau)
-        c = hermite_eval(self.step, self.cos_sol, self.cos_deriv, tau)
-        s = hermite_eval(self.step, self.sin_sol, self.sin_deriv, tau)
+        _, _, (c, _, s, _) = self._partial_step(tau)
         return c - 1j * s
 
-    def mode_deriv(self, tau):
-        """Derivative of the mode function, interpolated from stored derivative
-        channels (their own derivatives follow from the equation of motion)."""
-        self._check_span(tau)
-        dc = hermite_eval(self.step, self.cos_deriv, -self.omega_sq * self.cos_sol, tau)
-        ds = hermite_eval(self.step, self.sin_deriv, -self.omega_sq * self.sin_sol, tau)
-        return dc - 1j * ds
-
     def bogoliubov(self, tau):
-        """Bogoliubov coefficients (alpha, beta) of the quadratic evolution."""
-        xi = self.mode(tau)
-        dxi = self.mode_deriv(tau)
+        """Bogoliubov coefficients (alpha, beta) of the quadratic evolution,
+        from the mode function xi = c - i*s and its derivative."""
+        _, _, (c, dc, s, ds) = self._partial_step(tau)
+        xi, dxi = c - 1j * s, dc - 1j * ds
         alpha = 0.5 * (xi + 1j * dxi)
         beta = 0.5 * (np.conj(xi) + 1j * np.conj(dxi))
         return alpha, beta
@@ -119,46 +139,30 @@ class QuadraticSolution(NamedTuple):
 def solve_quadratic(profile: SqueezingProfile, tau_max: float) -> QuadraticSolution:
     """Solve the quadratic sector on [0, tau_max], a positive span.
 
-    One fourth-order Magnus step per grid interval (Blanes et al., Phys. Rep.
-    470, 151 (2009)); their prefix product, a Hillis-Steele scan (Commun. ACM
-    29, 1170 (1986)) over the four matrix entries, gives the solution at every
-    node.  The grid is fixed: 256 nodes per unit tau and per unit of the
-    effective oscillation rate, at least 4096 in all.  A finer one gains
-    nothing, since past about twice that density the rounding of the
-    sequential step product outgrows the truncation error.  A span that
-    needs more than _MAX_POINTS nodes is refused before any is allocated.
+    One fourth-order Magnus step per grid interval; their prefix product, a
+    Hillis-Steele scan (Commun. ACM 29, 1170 (1986)) over the four matrix
+    entries, gives the solution at every node, and one partial step from the
+    node before gives it anywhere between.  The grid is fixed: 256 nodes per
+    unit tau and per unit of the effective oscillation rate, at least 4096 in
+    all.  A finer one gains nothing, since past about twice that density the
+    rounding of the sequential step product outgrows the truncation error.
+    A span that needs more than _MAX_POINTS nodes is refused before any is
+    allocated, naming tau_max, the largest time asked for.
     """
     if tau_max <= 0.0:
         raise DomainError("tau_max must be positive")
     # a float count, so that no span overflows it
     nodes = np.ceil(_SAMPLES_PER_UNIT * oscillation_rate(profile) * tau_max) + 1.0
     if nodes > _MAX_POINTS:
-        raise DomainError(
-            f"tau_max {tau_max:g} needs {nodes:.3g} solver grid points, "
-            f"past the limit of {_MAX_POINTS}"
-        )
+        raise DomainError(f"tau {tau_max:g} needs more than {_MAX_POINTS} solver grid points")
     grid = np.linspace(0.0, tau_max, max(int(nodes), _MIN_POINTS))
-
-    # Magnus exponent [[c, h], [lower, -c]] of y' = [[0, 1], [-w, 0]] y from the
-    # two Gauss points; being traceless, exp = even*I + odd*exponent with
-    # s^2 = -det: cosh and sinh(s)/s for s^2 > 0, cos and sinc otherwise
-    h = grid[1] - grid[0]
-    w = 1.0 + 4.0 * np.asarray(profile.d2_at(grid[:-1, None] + h * _GAUSS), dtype=float)
-    c = np.sqrt(3.0) / 12.0 * h * h * (w[:, 1] - w[:, 0])
-    lower = -0.5 * h * (w[:, 0] + w[:, 1])
-    s2 = c * c + h * lower
-    s = np.sqrt(np.abs(s2))
-    even = np.where(s2 > 0.0, np.cosh(s), np.cos(s))
-    odd = np.where(s2 > 0.0, np.sinh(s) / np.where(s > 0.0, s, 1.0), np.sinc(s / np.pi))
+    steps = _magnus_step(profile, grid[:-1], grid[1] - grid[0])
 
     # the steps' four entries as 1-d arrays, the identity first; an inclusive
     # prefix product in log2(n) passes, elementwise, leaves
     # m[j] = M[j-1] @ ... @ M[0]
-    m00 = np.concatenate(([1.0], even + odd * c))
-    m01 = np.concatenate(([0.0], odd * h))
-    m10 = np.concatenate(([0.0], odd * lower))
-    m11 = np.concatenate(([1.0], even - odd * c))
-    del w, c, lower, s2, s, even, odd  # free the step intermediates before the scan
+    m00, m01, m10, m11 = (np.concatenate(([e], m)) for e, m in zip((1.0, 0.0, 0.0, 1.0), steps))
+    del steps  # free the step entries before the scan
     k = 1
     while k < grid.size:
         p00, p01, p10, p11 = m00[:-k], m01[:-k], m10[:-k], m11[:-k]
@@ -170,12 +174,7 @@ def solve_quadratic(profile: SqueezingProfile, tau_max: float) -> QuadraticSolut
         )
         k *= 2
     return QuadraticSolution(
-        tau=grid,
-        cos_sol=m00,
-        cos_deriv=m10,
-        sin_sol=m01,
-        sin_deriv=m11,
-        omega_sq=1.0 + 4.0 * np.asarray(profile.d2_at(grid), dtype=float),
+        tau=grid, cos_sol=m00, cos_deriv=m10, sin_sol=m01, sin_deriv=m11, profile=profile,
     )
 
 

@@ -9,8 +9,7 @@ import numpy as np
 
 from optomech import (DecouplingCoefficients, InitialState, ValidationError, ValidityWarning,
                       moments, non_gaussianity, squeezing_frame_excess)
-from optomech._interp import hermite_eval
-from optomech.decoupling import _cumulative_simpson
+from optomech.decoupling import _hermite_rule
 from optomech.fock import FockState, coherent_amplitudes
 from optomech.squeezing import stumpff
 
@@ -66,52 +65,86 @@ def rwa_mode(d2: float, tau):
 
 
 class SixTables:
-    """The six coefficients from six cumulative tables, each integrand
+    """The six coefficients from six running integrals, each integrand
     multiplied by g or d1 before it is integrated: a second route to the
-    (g, d1) scaling of the three unit tables in ``DecouplingTables``."""
+    (g, d1) scaling of the three unit tables in ``DecouplingTables``, by the
+    same two-point Hermite rule over the nodes and the partial step."""
 
     def __init__(self, sol, coupling):
         self._sol = sol
-        self._step = sol.step
+        self._g, self._d1 = map(float, coupling)
+        h = sol.step
+        first = self._first(sol.cos_sol, sol.cos_deriv, sol.sin_sol, sol.sin_deriv)
 
-        g, d1 = map(float, coupling)
-        re = sol.cos_sol
-        im = -sol.sin_sol  # imaginary part of the mode function
+        def running(y, dy):
+            out = np.zeros(y.size)
+            np.cumsum(_hermite_rule(h, y[:-1], y[1:], dy[:-1], dy[1:]), out=out[1:])
+            return out
 
-        g_re = g * re
-        g_im = g * im
+        self._first_tables = {k: running(*v) for k, v in first.items()}
+        second = self._second(first, self._first_tables)
+        self._second_tables = {k: running(*v) for k, v in second.items()}
 
-        def cum(y):
-            return _cumulative_simpson(y, self._step)
+    def _first(self, c, dc, s, ds):
+        """(integrand, derivative) of the four single integrals; the mode
+        function's real part is c and its imaginary part -s."""
+        g, d1 = self._g, self._d1
+        return {"g_re": (g * c, g * dc), "g_im": (-g * s, -g * ds),
+                "d_re": (d1 * c, d1 * dc), "d_im": (-d1 * s, -d1 * ds)}
 
-        cum_g_re = cum(g_re)
-        num_sq_rate = 2.0 * g_im * cum_g_re
-
-        # (values, derivative-on-grid) pairs for Hermite interpolation; the
-        # drive's three tables are identically zero without a drive
-        self._tables = {
-            "num_sq": (cum(num_sq_rate), num_sq_rate),
-            "num_pos": (-cum_g_re, -g_re),
-            "num_mom": (cum(g_im), g_im),
+    @staticmethod
+    def _second(first, cum):
+        """(integrand, derivative) of the two nested integrals, given the
+        single integrals ``cum`` of g*Re u and d1*Re u."""
+        (g_re, _), (g_im, dg_im) = first["g_re"], first["g_im"]
+        (d_re, _), (d_im, dd_im) = first["d_re"], first["d_im"]
+        cg, cd = cum["g_re"], cum["d_re"]
+        return {
+            "num_sq": (2.0 * g_im * cg, 2.0 * (dg_im * cg + g_im * g_re)),
+            "num": (-2.0 * (d_im * cg + g_im * cd),
+                    -2.0 * (dd_im * cg + d_im * g_re + dg_im * cd + g_im * d_re)),
         }
-        if d1 != 0.0:
-            d_re = d1 * re
-            d_im = d1 * im
-            cum_d_re = cum(d_re)
-            num_rate = -2.0 * (d_im * cum_g_re + g_im * cum_d_re)
-            self._tables.update(
-                num=(cum(num_rate), num_rate),
-                pos=(cum_d_re, d_re),
-                mom=(-cum(d_im), -d_im),
-            )
 
     def at(self, tau) -> DecouplingCoefficients:
         """Coefficients at one time or, elementwise, at an array of times."""
-        self._sol._check_span(tau)
+        sol = self._sol
+        j, rest, here = sol._partial_step(tau)
+        first_j = self._first(sol.cos_sol[j], sol.cos_deriv[j], sol.sin_sol[j], sol.sin_deriv[j])
+        first = self._first(*here)
+
+        def step(tables, before, after):
+            return {k: tables[k][j] + _hermite_rule(rest, before[k][0], after[k][0],
+                                                    before[k][1], after[k][1])
+                    for k in tables}
+
+        cum1_j = {k: t[j] for k, t in self._first_tables.items()}
+        cum1 = step(self._first_tables, first_j, first)
+        cum2 = step(self._second_tables, self._second(first_j, cum1_j),
+                    self._second(first, cum1))
         vals = {"num": 0.0, "pos": 0.0, "mom": 0.0}
-        for name, (y, dy) in self._tables.items():
-            vals[name] = hermite_eval(self._step, y, dy, tau)
-        return DecouplingCoefficients(tau=tau, **vals)
+        if self._d1 != 0.0:  # the drive's three are identically zero without a drive
+            vals.update(num=cum2["num"], pos=cum1["d_re"], mom=-cum1["d_im"])
+        return DecouplingCoefficients(num_sq=cum2["num_sq"], num_pos=-cum1["g_re"],
+                                      num_mom=cum1["g_im"], tau=tau, **vals)
+
+
+def ode_unit_functions(profile, taus):
+    """c, s and the three unit functions -int c, -int s and -2*int(s*int c)
+    at ``taus``, from one DOP853 solve (rtol = atol = 1e-13) of the
+    seven-dimensional system (c, c', s, s', int c, int s, int s*int c):
+    the solutions and their integrals with no grid, step or rule in common
+    with the package."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        w = 1.0 + 4.0 * float(profile.d2_at(t))
+        c, dc, s, ds, int_c, _, _ = y
+        return (dc, -w * c, ds, -w * s, c, s, s * int_c)
+
+    y = solve_ivp(rhs, (0.0, float(np.max(taus))), [1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                  method="DOP853", t_eval=taus, rtol=1e-13, atol=1e-13).y
+    return y[0], y[2], -y[4], -y[5], -2.0 * y[6]
+
 
 def _resonant_warn(d2: float, tau: float) -> None:
     stretch = abs(d2) * np.cosh(d2 * tau)

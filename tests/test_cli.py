@@ -69,6 +69,36 @@ class TestConfig:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {key}: expected a finite number")
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [(["evolve", "--points", "100000000000000"],
+          "points: must be in [2, 1048576], got 100000000000000"),
+         (["sweep", "--axis1", "g0,0,1,100000000000000,linear"],
+          "axis1: 100000000000000 sweep cells, past the limit of 1048576")],
+        ids=["evolve", "sweep"],
+    )
+    def test_unaffordable_output_count_refused(self, tmp_path, capsys, argv, err):
+        # refused by name as a config error, not by a failed allocation
+        assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_output_cap_checked_before_any_array(self, tmp_path, monkeypatch, capsys):
+        laid_out = []
+        linspace = np.linspace
+        monkeypatch.setattr("optomech.cli._MAX_OUTPUTS", 10)
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: laid_out.append(a) or linspace(*a, **k))
+        out = tmp_path / "o.csv"
+        assert main(["evolve", "--points", "11", "--out", str(out)]) == 2
+        assert main(["sweep", "--points", "2", "--axis1", "g0,0,1,4,linear",
+                     "--axis2", "d2,0,1,3,linear", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: points: must be in [2, 10], got 11\n"
+            "error: axis1 x axis2: 12 sweep cells, past the limit of 10\n"
+        )
+        assert not laid_out and not out.exists()
+        assert main(["evolve", "--points", "10", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 11 and laid_out
+
     @pytest.mark.parametrize("key", ["resolution", "n_c", "n_m", "dt"])
     def test_removed_accuracy_key_unknown(self, tmp_path, capsys, key):
         # the solver grid, the oracle's basis and its step are the program's
@@ -212,21 +242,21 @@ class TestEvolve:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv, span, nodes",
-        [(["evolve", "--tau_max", "1e308", "--points", "3"], "1e+308", "inf"),
-         (["evolve", "--tau_max", "1e15", "--points", "3"], "1e+15", "3.03e+17"),
-         (["sweep", "--axis1", "tau,0,1e308,3,linear"], "1e+308", "inf")],
+        "argv, span",
+        [(["evolve", "--tau_max", "1e308", "--points", "3"], "1e+308"),
+         (["evolve", "--tau_max", "1e15", "--points", "3"], "1e+15"),
+         (["sweep", "--axis1", "tau,0,1e308,3,linear"], "1e+308")],
         ids=["evolve-1e308", "evolve-1e15", "sweep-1e308"],
     )
-    def test_unaffordable_solver_grid_exits_3(self, tmp_path, capsys, argv, span, nodes):
-        # the span is refused by name before its grid is laid out, not by an
-        # overflow in the node count or a failed allocation
+    def test_unaffordable_solver_grid_exits_3(self, tmp_path, capsys, argv, span):
+        # the span is refused by the largest time asked for, whichever key
+        # set it, before its grid is laid out
         mode, *flags = argv
         rc = main([mode, "--squeezing", "modulated", "--d2", "0.1", "--omega0", "3", *flags,
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert capsys.readouterr().err == (
-            f"error: tau_max {span} needs {nodes} solver grid points, past the limit of 8388608\n"
+            f"error: tau {span} needs more than 8388608 solver grid points\n"
         )
 
     def test_resonant_modulation_grows_in_windowed_mean(self, tmp_path):
@@ -755,8 +785,10 @@ class TestImportBudget:
         ["evolve", "--squeezing", "constant", "--d2", "0.3", "--points", "5"],
         ["evolve", "--squeezing", "modulated", "--d2", "0.1", "--points", "5"],
         ["sweep", "--squeezing", "modulated", "--d2", "0.1", "--axis1", "tau,0,3,3,linear"],
+        ["mathieu", "--squeezing", "modulated", "--d2", "0.05", "--points", "5"],
     ],
-    ids=["oracle-check", "modulated-oracle-check", "evolve", "modulated-evolve", "sweep"],
+    ids=["oracle-check", "modulated-oracle-check", "evolve", "modulated-evolve", "sweep",
+         "mathieu"],
 )
 def test_modes_call_no_lapack(tmp_path, monkeypatch, argv):
     # every mode, the Fock oracle included, runs on numpy's elementwise and

@@ -12,8 +12,9 @@ from optomech import (
     constant_coefficients,
     solve_quadratic,
 )
-from optomech.decoupling import DecouplingTables, _cumulative_simpson
-from reference import SixTables, number_displacement_sq_resonant, resonant_coefficients
+from optomech.decoupling import DecouplingTables, _hermite_rule
+from reference import (SixTables, number_displacement_sq_resonant, ode_unit_functions,
+                       resonant_coefficients)
 
 TWO_PI = 2 * np.pi
 FIELDS = ("num", "num_sq", "pos", "mom", "num_pos", "num_mom")
@@ -85,6 +86,40 @@ class TestQuadratureRoute:
                 continue
             assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y)), name
 
+    def test_matches_an_independent_ode_solve(self):
+        # the partial step and the Hermite rule against one DOP853 solve of
+        # the solutions and their integrals, relative to each largest value;
+        # the Kerr phase 2*(u_sq + u_pos*u_mom) sets the optical dephasing
+        profile = ModulatedSqueezing(0.1, 2.0)
+        taus = np.linspace(0.0, 20 * np.pi, 1001)
+        sol = solve_quadratic(profile, taus[-1])
+        got = DecouplingTables(sol, Coupling(1.0)).at(taus)
+        xi = sol.mode(taus)
+        c, s, u_pos, u_mom, u_sq = ode_unit_functions(profile, taus)
+        for x, y in ((xi.real, c), (-xi.imag, s), (got.num_pos, u_pos), (got.num_mom, u_mom),
+                     (got.num_sq, u_sq)):
+            assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+        kerr = 2.0 * (u_sq + u_pos * u_mom)
+        assert np.max(np.abs(got.kerr_phase - kerr)) <= 3e-9 * np.max(np.abs(kerr))
+
+    def test_node_times_read_the_running_integrals(self, modulated_solution):
+        # at a node the partial interval has length 0, so each coefficient
+        # is the node's running integral, summed here from the same rule
+        sol = modulated_solution
+        c, dc, s, ds = sol.cos_sol, sol.cos_deriv, sol.sin_sol, sol.sin_deriv
+
+        def running(y, dy):
+            parts = _hermite_rule(sol.step, y[:-1], y[1:], dy[:-1], dy[1:])
+            return np.concatenate(([0.0], np.cumsum(parts)))
+
+        int_c, int_s = running(c, dc), running(s, ds)
+        int_sc = running(s * int_c, ds * int_c + s * c)
+        got = DecouplingTables(sol, Coupling(0.7, 0.45)).at(sol.tau)
+        want = {"num_pos": -0.7 * int_c, "num_mom": -0.7 * int_s, "num_sq": -0.98 * int_sc,
+                "pos": 0.45 * int_c, "mom": 0.45 * int_s, "num": 1.26 * int_sc}
+        for name, y in want.items():
+            np.testing.assert_allclose(getattr(got, name), y, rtol=1e-15, atol=0.0, err_msg=name)
+
     def test_all_zero_at_start(self, modulated_solution):
         got = DecouplingTables(modulated_solution, Coupling(g=1.0, drive=0.3)).at(0.0)
         assert all(getattr(got, f) == 0.0 for f in FIELDS)
@@ -129,14 +164,20 @@ class TestQuadratureRoute:
                 # zero drive kills the bare-generator coefficients identically
                 assert got.num == 0.0 and got.pos == 0.0 and got.mom == 0.0
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 4097, 4098])
-    def test_cumulative_simpson_pairs_like_scipy(self, n):
-        # the tables keep scipy's interval pairing, so they agree to rounding
-        from scipy.integrate import cumulative_simpson
-
-        y = np.random.default_rng(n).normal(size=n)
-        want = cumulative_simpson(y, dx=0.01, initial=0.0)
-        assert np.max(np.abs(_cumulative_simpson(y, 0.01) - want)) <= 1e-14
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hermite_rule_exact_for_cubics(self, seed):
+        # the rule integrates any cubic exactly, over whole intervals summed
+        # into a running integral and over a partial interval from a node
+        coef = np.random.default_rng(seed).normal(size=4)
+        p = np.polynomial.Polynomial(coef)
+        dp, antider = p.deriv(), p.integ()
+        h, x = 0.37, 0.37 * np.arange(12)
+        whole = np.cumsum(_hermite_rule(h, p(x[:-1]), p(x[1:]), dp(x[:-1]), dp(x[1:])))
+        np.testing.assert_allclose(whole, antider(x[1:]) - antider(0.0), rtol=1e-13, atol=1e-13)
+        rest = h * np.array([0.0, 0.1, 0.5, 0.999])
+        end = x[5] + rest
+        part = _hermite_rule(rest, p(x[5]), p(end), dp(x[5]), dp(end))
+        np.testing.assert_allclose(part, antider(end) - antider(x[5]), rtol=1e-13, atol=1e-13)
 
 
 class TestConstantClosedForm:
