@@ -13,9 +13,12 @@ Four modes, all emitting RFC-4180-style CSV with a mandatory header row and
 
 Configuration is a flat ``key = value`` text file with optional bracketed
 section headers and ``#`` comments; every key is also a ``--key value`` flag
-that overrides the file.  The solver grid, the oracle's basis and its step
-are set by the program, not by keys.  Exit codes: 0 success, 2 config error,
-3 numerical-regime error, 4 oracle mismatch.
+that overrides the file.  The keys are the ``RunConfig`` fields other than
+``mode`` and ``out``.  The solver grid, the oracle's basis and its step are
+set by the program, not by keys.  Every output is in the frame co-rotating
+with the cavity, where the cavity frequency drops out, so no key sets it.
+Exit codes: 0 success, 2 config error, 3 numerical-regime error, 4 oracle
+mismatch.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ class Axis(NamedTuple):
 
 class RunConfig(NamedTuple):
     mode: str
-    omega_c: float = 1.0
     g0: float = 1.0
     d1: float = 0.0
     squeezing: str = "constant"
@@ -81,7 +83,6 @@ class RunConfig(NamedTuple):
     mu_m: complex = 0.0 + 0.0j
     tau_max: float = 2.0 * np.pi
     points: int = 201
-    lab_frame: bool = False
     tau: float = np.pi
     axis1: Axis | None = None
     axis2: Axis | None = None
@@ -97,11 +98,7 @@ class RunConfig(NamedTuple):
             raise ConfigError(
                 f"squeezing: unknown profile {self.squeezing!r} (constant|modulated)"
             )
-        return SystemParams(
-            omega_c=self.omega_c,
-            coupling=Coupling(g=self.g0, drive=self.d1),
-            squeezing=profile,
-        )
+        return SystemParams(coupling=Coupling(g=self.g0, drive=self.d1), squeezing=profile)
 
     def initial_state(self) -> InitialState:
         return InitialState(mu_c=self.mu_c, mu_m=self.mu_m)
@@ -122,15 +119,6 @@ def _parse_int(key: str, raw: str) -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {raw!r}")
 
 
 def _parse_complex(key: str, raw: str) -> complex:
@@ -166,7 +154,6 @@ _PARSE_BY_TYPE = {
     "float": _parse_float,
     "int": _parse_int,
     "complex": _parse_complex,
-    "bool": _parse_bool,
     "str": lambda key, raw: raw.strip().lower(),
     "Axis | None": _parse_axis,
 }
@@ -247,15 +234,9 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def run_evolve(cfg: RunConfig) -> int:
-    system = cfg.system()
-    init = cfg.initial_state()
     taus = np.linspace(0.0, cfg.tau_max, cfg.points)
-    rec = evaluate_trajectory(system, init, taus)
-
-    a = rec.moments.a
-    if cfg.lab_frame:
-        a = a * np.exp(-1j * system.omega_c * rec.tau)
-    r = rec.report
+    rec = evaluate_trajectory(cfg.system(), cfg.initial_state(), taus)
+    a, r = rec.moments.a, rec.report
     _write_csv(
         cfg.out,
         ["tau", "re_a", "im_a", "x1", "p1", "nu_op", "nu_me", "delta", "delta_min", "delta_max"],

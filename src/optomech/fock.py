@@ -1,5 +1,6 @@
 """Brute-force validator in a truncated two-mode Fock space.
 
+A state is a complex (n_c, n_m) array of amplitudes psi[n_photons, n_phonons].
 The Hamiltonian conserves the photon number, so the state evolves as one
 mechanical block per photon number n, with omega_c*n an exact phase.  The
 Hamiltonian has one form, an (n_c, n_m, 5) array of real weights: the
@@ -14,7 +15,9 @@ exponential.  The same moments as the analytic pipeline are then measured.
 The oracle sets its own accuracy: a half-step re-run checks the step, and
 ``evolve`` owns the basis: n_m doubles until its tail stays empty along every
 run it keeps, the half-step re-run included, from a start that
-``product_coherent`` sizes from the initial state alone.
+``product_coherent`` sizes from the initial state alone.  Each basis tail is
+checked where it can fill: the optical one once, at the start, and the
+mechanical one after every Taylor substep.
 Nothing here reads the analytic chain, so the oracle stays an independent
 referee.  Only the small-parameter envelope is certified; large couplings
 blow past any affordable cutoff.  Uses numpy alone, and no LAPACK routine.
@@ -53,46 +56,17 @@ _CF4_A1, _CF4_A2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0))
 _CF4_MIX = 2.0 * np.array([[_CF4_A2, _CF4_A1], [_CF4_A1, _CF4_A2]])
 
 
-class FockState(NamedTuple):
-    """Two-mode amplitude tensor indexed as amplitudes[n_photons, n_phonons]."""
-
-    amplitudes: np.ndarray
-
-    @property
-    def n_c(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def n_m(self) -> int:
-        return self.amplitudes.shape[1]
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def tail_fractions(self) -> tuple[float, float]:
-        """Occupation fraction in the top 10% of each index, and at least in
-        the last two mechanical levels, which no state of one parity skips."""
-        p = np.abs(self.amplitudes) ** 2
-        total = max(np.sum(p), 1e-300)
-        # photon numbers are Poisson, so the last optical level alone will do
-        c_edge = min(int(np.ceil((1.0 - _TAIL_FRACTION) * self.n_c)), self.n_c - 1)
-        m_edge = min(int(np.ceil((1.0 - _TAIL_FRACTION) * self.n_m)), self.n_m - 2)
-        return (
-            float(np.sum(p[c_edge:, :]) / total),
-            float(np.sum(p[:, m_edge:]) / total),
-        )
-
-    def require_tail_ok(self) -> None:
-        c_tail, m_tail = self.tail_fractions()
-        if c_tail > _TAIL_TOL or m_tail > _TAIL_TOL:
-            raise CutoffInsufficientError(
-                f"basis tail occupied (optical {c_tail:.3g}, mechanical {m_tail:.3g}); "
-                f"increase the cutoffs ({self.n_c}, {self.n_m})",
-                optical_tail=c_tail,
-                mechanical_tail=m_tail,
-                n_c=self.n_c,
-                n_m=self.n_m,
-            )
+def tail_fractions(psi: np.ndarray) -> tuple[float, float]:
+    """Occupation fractions of psi[n_photons, n_phonons] in the top 10% of
+    each index, and at least in the last two mechanical levels, which no
+    state of one parity skips."""
+    n_c, n_m = psi.shape
+    p = np.abs(psi) ** 2
+    total = max(np.sum(p), 1e-300)
+    # photon numbers are Poisson, so the last optical level alone will do
+    c_edge = min(int(np.ceil((1.0 - _TAIL_FRACTION) * n_c)), n_c - 1)
+    m_edge = min(int(np.ceil((1.0 - _TAIL_FRACTION) * n_m)), n_m - 2)
+    return float(np.sum(p[c_edge:, :]) / total), float(np.sum(p[:, m_edge:]) / total)
 
 
 def coherent_amplitudes(mu: complex, n: int) -> np.ndarray:
@@ -115,19 +89,24 @@ def _require_within_cap(n_c: int, n_m: int) -> None:
             f"above the oracle's cap of {_DIM_CAP}", n_c=n_c, n_m=n_m)
 
 
-def product_coherent(init: InitialState, n_c: int = 0, n_m: int = 0) -> FockState:
-    """Separable coherent state |mu_c> x |mu_m>, refused past _DIM_CAP.  A
-    cutoff left at 0 is sized from its own amplitude as |mu|^2 + 6|mu| + 8
-    levels, rounded up: the photon number is conserved, so that n_c holds the
-    optical state for good, and ``evolve`` grows n_m as the state needs."""
+def product_coherent(init: InitialState, n_c: int = 0, n_m: int = 0) -> np.ndarray:
+    """Amplitudes psi[n_photons, n_phonons] of the separable coherent state
+    |mu_c> x |mu_m>, refused past _DIM_CAP or with either basis tail holding
+    more than 1e-8 of the norm.  A cutoff left at 0 is sized from its own
+    amplitude as |mu|^2 + 6|mu| + 8 levels, rounded up: the photon number is
+    conserved, so n_c holds the optical state for good, and ``evolve`` grows
+    n_m as the state needs."""
     n_c, n_m = (n or int(np.ceil(abs(mu) ** 2 + 6.0 * abs(mu) + 8.0))
                 for n, mu in ((n_c, init.mu_c), (n_m, init.mu_m)))
     _require_within_cap(n_c, n_m)
-    state = FockState(
-        np.outer(coherent_amplitudes(init.mu_c, n_c), coherent_amplitudes(init.mu_m, n_m))
-    )
-    state.require_tail_ok()
-    return state
+    psi = np.outer(coherent_amplitudes(init.mu_c, n_c), coherent_amplitudes(init.mu_m, n_m))
+    c_tail, m_tail = tail_fractions(psi)
+    if c_tail > _TAIL_TOL or m_tail > _TAIL_TOL:
+        raise CutoffInsufficientError(
+            f"basis tail occupied (optical {c_tail:.3g}, mechanical {m_tail:.3g}); "
+            f"increase the cutoffs ({n_c}, {n_m})",
+            optical_tail=c_tail, mechanical_tail=m_tail, n_c=n_c, n_m=n_m)
+    return psi
 
 
 def _ladder_roots(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,13 +214,13 @@ def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
                 k += 1
                 pads[k % 2] *= 1.0 / k
                 total += pads[k % 2]
-            tail = max(tail, FockState(levels[2]).tail_fractions()[1])
+            tail = max(tail, tail_fractions(levels[2])[1])
             if tail > _TAIL_TOL:
                 return levels[2].copy(), tail
     return levels[2].copy(), tail
 
 
-def evolve(psi0: FockState, system: SystemParams, tau_final: float) -> FockState:
+def evolve(psi0: np.ndarray, system: SystemParams, tau_final: float) -> np.ndarray:
     """Evolve a truncated state to tau_final, one photon-number block at a time.
 
     omega_c*n is applied exactly, as the phase exp(-i omega_c n tau_final) on
@@ -250,43 +229,44 @@ def evolve(psi0: FockState, system: SystemParams, tau_final: float) -> FockState
     span; otherwise it takes ``_step_count`` uniform fourth-order
     commutator-free Magnus steps at ``default_dt`` (two exponentials of the
     stencil mixed from its values at the two Gauss-Legendre nodes), refused
-    past _STEP_CAP before any exponential.  ``psi0`` sets the starting basis;
-    ``product_coherent`` sizes each cutoff not given from the initial
-    amplitudes alone.  n_c never changes, as the photon number is conserved;
-    at the first Taylor substep where the top tenth of the mechanical levels
-    (at least two) holds more than 1e-8 of the norm, the run stops, ``psi0``
-    is padded with empty levels to twice its n_m and the run repeats, so the
-    returned n_m may exceed ``psi0``'s; a run past _DIM_CAP basis states is
-    refused.  A stepped run that keeps its tail empty is repeated at half the
-    step, and an overflow there doubles n_m as well; the eight
-    ``MeasuredMoments`` of the two must agree to 1e-4 relative, and the finer
-    state is returned.  Norm drift or occupied basis tails raise flagged-run
-    errors with diagnostics.
+    past _STEP_CAP before any exponential.  ``psi0``, an (n_c, n_m)
+    amplitude array, sets the starting basis; ``product_coherent`` sizes
+    each cutoff not given from the initial amplitudes alone and checks both
+    tails.  n_c never changes, and neither does the optical tail, as the
+    photon number is conserved; at the first Taylor substep where the top
+    tenth of the mechanical levels (at least two) holds more than 1e-8 of
+    the norm, the run stops, ``psi0`` is padded with empty levels to twice
+    its n_m and the run repeats, so the returned n_m may exceed ``psi0``'s;
+    a run past _DIM_CAP basis states is refused.  A stepped run that keeps
+    its tail empty is repeated at half the step, and an overflow there
+    doubles n_m as well; the eight ``MeasuredMoments`` of the two must agree
+    to 1e-4 relative, and the finer state is returned.  Norm drift raises a
+    flagged-run error with diagnostics.
     """
     if tau_final < 0.0:
         raise DomainError("tau_final must be non-negative")
     if tau_final == 0.0:
-        return FockState(psi0.amplitudes.copy())
+        return psi0.copy()
 
-    psi0_amp = np.ascontiguousarray(psi0.amplitudes, dtype=complex)
-    n_steps = _step_count(system, tau_final, psi0.n_c)
+    psi = np.ascontiguousarray(psi0, dtype=complex)
+    n_steps = _step_count(system, tau_final, psi.shape[0])
     if n_steps > _STEP_CAP:
         raise ConvergenceError(f"{n_steps} time steps exceed the limit of {_STEP_CAP}")
     schedules = (n_steps, 2 * n_steps) if n_steps else (0,)
     while True:
-        n_c, n_m = psi0_amp.shape
+        n_c, n_m = psi.shape
         _require_within_cap(n_c, n_m)
         runs = []
         for steps in schedules:
-            psi, tail = _run_steps(psi0_amp, system, tau_final, steps)
+            run, tail = _run_steps(psi, system, tau_final, steps)
             if tail > _TAIL_TOL:
                 break
-            runs.append(psi)
+            runs.append(run)
         else:
             break
-        psi0_amp = np.pad(psi0_amp, ((0, 0), (0, n_m)))
+        psi = np.pad(psi, ((0, 0), (0, n_m)))
     if len(runs) == 2:
-        coarse, refined = (measure_moments(FockState(run), 0.0, tau_final) for run in runs)
+        coarse, refined = (measure_moments(run, 0.0, tau_final) for run in runs)
         for name, x, y in zip(MeasuredMoments._fields, coarse, refined):
             drift = abs(x - y) / max(abs(y), 1e-6)
             if drift > _HALVING_TOL:
@@ -297,15 +277,13 @@ def evolve(psi0: FockState, system: SystemParams, tau_final: float) -> FockState
                     dt=tau_final / n_steps,
                 )
     cavity = np.exp(-1j * system.omega_c * tau_final * np.arange(n_c))
-    state = FockState(cavity[:, None] * runs[-1])
-
-    drift = abs(state.norm_sq() - 1.0)
+    psi = cavity[:, None] * runs[-1]
+    drift = abs(float(np.sum(np.abs(psi) ** 2)) - 1.0)
     if drift > _NORM_TOL:
         raise ConvergenceError(
             f"norm drifted by {drift:.3g} during evolution", norm_drift=drift
         )
-    state.require_tail_ok()
-    return state
+    return psi
 
 
 class MeasuredMoments(NamedTuple):
@@ -321,14 +299,14 @@ class MeasuredMoments(NamedTuple):
     ab_dag: complex
 
 
-def measure_moments(state: FockState, omega_c: float, tau: float) -> MeasuredMoments:
-    """Measure all eight moments, removing the cavity rotation accumulated by
-    a lab-frame evolution (pass omega_c = 0 for states built in the rotating
-    frame).  Each ladder operator acts on the amplitude tensor as a shift of
-    one index, weighted by sqrt(n)."""
-    psi = state.amplitudes
-    root_c, root2_c = _ladder_roots(state.n_c)
-    root_m, root2_m = _ladder_roots(state.n_m)
+def measure_moments(psi: np.ndarray, omega_c: float, tau: float) -> MeasuredMoments:
+    """Measure all eight moments of the amplitudes psi[n_photons, n_phonons],
+    removing the cavity rotation accumulated by a lab-frame evolution (pass
+    omega_c = 0 for states built in the rotating frame).  Each ladder
+    operator acts on the array as a shift of one index, weighted by sqrt(n)."""
+    n_c, n_m = psi.shape
+    root_c, root2_c = _ladder_roots(n_c)
+    root_m, root2_m = _ladder_roots(n_m)
     root_c, root2_c = root_c[:, None], root2_c[:, None]
     p = np.abs(psi) ** 2
 
@@ -337,8 +315,8 @@ def measure_moments(state: FockState, omega_c: float, tau: float) -> MeasuredMom
     b = complex(np.vdot(psi[:, :-1], root_m * psi[:, 1:]))
     a2 = complex(np.vdot(psi[:-2], root2_c * psi[2:])) * phase**2
     b2 = complex(np.vdot(psi[:, :-2], root2_m * psi[:, 2:]))
-    na = float(np.arange(state.n_c) @ p.sum(axis=1))
-    nb = float(p.sum(axis=0) @ np.arange(state.n_m))
+    na = float(np.arange(n_c) @ p.sum(axis=1))
+    nb = float(p.sum(axis=0) @ np.arange(n_m))
     ab = complex(np.vdot(psi[:-1, :-1], root_c * root_m * psi[1:, 1:])) * phase
     ab_dag = complex(np.vdot(psi[:-1, 1:], root_c * root_m * psi[1:, :-1])) * phase
     return MeasuredMoments(a=a, b=b, a2=a2, b2=b2, na=na, nb=nb, ab=ab, ab_dag=ab_dag)

@@ -1,7 +1,7 @@
 """First and second moments of the evolved two-mode state.
 
 All optical moments are reported in the frame co-rotating with the cavity;
-``evolve --lab_frame`` in the CLI restores the cavity phase of <a>.
+<a> e^{-i omega_c tau} is the lab-frame amplitude.
 The covariance matrix uses the complex basis (a, b, a^dag, b^dag) with the
 vacuum normalized to the identity.  Every function works elementwise: given
 coefficients and a Bogoliubov pair that are arrays over tau, it returns
@@ -29,11 +29,10 @@ class InitialState(NamedTuple):
 
 
 class MomentSet(NamedTuple):
-    """All first and second moments at one time (or arrays of them over
-    tau), plus the auxiliaries entering them: the drive-induced
-    displacement, the per-photon displacement, and the overlap factor of the
-    photon-conditioned mechanical kicks.  The photon number ``na`` is
-    conserved, so it stays a scalar."""
+    """The eight first and second moments at one time (or arrays of them
+    over tau) and the time.  The photon number ``na`` is conserved, so it
+    stays a scalar.  ``displacement_amplitudes`` and ``kick_overlap`` give
+    the auxiliaries that enter them."""
 
     a: complex
     b: complex
@@ -43,9 +42,6 @@ class MomentSet(NamedTuple):
     ab_dag: complex
     na: float
     nb: float
-    drive_shift: complex
-    photon_shift: complex
-    kick_overlap: complex
     tau: float
 
 
@@ -124,20 +120,7 @@ def moments(coeffs: DecouplingCoefficients, alpha, beta, init: InitialState) -> 
     ab = a * (b + dephase * photon_shift - beta * k_n)
     ab_dag = a * (np.conj(b) + dephase * np.conj(photon_shift) - np.conj(alpha) * k_n)
 
-    return MomentSet(
-        a=a,
-        b=b,
-        a2=a2,
-        b2=b2,
-        ab=ab,
-        ab_dag=ab_dag,
-        na=nc,
-        nb=nb,
-        drive_shift=drive_shift,
-        photon_shift=photon_shift,
-        kick_overlap=overlap,
-        tau=coeffs.tau,
-    )
+    return MomentSet(a=a, b=b, a2=a2, b2=b2, ab=ab, ab_dag=ab_dag, na=nc, nb=nb, tau=coeffs.tau)
 
 
 class CovarianceExcess(NamedTuple):

@@ -88,11 +88,11 @@ def run(argv: list[str]) -> dict:
         data = path.read_bytes()
     lines = data.decode("utf-8").splitlines()
     rows = lines[1:]
-    picks = sorted({*range(0, len(rows), PROBE_EVERY), len(rows) - 1} - {-1})
+    picks = sorted({*range(0, len(rows), PROBE_EVERY), len(rows) - 1})
     return {
         "exit": code,
         "sha256": hashlib.sha256(data).hexdigest(),
-        "header": lines[0] if lines else None,
+        "header": lines[0],
         "probe": {str(i): rows[i] for i in picks},
     }
 

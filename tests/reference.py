@@ -10,7 +10,7 @@ import numpy as np
 from optomech import (DecouplingCoefficients, InitialState, ValidationError, ValidityWarning,
                       moments, non_gaussianity, squeezing_frame_excess)
 from optomech.decoupling import _hermite_rule
-from optomech.fock import FockState, coherent_amplitudes
+from optomech.fock import _TAIL_TOL, coherent_amplitudes, tail_fractions
 from optomech.squeezing import stumpff
 
 _HERMITIAN_TOL = 1e-8
@@ -294,20 +294,19 @@ def dense_block(w: np.ndarray, n: int) -> np.ndarray:
     return out[:, 2:-2]
 
 
-def photon_weights(state: FockState) -> np.ndarray:
-    """Probability of each photon number (mechanical trace)."""
-    return np.sum(np.abs(state.amplitudes) ** 2, axis=1)
+def photon_weights(psi: np.ndarray) -> np.ndarray:
+    """Probability of each photon number (mechanical trace) of psi[n, m]."""
+    return np.sum(np.abs(psi) ** 2, axis=1)
 
 
-def fidelity(s1: FockState, s2: FockState) -> float:
-    """|<s1|s2>|^2 (insensitive to global phases)."""
-    return float(abs(np.vdot(s1.amplitudes.reshape(-1), s2.amplitudes.reshape(-1))) ** 2)
+def fidelity(psi1: np.ndarray, psi2: np.ndarray) -> float:
+    """|<psi1|psi2>|^2 (insensitive to global phases)."""
+    return float(abs(np.vdot(psi1.reshape(-1), psi2.reshape(-1))) ** 2)
 
 
-def mechanical_purity(state: FockState) -> float:
+def mechanical_purity(psi: np.ndarray) -> float:
     """Purity of the reduced mechanical density matrix (photon index traced out)."""
-    a = state.amplitudes
-    rho = np.einsum("nm,nk->mk", a, a.conj())
+    rho = np.einsum("nm,nk->mk", psi, psi.conj())
     return float(np.real(np.sum(np.abs(rho) ** 2)))
 
 
@@ -341,8 +340,8 @@ def analytic_ket(
     n_m: int,
     *,
     omega_c: float = 0.0,
-) -> FockState:
-    """Closed-form evolved ket built from the decoupling coefficients.
+) -> np.ndarray:
+    """Closed-form evolved ket psi[n, m] built from the decoupling coefficients.
 
     Photon-number branches carry the decoupling phases and a mechanical
     squeezed coherent state displaced once per photon; pass the cavity
@@ -380,6 +379,6 @@ def analytic_ket(
             * phase_lin[k]
             * (gauss @ coherent_amplitudes(branch, n_m))
         )
-    state = FockState(amplitudes)
-    state.require_tail_ok()
-    return state
+    c_tail, m_tail = tail_fractions(amplitudes)
+    assert max(c_tail, m_tail) <= _TAIL_TOL, f"basis tail occupied ({c_tail:.3g}, {m_tail:.3g})"
+    return amplitudes

@@ -297,7 +297,7 @@ def test_c09_global_purity_of_full_state(sweep_records, oracle_run):
 
     # Independent referee: the Fock-evolved ket at the criterion-7 point.
     rec, final, measured, _, _ = oracle_run
-    purity_defect = abs(final.norm_sq() - 1.0)
+    purity_defect = abs(float(np.sum(np.abs(final) ** 2)) - 1.0)
     nu_engine = np.array(rec.report.nu_full)
     nu_oracle = symplectic_eigenvalues(covariance(measured).sigma)
     oracle_rel = float(np.max(np.abs(nu_oracle - nu_engine) / nu_engine))
@@ -325,7 +325,7 @@ def test_c09_global_purity_of_full_state(sweep_records, oracle_run):
 def test_c10_cli_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "omega_c = 1.0\ng0 = 1.0\nsqueezing = constant\nd2 = 0.3\n"
+        "g0 = 1.0\nsqueezing = constant\nd2 = 0.3\n"
         "mu_c = 1,0\nmu_m = 0,0\ntau_max = 6.283185307179586\npoints = 25\n"
     )
     pairs = []

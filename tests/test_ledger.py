@@ -27,4 +27,5 @@ def test_numpy_is_the_ledgers():
 def test_output_matches_the_ledger(name):
     want = RECORD["invocations"][name]
     problems = compare(name, want, run(want["argv"]))
-    assert not problems, "\n".join(problems)
+    if problems:
+        pytest.fail("\n".join(problems))
