@@ -35,7 +35,6 @@ from .errors import (
 )
 from .moments import (
     CovarianceExcess,
-    CovarianceMatrix,
     InitialState,
     MomentSet,
     covariance,
@@ -68,7 +67,6 @@ __all__ = [
     "ConvergenceError",
     "Coupling",
     "CovarianceExcess",
-    "CovarianceMatrix",
     "CutoffInsufficientError",
     "DecouplingCoefficients",
     "DecouplingTables",

@@ -25,7 +25,7 @@ from .squeezing import QuadraticSolution, stumpff
 class DecouplingCoefficients(NamedTuple):
     """Coefficients of the six decoupling generators at one time, or arrays
     of them over a grid of times (a field that vanishes at every time may
-    stay the scalar 0).
+    stay the scalar 0); the times themselves are the caller's.
 
     ``num`` and ``num_sq`` multiply N and N^2; ``pos``/``mom`` multiply the
     bare position/momentum generators, and ``num_pos``/``num_mom`` their
@@ -38,12 +38,6 @@ class DecouplingCoefficients(NamedTuple):
     mom: float
     num_pos: float
     num_mom: float
-    tau: float
-
-    @property
-    def displacement(self) -> complex:
-        """Mechanical displacement amplitude driven by the linear term."""
-        return self.mom + 1j * self.pos
 
     @property
     def number_displacement(self) -> complex:
@@ -68,7 +62,7 @@ def _hermite_rule(h, ya, yb, dya, dyb):
     return 0.5 * h * (ya + yb) + h * h / 12.0 * (dya - dyb)
 
 
-def _scaled(g, d1: float, u_pos, u_mom, u_sq, tau) -> DecouplingCoefficients:
+def _scaled(g, d1: float, u_pos, u_mom, u_sq) -> DecouplingCoefficients:
     """The six coefficients from the three unit functions (g = 1, no drive):
     num_pos = g*u_pos, num_mom = g*u_mom, num_sq = g^2*u_sq, pos = -d1*u_pos,
     mom = -d1*u_mom and num = -2*g*d1*u_sq.  Without a drive num, pos and mom
@@ -78,8 +72,7 @@ def _scaled(g, d1: float, u_pos, u_mom, u_sq, tau) -> DecouplingCoefficients:
     if d1 != 0.0:
         num, pos, mom = -2.0 * g * d1 * u_sq, -d1 * u_pos, -d1 * u_mom
     return DecouplingCoefficients(
-        num=num, num_sq=g**2 * u_sq, pos=pos, mom=mom, num_pos=g * u_pos, num_mom=g * u_mom,
-        tau=tau,
+        num=num, num_sq=g**2 * u_sq, pos=pos, mom=mom, num_pos=g * u_pos, num_mom=g * u_mom
     )
 
 
@@ -118,7 +111,7 @@ class DecouplingTables:
         int_sc = self._int_sc[j] + _hermite_rule(
             rest, sj * int_cj, s * int_c, dsj * int_cj + sj * cj, ds * int_c + s * c
         )
-        return _scaled(*self._coupling, -int_c, -int_s, -2.0 * int_sc, tau)
+        return _scaled(*self._coupling, -int_c, -int_s, -2.0 * int_sc)
 
 
 def constant_coefficients(g0, d2: float, tau, *, d1: float = 0.0) -> DecouplingCoefficients:
@@ -131,4 +124,4 @@ def constant_coefficients(g0, d2: float, tau, *, d1: float = 0.0) -> DecouplingC
     """
     c0, c1, c2, c3 = stumpff(d2, tau)
     t = np.asarray(tau, dtype=float)
-    return _scaled(g0, d1, -t * c1, -t**2 * c2, -t**3 * (c2 + c0 * c3), t)
+    return _scaled(g0, d1, -t * c1, -t**2 * c2, -t**3 * (c2 + c0 * c3))

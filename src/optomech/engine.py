@@ -33,7 +33,6 @@ from .decoupling import (
 )
 from .errors import NonFiniteError
 from .moments import (
-    CovarianceMatrix,
     InitialState,
     MomentSet,
     covariance,
@@ -47,15 +46,15 @@ from .squeezing import constant_bogoliubov, solve_quadratic
 
 class StateRecord(NamedTuple):
     """Everything the pipeline knows about the state, at one time or as
-    arrays over a grid of times (``covariance.sigma`` then has shape
-    (n, 4, 4))."""
+    arrays over a grid of times (``covariance`` then has shape (n, 4, 4)).
+    ``tau`` is the one copy of the times."""
 
     tau: float
     coeffs: DecouplingCoefficients
     alpha: complex
     beta: complex
     moments: MomentSet
-    covariance: CovarianceMatrix
+    covariance: np.ndarray
     report: NonGaussianityReport
 
 

@@ -11,27 +11,27 @@ takes one over the whole span; a time-dependent one takes ``_step_count``
 fourth-order commutator-free Magnus steps (CF4) at ``default_dt``, two
 exponentials per uniform step of the Hamiltonian mixed from its values at the
 two Gauss-Legendre nodes, and is refused past _STEP_CAP steps before any
-exponential.  The same moments as the analytic pipeline are then measured.
+exponential.  The same eight moments as the analytic pipeline are then
+measured, into the same ``MomentSet`` record.
 The oracle sets its own accuracy: a half-step re-run checks the step, and
 ``evolve`` owns the basis: n_m doubles until its tail stays empty along every
 run it keeps, the half-step re-run included, from a start that
 ``product_coherent`` sizes from the initial state alone.  Each basis tail is
 checked where it can fill: the optical one once, at the start, and the
 mechanical one after every Taylor substep.
-Nothing here reads the analytic chain, so the oracle stays an independent
-referee.  Only the small-parameter envelope is certified; large couplings
-blow past any affordable cutoff.  Uses numpy alone, and no LAPACK routine.
+Nothing here reads the analytic chain (``moments`` lends only its input
+and output records), so the oracle stays an independent referee.  Only the
+small-parameter envelope is certified; large couplings blow past any
+affordable cutoff.  Uses numpy alone, and no LAPACK routine.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, CutoffInsufficientError, DomainError
-from .moments import InitialState
+from .moments import InitialState, MomentSet
 from .profiles import SystemParams
 
 _NORM_TOL = 1e-8
@@ -239,7 +239,7 @@ def evolve(psi0: np.ndarray, system: SystemParams, tau_final: float) -> np.ndarr
     its n_m and the run repeats, so the returned n_m may exceed ``psi0``'s;
     a run past _DIM_CAP basis states is refused.  A stepped run that keeps
     its tail empty is repeated at half the step, and an overflow there
-    doubles n_m as well; the eight ``MeasuredMoments`` of the two must agree
+    doubles n_m as well; the eight moments (``MomentSet``) of the two must agree
     to 1e-4 relative, and the finer state is returned.  Norm drift raises a
     flagged-run error with diagnostics.
     """
@@ -267,7 +267,7 @@ def evolve(psi0: np.ndarray, system: SystemParams, tau_final: float) -> np.ndarr
         psi = np.pad(psi, ((0, 0), (0, n_m)))
     if len(runs) == 2:
         coarse, refined = (measure_moments(run, 0.0, tau_final) for run in runs)
-        for name, x, y in zip(MeasuredMoments._fields, coarse, refined):
+        for name, x, y in zip(MomentSet._fields, coarse, refined):
             drift = abs(x - y) / max(abs(y), 1e-6)
             if drift > _HALVING_TOL:
                 raise ConvergenceError(
@@ -286,24 +286,12 @@ def evolve(psi0: np.ndarray, system: SystemParams, tau_final: float) -> np.ndarr
     return psi
 
 
-class MeasuredMoments(NamedTuple):
-    """The eight moments measured from a Fock-space state (rotating frame)."""
-
-    a: complex
-    b: complex
-    a2: complex
-    b2: complex
-    na: float
-    nb: float
-    ab: complex
-    ab_dag: complex
-
-
-def measure_moments(psi: np.ndarray, omega_c: float, tau: float) -> MeasuredMoments:
-    """Measure all eight moments of the amplitudes psi[n_photons, n_phonons],
-    removing the cavity rotation accumulated by a lab-frame evolution (pass
-    omega_c = 0 for states built in the rotating frame).  Each ladder
-    operator acts on the array as a shift of one index, weighted by sqrt(n)."""
+def measure_moments(psi: np.ndarray, omega_c: float, tau: float) -> MomentSet:
+    """Measure the eight moments of the amplitudes psi[n_photons, n_phonons]
+    as scalars in the rotating frame, removing the cavity rotation
+    accumulated by a lab-frame evolution (pass omega_c = 0 for states built
+    in the rotating frame).  Each ladder operator acts on the array as a
+    shift of one index, weighted by sqrt(n)."""
     n_c, n_m = psi.shape
     root_c, root2_c = _ladder_roots(n_c)
     root_m, root2_m = _ladder_roots(n_m)
@@ -319,4 +307,4 @@ def measure_moments(psi: np.ndarray, omega_c: float, tau: float) -> MeasuredMome
     nb = float(p.sum(axis=0) @ np.arange(n_m))
     ab = complex(np.vdot(psi[:-1, :-1], root_c * root_m * psi[1:, 1:])) * phase
     ab_dag = complex(np.vdot(psi[:-1, 1:], root_c * root_m * psi[1:, :-1])) * phase
-    return MeasuredMoments(a=a, b=b, a2=a2, b2=b2, na=na, nb=nb, ab=ab, ab_dag=ab_dag)
+    return MomentSet(a=a, b=b, a2=a2, b2=b2, na=na, nb=nb, ab=ab, ab_dag=ab_dag)

@@ -1,7 +1,9 @@
 """First and second moments of the evolved two-mode state.
 
 All optical moments are reported in the frame co-rotating with the cavity;
-<a> e^{-i omega_c tau} is the lab-frame amplitude.
+<a> e^{-i omega_c tau} is the lab-frame amplitude.  ``MomentSet`` is the one
+record of the eight moments: the analytic chain returns it, and so does the
+truncated-Fock oracle, which measures the same eight.
 The covariance matrix uses the complex basis (a, b, a^dag, b^dag) with the
 vacuum normalized to the identity.  Every function works elementwise: given
 coefficients and a Bogoliubov pair that are arrays over tau, it returns
@@ -29,20 +31,20 @@ class InitialState(NamedTuple):
 
 
 class MomentSet(NamedTuple):
-    """The eight first and second moments at one time (or arrays of them
-    over tau) and the time.  The photon number ``na`` is conserved, so it
-    stays a scalar.  ``displacement_amplitudes`` and ``kick_overlap`` give
-    the auxiliaries that enter them."""
+    """The eight first and second moments at one time, or arrays of them
+    over tau, in the row order of ``oracle-check``.  The photon number
+    ``na`` is conserved, so the analytic chain keeps it a scalar.
+    ``displacement_amplitudes`` and ``kick_overlap`` give the auxiliaries
+    that enter them."""
 
     a: complex
     b: complex
     a2: complex
     b2: complex
-    ab: complex
-    ab_dag: complex
     na: float
     nb: float
-    tau: float
+    ab: complex
+    ab_dag: complex
 
 
 def displacement_amplitudes(alpha, beta, coeffs: DecouplingCoefficients):
@@ -120,12 +122,12 @@ def moments(coeffs: DecouplingCoefficients, alpha, beta, init: InitialState) -> 
     ab = a * (b + dephase * photon_shift - beta * k_n)
     ab_dag = a * (np.conj(b) + dephase * np.conj(photon_shift) - np.conj(alpha) * k_n)
 
-    return MomentSet(a=a, b=b, a2=a2, b2=b2, ab=ab, ab_dag=ab_dag, na=nc, nb=nb, tau=coeffs.tau)
+    return MomentSet(a=a, b=b, a2=a2, b2=b2, na=nc, nb=nb, ab=ab, ab_dag=ab_dag)
 
 
 class CovarianceExcess(NamedTuple):
     """The six independent entries of sigma - I, in the basis and layout of
-    :class:`CovarianceMatrix`: the real diagonal excesses ``e11`` and ``e22``
+    :func:`covariance`: the real diagonal excesses ``e11`` and ``e22``
     (sigma_11 - 1, sigma_22 - 1) and the complex entries ``s12``, ``s13``,
     ``s14``, ``s24``; every other entry follows from Hermitian symmetry and
     the (a, a^dag) pairing.  Fields are arrays over tau or scalars."""
@@ -169,17 +171,10 @@ def squeezing_frame_excess(coeffs: DecouplingCoefficients, m: MomentSet) -> Cova
     )
 
 
-class CovarianceMatrix(NamedTuple):
-    """4x4 Hermitian second-moment matrix in the basis (a, b, a^dag, b^dag),
-    plus the first-moment vector; the vacuum gives the identity.  Over a
-    grid of times ``sigma`` has shape (n, 4, 4) and ``d`` shape (n, 4)."""
-
-    sigma: np.ndarray
-    d: np.ndarray
-
-
-def covariance(m: MomentSet) -> CovarianceMatrix:
-    """Covariance matrix from a moment set.
+def covariance(m: MomentSet) -> np.ndarray:
+    """The 4x4 Hermitian covariance matrix sigma of a moment set, in the
+    basis (a, b, a^dag, b^dag); the vacuum gives the identity.  Over a grid
+    of times it has shape (n, 4, 4).
 
     Entries follow sigma_nm = <{X_n, X_m^dag}> - 2 <X_n><X_m^dag>; the
     remaining elements are filled by Hermitian symmetry.
@@ -201,8 +196,5 @@ def covariance(m: MomentSet) -> CovarianceMatrix:
         ],
         dtype=complex,
     )
-    d = np.array([a, b, np.conj(a), np.conj(b)], dtype=complex)
     # entries carry the time axis last; move it to the front
-    sigma = np.moveaxis(sigma, (0, 1), (-2, -1))
-    d = np.moveaxis(d, 0, -1)
-    return CovarianceMatrix(sigma=sigma, d=d)
+    return np.moveaxis(sigma, (0, 1), (-2, -1))

@@ -29,7 +29,7 @@ class OffsetCosineSqueezing(NamedTuple):
 
 def zero_coefficients() -> DecouplingCoefficients:
     """All six coefficients at tau = 0: the identity evolution."""
-    return DecouplingCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return DecouplingCoefficients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def constant_solution(d2: float, tau):
@@ -125,7 +125,7 @@ class SixTables:
         if self._d1 != 0.0:  # the drive's three are identically zero without a drive
             vals.update(num=cum2["num"], pos=cum1["d_re"], mom=-cum1["d_im"])
         return DecouplingCoefficients(num_sq=cum2["num_sq"], num_pos=-cum1["g_re"],
-                                      num_mom=cum1["g_im"], tau=tau, **vals)
+                                      num_mom=cum1["g_im"], **vals)
 
 
 def ode_unit_functions(profile, taus):
@@ -188,7 +188,6 @@ def resonant_coefficients(g0: float, d2: float, tau: float) -> DecouplingCoeffic
         mom=0.0,
         num_pos=float(num_pos),
         num_mom=float(num_mom),
-        tau=t,
     )
 
 
@@ -234,18 +233,18 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (nus[..., 0::2] + nus[..., 1::2])
 
 
-def optical_block(cm) -> np.ndarray:
-    """The (a, a^dag) block of a :class:`CovarianceMatrix`."""
-    return cm.sigma[..., ::2, ::2]
+def optical_block(sigma) -> np.ndarray:
+    """The (a, a^dag) block of a covariance matrix from ``covariance``."""
+    return sigma[..., ::2, ::2]
 
 
-def mechanical_block(cm) -> np.ndarray:
-    """The (b, b^dag) block of a :class:`CovarianceMatrix`."""
-    return cm.sigma[..., 1::2, 1::2]
+def mechanical_block(sigma) -> np.ndarray:
+    """The (b, b^dag) block of a covariance matrix from ``covariance``."""
+    return sigma[..., 1::2, 1::2]
 
 
-def hermiticity_defect(cm) -> float:
-    return float(np.max(np.abs(cm.sigma - np.conj(np.swapaxes(cm.sigma, -1, -2)))))
+def hermiticity_defect(sigma) -> float:
+    return float(np.max(np.abs(sigma - np.conj(np.swapaxes(sigma, -1, -2)))))
 
 
 def squeezing_frame_report(coeffs: DecouplingCoefficients, mu_c: complex):
@@ -340,16 +339,18 @@ def analytic_ket(
     n_m: int,
     *,
     omega_c: float = 0.0,
+    tau: float = 0.0,
 ) -> np.ndarray:
     """Closed-form evolved ket psi[n, m] built from the decoupling coefficients.
 
     Photon-number branches carry the decoupling phases and a mechanical
     squeezed coherent state displaced once per photon; pass the cavity
-    frequency to obtain the lab-frame ket (fidelity against a lab-frame
-    evolution), or leave it zero for rotating-frame moments.
+    frequency and the time ``tau`` of the coefficients to obtain the
+    lab-frame ket (fidelity against a lab-frame evolution), or leave
+    omega_c zero for rotating-frame moments.
     """
-    tau = coeffs.tau
-    k_conj = np.conj(coeffs.displacement)
+    displacement = coeffs.mom + 1j * coeffs.pos  # driven by the linear term
+    k_conj = np.conj(displacement)
     k_n_conj = np.conj(coeffs.number_displacement)
     mu_m = complex(init.mu_m)
 
@@ -365,7 +366,7 @@ def analytic_ket(
     )
     phase_lin = np.exp(-1j * linear * n)
     global_phase = np.exp(
-        -1j * (coeffs.pos * coeffs.mom + np.imag(coeffs.displacement * mu_m))
+        -1j * (coeffs.pos * coeffs.mom + np.imag(displacement * mu_m))
     )
 
     gauss = squeeze_rotation_matrix(alpha, beta, n_m)

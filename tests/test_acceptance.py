@@ -79,7 +79,8 @@ def oracle_run():
     rec = evaluate_point(system, init, tau)
     final = fock.evolve(fock.product_coherent(init, 16, 48), system, tau)
     measured = fock.measure_moments(final, system.omega_c, tau)
-    ket = analytic_ket(rec.coeffs, rec.alpha, rec.beta, init, 16, 48, omega_c=system.omega_c)
+    ket = analytic_ket(rec.coeffs, rec.alpha, rec.beta, init, 16, 48,
+                       omega_c=system.omega_c, tau=rec.tau)
     return rec, final, measured, ket, time.perf_counter() - start
 
 
@@ -299,7 +300,7 @@ def test_c09_global_purity_of_full_state(sweep_records, oracle_run):
     rec, final, measured, _, _ = oracle_run
     purity_defect = abs(float(np.sum(np.abs(final) ** 2)) - 1.0)
     nu_engine = np.array(rec.report.nu_full)
-    nu_oracle = symplectic_eigenvalues(covariance(measured).sigma)
+    nu_oracle = symplectic_eigenvalues(covariance(measured))
     oracle_rel = float(np.max(np.abs(nu_oracle - nu_engine) / nu_engine))
 
     ok = (worst_gauss <= 1e-6 and lowest_nu >= 1.0 - 1e-6 and worst_entropy <= 1e-12

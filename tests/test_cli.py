@@ -391,6 +391,28 @@ class TestMathieu:
         rc = main(["mathieu", "--squeezing", "constant", "--out", str(tmp_path / "m.csv")])
         assert rc == 2
 
+    def test_zero_modulation_frequency_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        rc = main(["mathieu", "--squeezing", "modulated", "--omega0", "0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: omega0: ")
+        assert not out.exists()
+        # to evolve, omega0 0 is squeezing held at d2, and stays valid
+        assert main(["evolve", "--squeezing", "modulated", "--omega0", "0", "--d2", "0.1",
+                     "--points", "3", "--out", str(out)]) == 0
+
+    def test_non_finite_solution_exits_3_with_its_tau(self, tmp_path, capsys):
+        # at this resonance the solutions leave the float range before tau = 2400
+        out = tmp_path / "m.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["mathieu", "--squeezing", "modulated", "--d2", "0.3", "--omega0", "2",
+                       "--tau_max", "2400", "--points", "201", "--out", str(out)])
+        assert rc == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == "error: non-finite solution, first at tau = 2376\n"
+        assert not out.exists()
+
 
 # constant d2 = -1 fills the mechanical tail of the default 15 x 57 basis
 INVERTED_POINT = ["--squeezing", "constant", "--d2", "-1", "--g0", "0.3", "--tau", "1"]
@@ -666,7 +688,8 @@ def test_public_api_exports_only_what_runs():
     assert all(namespace[name] is getattr(optomech, name) for name in optomech.__all__)
     gone = {name for name, obj in vars(reference).items()
             if getattr(obj, "__module__", "") == "reference"}
-    deleted = {"araki_lieb_bounds", "subsystem_eigenvalues", "TabulatedSignal"}
+    deleted = {"araki_lieb_bounds", "subsystem_eigenvalues", "TabulatedSignal",
+               "CovarianceMatrix"}
     assert not (gone | deleted) & set(namespace)
 
 
@@ -691,6 +714,14 @@ def _run_python(code: str, env: dict[str, str] | None = None) -> subprocess.Comp
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env or _src_env()
     )
+
+
+def test_readme_quick_start_runs():
+    # the README's first python block, as a reader would paste it
+    code = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()
 
 
 _SCIPY_LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

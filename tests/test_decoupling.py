@@ -307,7 +307,6 @@ class TestResonantClosedForm:
 class TestDerivedQuantities:
     def test_displacement_composition(self):
         got = constant_coefficients(1.0, 0.5, 1.3)
-        assert got.displacement == got.mom + 1j * got.pos
         assert got.number_displacement == got.num_mom + 1j * got.num_pos
 
     def test_phases(self):

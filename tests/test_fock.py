@@ -150,7 +150,7 @@ class TestBuildHamiltonian:
 
 def test_fock_imports_nothing_from_the_analytic_chain():
     """The oracle referees the decoupled solution, so it reads none of the
-    modules that compute it; it shares only the input records."""
+    modules that compute it; it shares only the records of ``moments``."""
     tree = ast.parse(Path(fock.__file__).read_text())
     names = set()
     for node in ast.walk(tree):

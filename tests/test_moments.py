@@ -143,22 +143,21 @@ class TestMoments:
 class TestCovariance:
     def test_initial_state_is_vacuum_noise(self):
         init = InitialState(0.7 + 0.2j, -0.4 + 1.1j)
-        cm = covariance(moments(zero_coefficients(), 1.0, 0.0, init))
-        assert np.allclose(cm.sigma, np.eye(4), atol=1e-12)
-        assert cm.d[0] == pytest.approx(init.mu_c)
-        assert cm.d[3] == pytest.approx(np.conj(init.mu_m))
+        m = moments(zero_coefficients(), 1.0, 0.0, init)
+        assert np.allclose(covariance(m), np.eye(4), atol=1e-12)
+        assert m.a == pytest.approx(init.mu_c)
+        assert m.b == pytest.approx(init.mu_m)
 
     def test_mechanical_variance_without_kicks(self):
         # beta = 0 and no per-photon displacement leave the mechanics at
         # vacuum noise
         init = InitialState(1.0, 0.5)
         m = moments(constant_coefficients(0.0, 0.0, 1.3), *constant_bogoliubov(0.0, 1.3), init)
-        cm = covariance(m)
-        assert cm.sigma[1, 1] == pytest.approx(1.0)
+        assert covariance(m)[1, 1] == pytest.approx(1.0)
 
     def test_benchmark_mechanical_variance(self, benchmark_system, coherent_init):
         rec = evaluate_point(benchmark_system, coherent_init, np.pi)
-        assert rec.covariance.sigma[1, 1] == pytest.approx(9.0)
+        assert rec.covariance[1, 1] == pytest.approx(9.0)
 
     def test_benchmark_against_fock_construction(self, benchmark_system, coherent_init):
         # measure the closed-form ket in Fock space and rebuild sigma from it
@@ -188,7 +187,7 @@ class TestCovariance:
         generic[3, 0] = generic[2, 1] = np.conj(generic[0, 3])
         generic[2, 3] = np.conj(generic[0, 1])
         generic[3, 2] = generic[0, 1]
-        assert np.max(np.abs(rec.covariance.sigma - generic)) < 1e-10
+        assert np.max(np.abs(rec.covariance - generic)) < 1e-10
 
     def test_entries_match_coefficient_level_forms(self):
         # rebuild the distinct covariance entries straight from the
@@ -197,7 +196,7 @@ class TestCovariance:
         system = SystemParams(1.0, Coupling(g=1.0), ConstantSqueezing(0.5))
         for tau in (0.9, np.pi, 4.4):
             rec = evaluate_point(system, init, tau)
-            sigma = rec.covariance.sigma
+            sigma = rec.covariance
             nc = abs(init.mu_c) ** 2
             k_n = rec.coeffs.number_displacement
             theta = rec.coeffs.kerr_phase
@@ -242,7 +241,7 @@ class TestCovariance:
         # with Re z above and below 1
         rec = evaluate_trajectory(system, init, np.linspace(0.0, 6 * np.pi, 241))
         excess = squeezing_frame_excess(rec.coeffs, rec.moments)
-        want = covariance(moments(rec.coeffs, 1.0, 0.0, init)).sigma - np.eye(4)
+        want = covariance(moments(rec.coeffs, 1.0, 0.0, init)) - np.eye(4)
         scale = np.maximum(1.0, np.max(np.abs(want), axis=(-2, -1)))
         for name, (i, j) in (("e11", (0, 0)), ("e22", (1, 1)), ("s12", (0, 1)),
                              ("s13", (0, 2)), ("s14", (0, 3)), ("s24", (1, 3))):
@@ -256,7 +255,7 @@ class TestCovariance:
                 system = SystemParams(1.0, Coupling(g=g0), ConstantSqueezing(d2))
                 for rec in (evaluate_point(system, init, t) for t in (0.9, np.pi)):
                     assert hermiticity_defect(rec.covariance) < 1e-10
-                    assert np.all(symplectic_eigenvalues(rec.covariance.sigma) >= 1 - 1e-6)
+                    assert np.all(symplectic_eigenvalues(rec.covariance) >= 1 - 1e-6)
 
 
 class TestQuadratureTrajectory:

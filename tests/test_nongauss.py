@@ -214,7 +214,7 @@ class TestNonGaussianity:
         # covariance differs by a local Bogoliubov map and must agree
         system = SystemParams(1.0, Coupling(g=1.0), ModulatedSqueezing(0.1, 2.0))
         rec = evaluate_point(system, coherent_init, 4 * np.pi)
-        sigma = rec.covariance.sigma
+        sigma = rec.covariance
         lab = non_gaussianity(
             CovarianceExcess(
                 e11=sigma[0, 0].real - 1.0,
@@ -261,7 +261,7 @@ class TestNonGaussianity:
 
 
 def _frame_spectrum(rec, init):
-    sigma = covariance(moments(rec.coeffs, 1.0, 0.0, init)).sigma
+    sigma = covariance(moments(rec.coeffs, 1.0, 0.0, init))
     return symplectic_eigenvalues(sigma)
 
 
