@@ -12,18 +12,17 @@ Four modes, all emitting RFC-4180-style CSV with a mandatory header row and
 * ``mathieu``      numeric vs two-scale solutions of the modulated sector.
 
 Configuration is a flat ``key = value`` text file with optional bracketed
-section headers and ``#`` comments; every key is also a ``--key value`` flag
-that overrides the file.  The keys are the ``RunConfig`` fields other than
-``mode`` and ``out``.  The solver grid, the oracle's basis and its step are
-set by the program, not by keys.  Every output is in the frame co-rotating
-with the cavity, where the cavity frequency drops out, so no key sets it.
-Exit codes: 0 success, 2 config error, 3 numerical-regime error, 4 oracle
-mismatch.
+section headers and ``#`` comments; ``--key value`` and ``--key=value`` flags
+after the mode are read as its lines are, and override it.  The keys are the
+``RunConfig`` fields other than ``mode`` and ``out``.  The solver grid, the
+oracle's basis and its step are set by the program, not by keys.  Every
+output is in the frame co-rotating with the cavity, where the cavity
+frequency drops out, so no key sets it.  Exit codes: 0 success, 2 config
+error, 3 numerical-regime error, 4 oracle mismatch.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from typing import NamedTuple
@@ -90,14 +89,10 @@ class RunConfig(NamedTuple):
     out: str = ""
 
     def system(self) -> SystemParams:
-        if self.squeezing == "constant":
-            profile = ConstantSqueezing(self.d2)
-        elif self.squeezing == "modulated":
+        if self.squeezing == "modulated":
             profile = ModulatedSqueezing(self.d2, self.omega0)
         else:
-            raise ConfigError(
-                f"squeezing: unknown profile {self.squeezing!r} (constant|modulated)"
-            )
+            profile = ConstantSqueezing(self.d2)
         return SystemParams(coupling=Coupling(g=self.g0, drive=self.d1), squeezing=profile)
 
     def initial_state(self) -> InitialState:
@@ -188,10 +183,8 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def build_config(mode: str, file_values: dict[str, str], overrides: dict[str, str],
                  out: str) -> RunConfig:
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
     cfg = RunConfig(mode=mode, out=out)
-    for key, raw in merged.items():
+    for key, raw in {**file_values, **overrides}.items():
         if key not in _PARSERS:
             raise ConfigError(f"{key}: unknown configuration key")
         cfg = cfg._replace(**{key: _PARSERS[key](key, raw)})
@@ -200,6 +193,8 @@ def build_config(mode: str, file_values: dict[str, str], overrides: dict[str, st
 
 
 def _validate(cfg: RunConfig) -> None:
+    if not cfg.out:
+        raise ConfigError("out: an output file is required (--out FILE)")
     if cfg.tau_max <= 0:
         raise ConfigError(f"tau_max: must be positive, got {cfg.tau_max:g}")
     if not 2 <= cfg.points <= _MAX_OUTPUTS:
@@ -208,15 +203,19 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"tau: must be non-negative, got {cfg.tau:g}")
     if cfg.tol <= 0:
         raise ConfigError(f"tol: must be positive, got {cfg.tol:g}")
-    if cfg.mode == "mathieu" and cfg.omega0 == 0:
-        raise ConfigError("omega0: mathieu mode needs a nonzero modulation frequency")
+    if cfg.squeezing not in ("constant", "modulated"):
+        raise ConfigError(f"squeezing: unknown profile {cfg.squeezing!r} (constant|modulated)")
+    if cfg.mode == "mathieu" and cfg.omega0 * cfg.omega0 in (0.0, math.inf):
+        raise ConfigError(
+            f"omega0: mathieu mode needs a modulation frequency with a nonzero, finite "
+            f"square, got {cfg.omega0:g}"
+        )
     if cfg.axis2 is not None and cfg.axis1 is None:
         raise ConfigError("axis2: set axis1 before axis2")
     cells = math.prod(ax.count for ax in (cfg.axis1, cfg.axis2) if ax is not None)
     if cells > _MAX_OUTPUTS:
         key = "axis1" if cfg.axis2 is None else "axis1 x axis2"
         raise ConfigError(f"{key}: {cells} sweep cells, past the limit of {_MAX_OUTPUTS}")
-    cfg.system()  # surfaces an invalid squeezing kind as a config error
 
 
 def _fmt(x: float) -> str:
@@ -260,47 +259,30 @@ def run_evolve(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def _sweep_grid(cfg: RunConfig) -> tuple[list[str], list[tuple[float, ...]]]:
+def run_sweep(cfg: RunConfig) -> int:
     if cfg.axis1 is None:
         raise ConfigError("axis1: sweep mode needs at least one axis")
-    axes = [cfg.axis1] + ([cfg.axis2] if cfg.axis2 is not None else [])
+    axes = [ax for ax in (cfg.axis1, cfg.axis2) if ax is not None]
     names = [ax.name for ax in axes]
     if len(set(names)) != len(names):
         raise ConfigError("axis2: sweep axes must differ")
-    if len(axes) == 1:
-        combos = [(v,) for v in axes[0].values()]
-    else:
-        combos = [(v1, v2) for v1 in axes[0].values() for v2 in axes[1].values()]
-    return names, combos
-
-
-def run_sweep(cfg: RunConfig) -> int:
-    names, combos = _sweep_grid(cfg)
-    init = cfg.initial_state()
+    # one column per swept key over the cells, in row-major axis order
+    grid = [v.ravel() for v in np.meshgrid(*(ax.values() for ax in axes), indexing="ij")]
+    cells = dict(zip(names, grid))
+    g0, d2, tau = (cells.get(k, np.full(grid[0].size, getattr(cfg, k))) for k in _SWEEP_AXES)
 
     # cells sharing d2 share one solve, which g0 only scales: one pass each
-    cells = [dict(zip(names, combo)) for combo in combos]
-    groups: dict[float, list[int]] = {}
-    for i, cell in enumerate(cells):
-        groups.setdefault(cell.get("d2", cfg.d2), []).append(i)
-
-    measures = np.empty((len(combos), 3))
-    for d2, rows in groups.items():
-        g0 = np.array([cells[i].get("g0", cfg.g0) for i in rows])
+    measures = np.empty((grid[0].size, 3))
+    for value in dict.fromkeys(d2.tolist()):
+        mask = d2 == value
         rec = evaluate_trajectory(
-            cfg._replace(g0=g0, d2=d2).system(),
-            init,
-            [cells[i].get("tau", cfg.tau) for i in rows],
+            cfg._replace(g0=g0[mask], d2=value).system(), cfg.initial_state(), tau[mask]
         )
-        measures[rows] = np.column_stack(
-            [rec.report.delta, rec.report.delta_min, rec.report.delta_max]
-        )
+        measures[mask] = np.column_stack([rec.report.delta, rec.report.delta_min,
+                                          rec.report.delta_max])
 
-    _write_csv(
-        cfg.out,
-        names + ["delta", "delta_min", "delta_max"],
-        np.column_stack([np.array(combos), measures]),
-    )
+    _write_csv(cfg.out, names + ["delta", "delta_min", "delta_max"],
+               np.column_stack([*grid, measures]))
     return _EXIT_OK
 
 
@@ -388,29 +370,29 @@ _RUNNERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="optomech",
-        description="Nonlinear optomechanical evolution with mechanical squeezing",
-    )
-    parser.add_argument("mode", choices=tuple(_RUNNERS))
-    parser.add_argument("--config", default=None, help="key = value configuration file")
-    parser.add_argument("--out", required=True, help="output CSV path")
-    for key in _PARSERS:
-        parser.add_argument(f"--{key}", default=None, metavar="VALUE")
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
-    args, unknown = _build_parser().parse_known_args(argv)
+    mode, *rest = (sys.argv[1:] if argv is None else argv) or [""]
+    if {"-h", "--help"} & {mode, *rest}:
+        print(f"usage: optomech {'|'.join(_RUNNERS)} [--config FILE] [--KEY VALUE | "
+              f"--KEY=VALUE ...] --out FILE; keys: {', '.join(_PARSERS)}")
+        return _EXIT_OK
     try:
-        if unknown:
-            key = unknown[0].lstrip("-").split("=")[0]
-            raise ConfigError(f"{key}: unknown configuration key")
-        file_values = parse_config_file(args.config) if args.config else {}
-        overrides = {key: getattr(args, key.replace("-", "_")) for key in _PARSERS}
-        cfg = build_config(args.mode, file_values, overrides, args.out)
-        return _RUNNERS[args.mode](cfg)
+        if mode not in _RUNNERS:
+            raise ConfigError(f"mode: expected one of {'|'.join(_RUNNERS)}, got {mode!r}")
+        # each flag is read as a config-file line: its lowercased key takes the
+        # text after "=", or else the next argument unless that starts with "--"
+        flags: dict[str, str] = {}
+        while rest:
+            arg = rest.pop(0)
+            if not arg.startswith("--"):
+                raise ConfigError(f"expected --key value or --key=value, got {arg!r}")
+            key, eq, value = arg[2:].partition("=")
+            if not eq and rest and not rest[0].startswith("--"):
+                value = rest.pop(0)
+            flags[key.lower()] = value
+        config, out = flags.pop("config", None), flags.pop("out", "")
+        file_values = parse_config_file(config) if config is not None else {}
+        return _RUNNERS[mode](build_config(mode, file_values, flags, out))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -72,7 +72,7 @@ def _scaled(g, d1: float, u_pos, u_mom, u_sq) -> DecouplingCoefficients:
     if d1 != 0.0:
         num, pos, mom = -2.0 * g * d1 * u_sq, -d1 * u_pos, -d1 * u_mom
     return DecouplingCoefficients(
-        num=num, num_sq=g**2 * u_sq, pos=pos, mom=mom, num_pos=g * u_pos, num_mom=g * u_mom
+        num=num, num_sq=np.square(g) * u_sq, pos=pos, mom=mom, num_pos=g * u_pos, num_mom=g * u_mom
     )
 
 

@@ -235,13 +235,14 @@ def evolve(psi0: np.ndarray, system: SystemParams, tau_final: float) -> np.ndarr
     tails.  n_c never changes, and neither does the optical tail, as the
     photon number is conserved; at the first Taylor substep where the top
     tenth of the mechanical levels (at least two) holds more than 1e-8 of
-    the norm, the run stops, ``psi0`` is padded with empty levels to twice
+    the norm, the run stops, its start is padded with empty levels to twice
     its n_m and the run repeats, so the returned n_m may exceed ``psi0``'s;
     a run past _DIM_CAP basis states is refused.  A stepped run that keeps
-    its tail empty is repeated at half the step, and an overflow there
-    doubles n_m as well; the eight moments (``MomentSet``) of the two must agree
-    to 1e-4 relative, and the finer state is returned.  Norm drift raises a
-    flagged-run error with diagnostics.
+    its tail empty is repeated at half the step, from the basis it settled,
+    and an overflow there doubles n_m for that run alone; the eight moments
+    (``MomentSet``) of the two must agree to 1e-4 relative, and the finer
+    state is returned.  Norm drift raises a flagged-run error with
+    diagnostics.
     """
     if tau_final < 0.0:
         raise DomainError("tau_final must be non-negative")
@@ -252,19 +253,15 @@ def evolve(psi0: np.ndarray, system: SystemParams, tau_final: float) -> np.ndarr
     n_steps = _step_count(system, tau_final, psi.shape[0])
     if n_steps > _STEP_CAP:
         raise ConvergenceError(f"{n_steps} time steps exceed the limit of {_STEP_CAP}")
-    schedules = (n_steps, 2 * n_steps) if n_steps else (0,)
-    while True:
-        n_c, n_m = psi.shape
-        _require_within_cap(n_c, n_m)
-        runs = []
-        for steps in schedules:
+    runs = []
+    for steps in (n_steps, 2 * n_steps) if n_steps else (0,):
+        while True:
+            _require_within_cap(*psi.shape)
             run, tail = _run_steps(psi, system, tau_final, steps)
-            if tail > _TAIL_TOL:
+            if tail <= _TAIL_TOL:
                 break
-            runs.append(run)
-        else:
-            break
-        psi = np.pad(psi, ((0, 0), (0, n_m)))
+            psi = np.pad(psi, ((0, 0), (0, psi.shape[1])))
+        runs.append(run)
     if len(runs) == 2:
         coarse, refined = (measure_moments(run, 0.0, tau_final) for run in runs)
         for name, x, y in zip(MomentSet._fields, coarse, refined):
@@ -276,7 +273,7 @@ def evolve(psi0: np.ndarray, system: SystemParams, tau_final: float) -> np.ndarr
                     drift=drift,
                     dt=tau_final / n_steps,
                 )
-    cavity = np.exp(-1j * system.omega_c * tau_final * np.arange(n_c))
+    cavity = np.exp(-1j * system.omega_c * tau_final * np.arange(psi.shape[0]))
     psi = cavity[:, None] * runs[-1]
     drift = abs(float(np.sum(np.abs(psi) ** 2)) - 1.0)
     if drift > _NORM_TOL:

@@ -95,7 +95,7 @@ def moments(coeffs: DecouplingCoefficients, alpha, beta, init: InitialState) -> 
     """
     mu_c = complex(init.mu_c)
     mu_m = complex(init.mu_m)
-    nc = abs(mu_c) ** 2
+    nc = np.abs(mu_c) ** 2
 
     drive_shift, photon_shift = displacement_amplitudes(alpha, beta, coeffs)
     overlap = kick_overlap(coeffs, mu_m)
@@ -111,7 +111,7 @@ def moments(coeffs: DecouplingCoefficients, alpha, beta, init: InitialState) -> 
     b = alpha * mu_m + beta * np.conj(mu_m) + (drive_shift + photon_shift * nc)
     a2 = (
         np.exp(-2j * phi)
-        * mu_c**2
+        * np.square(mu_c)
         * eth
         * np.exp(nc * (np.exp(-2j * theta) - 1.0))
         * np.exp(-abs(k_n) ** 2)

@@ -120,7 +120,7 @@ def non_gaussianity(
     optical one is read from the optical block and may not exceed that of
     the fully dephased mode, 4 n_c (1 + n_c) with n_c = |mu_c|^2.
     """
-    nc = abs(complex(mu_c)) ** 2
+    nc = np.abs(complex(mu_c)) ** 2
     e_op = excess.e11 * (excess.e11 + 2.0) - abs(excess.s13) ** 2
     e_me = 4.0 * abs(number_displacement) ** 2 * nc
     bound = 4.0 * nc * (1.0 + nc)

@@ -214,6 +214,7 @@ def two_scale_solution(d2: float, tau):
 
 def mathieu_params(d2: float, omega0: float):
     """Map the modulated sector onto the canonical Mathieu parameters (a, q)."""
-    if omega0 == 0.0:
-        raise DomainError("modulation frequency omega0 must be nonzero")
-    return 4.0 / omega0**2, -8.0 * d2 / omega0**2
+    square = omega0 * omega0
+    if square in (0.0, math.inf):
+        raise DomainError("modulation frequency omega0 must have a nonzero, finite square")
+    return 4.0 / square, -8.0 * d2 / square

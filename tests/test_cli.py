@@ -149,6 +149,54 @@ class TestConfig:
         assert rc == 2
         assert "workers: unknown configuration key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("mu_c", "-0.5,0.2"), ("d2", "-1e-3")])
+    def test_flag_reads_as_a_config_line(self, tmp_path, key, value):
+        # a value may start with "-", whether it follows the flag or an "="
+        cfg = write_config(tmp_path, BASE_CONFIG + f"{key} = {value}\n")
+        outs = [tmp_path / f"{k}.csv" for k in range(3)]
+        assert main(["evolve", "--config", cfg, "--out", str(outs[0])]) == 0
+        assert main(["evolve", "--config", cfg, f"--{key}", value, "--out", str(outs[1])]) == 0
+        assert main(["evolve", "--config", cfg, f"--{key}={value}", "--out", str(outs[2])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    @pytest.mark.parametrize("argv", [["--poi", "5", "--out", "o.csv"],
+                                      ["--tau_m", "1", "--out", "o.csv"],
+                                      ["--ou", "o.csv"]], ids=["poi", "tau_m", "ou"])
+    def test_flag_prefix_is_an_unknown_key(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve", *argv]) == 2
+        key = argv[0][2:]
+        assert capsys.readouterr().err == f"error: {key}: unknown configuration key\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [([], "mode: expected one of evolve|sweep|oracle-check|mathieu, got ''"),
+         (["bogus", "--out", "o.csv"], "mode: expected one of evolve|sweep|oracle-check|mathieu, "
+                                       "got 'bogus'"),
+         (["evolve"], "out: an output file is required (--out FILE)"),
+         (["evolve", "--out", "o.csv", "--points"], "points: expected an integer, got ''"),
+         (["evolve", "stray", "--out", "o.csv"],
+          "expected --key value or --key=value, got 'stray'"),
+         (["evolve", "--squeezing", "x", "--out", "o.csv"],
+          "squeezing: unknown profile 'x' (constant|modulated)")],
+        ids=["no-mode", "bad-mode", "no-out", "no-value", "positional", "squeezing"],
+    )
+    def test_bad_argv_returns_2(self, tmp_path, capsys, monkeypatch, argv, err):
+        # in process, main returns its exit code and never raises SystemExit
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_mode_and_key(self, capsys, flag):
+        assert main([flag]) == 0
+        usage = capsys.readouterr().out
+        assert len(usage.splitlines()) == 1
+        for word in ["evolve", "sweep", "oracle-check", "mathieu", "--config", "--out", *_PARSERS]:
+            assert word in usage
+
     def test_keys_are_the_run_config_fields(self):
         # one sample per annotation, with the value it must parse to
         samples = {
@@ -240,6 +288,24 @@ class TestEvolve:
         assert capsys.readouterr().err == (
             f"error: tau {span} needs more than 8388608 solver grid points\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, tau",
+        [(["evolve", "--mu_c", "1e160"], "0"),
+         (["evolve", "--g0", "1e160"], "0"),
+         (["evolve", "--mu_c", "1e160", "--squeezing", "modulated"], "0"),
+         (["evolve", "--g0", "1e160", "--squeezing", "modulated"], "0"),
+         (["sweep", "--axis1", "g0,0,1,2,linear", "--mu_c", "1e200"], "3.1415926535897931")],
+        ids=["mu_c", "g0", "modulated-mu_c", "modulated-g0", "sweep-mu_c"],
+    )
+    def test_square_past_the_float_range_exits_3(self, tmp_path, capsys, argv, tau):
+        # |mu_c|^2 and g0^2 overflow to inf, which the engine's one check reports
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: non-finite moments or measure, first at tau = {tau}\n"
+        )
+        assert not out.exists()
 
     def test_resonant_modulation_grows_in_windowed_mean(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -400,6 +466,15 @@ class TestMathieu:
         # to evolve, omega0 0 is squeezing held at d2, and stays valid
         assert main(["evolve", "--squeezing", "modulated", "--omega0", "0", "--d2", "0.1",
                      "--points", "3", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("omega0", ["1e-300", "1e160"])
+    def test_modulation_frequency_square_past_the_float_range(self, tmp_path, capsys, omega0):
+        # omega0**2 underflows to 0 or overflows to inf: refused by name
+        out = tmp_path / "m.csv"
+        rc = main(["mathieu", "--squeezing", "modulated", "--omega0", omega0, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: omega0: ")
+        assert not out.exists()
 
     def test_non_finite_solution_exits_3_with_its_tau(self, tmp_path, capsys):
         # at this resonance the solutions leave the float range before tau = 2400

@@ -282,6 +282,12 @@ class TestMathieuParams:
         with pytest.raises(DomainError):
             mathieu_params(0.1, 0.0)
 
+    @pytest.mark.parametrize("omega0", [1e-300, -1e-200, 1e160])
+    def test_square_out_of_float_range_rejected(self, omega0):
+        # omega0**2 underflows to 0 or overflows to inf
+        with pytest.raises(DomainError):
+            mathieu_params(0.1, omega0)
+
     @settings(max_examples=40, deadline=None)
     @given(d2=st.floats(-2, 2), omega0=st.floats(0.1, 5.0))
     def test_algebraic_map(self, d2, omega0):
