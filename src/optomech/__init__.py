@@ -48,7 +48,6 @@ from .profiles import (
     ConstantSqueezing,
     Coupling,
     ModulatedSqueezing,
-    SqueezingProfile,
     SystemParams,
 )
 from .squeezing import (
@@ -79,7 +78,6 @@ __all__ = [
     "OptomechError",
     "QuadraticSolution",
     "SingularFactorError",
-    "SqueezingProfile",
     "StateRecord",
     "SystemParams",
     "ValidationError",

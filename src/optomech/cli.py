@@ -32,7 +32,7 @@ import numpy as np
 from .engine import evaluate_point, evaluate_trajectory
 from .errors import ConfigError, ConvergenceError, NonFiniteError, OptomechError
 from .moments import InitialState
-from .profiles import ConstantSqueezing, Coupling, ModulatedSqueezing, SystemParams
+from .profiles import Coupling, ModulatedSqueezing, SystemParams
 from .squeezing import mathieu_params, solve_quadratic, two_scale_solution
 
 _EXIT_OK = 0
@@ -89,11 +89,9 @@ class RunConfig(NamedTuple):
     out: str = ""
 
     def system(self) -> SystemParams:
-        if self.squeezing == "modulated":
-            profile = ModulatedSqueezing(self.d2, self.omega0)
-        else:
-            profile = ConstantSqueezing(self.d2)
-        return SystemParams(coupling=Coupling(g=self.g0, drive=self.d1), squeezing=profile)
+        omega0 = self.omega0 if self.squeezing == "modulated" else 0.0
+        return SystemParams(coupling=Coupling(g=self.g0, drive=self.d1),
+                            squeezing=ModulatedSqueezing(self.d2, omega0))
 
     def initial_state(self) -> InitialState:
         return InitialState(mu_c=self.mu_c, mu_m=self.mu_m)
@@ -315,12 +313,11 @@ def _check_oracle_envelope(cfg: RunConfig) -> None:
     problems = []
     if abs(cfg.g0) > _ORACLE_LIMITS["g0"]:
         problems.append(f"g0={cfg.g0:g} exceeds {_ORACLE_LIMITS['g0']:g}")
-    d2_cap = (
-        _ORACLE_LIMITS["d2_constant"] if cfg.squeezing == "constant"
-        else _ORACLE_LIMITS["d2_modulated"]
-    )
+    # a static Hamiltonian takes one exponential, a modulated one CF4 steps
+    kind = "constant" if cfg.system().is_time_independent else "modulated"
+    d2_cap = _ORACLE_LIMITS[f"d2_{kind}"]
     if abs(cfg.d2) > d2_cap:
-        problems.append(f"d2={cfg.d2:g} exceeds {d2_cap:g} for {cfg.squeezing} squeezing")
+        problems.append(f"d2={cfg.d2:g} exceeds {d2_cap:g} for {kind} squeezing")
     if abs(cfg.mu_c) > _ORACLE_LIMITS["mu"] or abs(cfg.mu_m) > _ORACLE_LIMITS["mu"]:
         problems.append(f"coherent amplitudes must stay within {_ORACLE_LIMITS['mu']:g}")
     if cfg.tau > _ORACLE_LIMITS["tau"]:

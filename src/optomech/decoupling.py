@@ -67,10 +67,11 @@ def _scaled(g, d1: float, u_pos, u_mom, u_sq) -> DecouplingCoefficients:
     num_pos = g*u_pos, num_mom = g*u_mom, num_sq = g^2*u_sq, pos = -d1*u_pos,
     mom = -d1*u_mom and num = -2*g*d1*u_sq.  Without a drive num, pos and mom
     stay the scalar 0.  ``g`` may be an array that broadcasts against the
-    unit functions."""
+    unit functions.  The factor 2 applies last (the same rounding), so num is 0
+    where u_sq is for any finite g*d1."""
     num = pos = mom = 0.0
     if d1 != 0.0:
-        num, pos, mom = -2.0 * g * d1 * u_sq, -d1 * u_pos, -d1 * u_mom
+        num, pos, mom = -2.0 * (g * d1 * u_sq), -d1 * u_pos, -d1 * u_mom
     return DecouplingCoefficients(
         num=num, num_sq=np.square(g) * u_sq, pos=pos, mom=mom, num_pos=g * u_pos, num_mom=g * u_mom
     )

@@ -3,10 +3,10 @@
 Given system parameters and an initial coherent state, produce the
 decoupling coefficients, Bogoliubov pair, moments, covariance matrix and
 non-Gaussianity report on a time grid.  The coupling and drive are
-constants; constant squeezing dispatches to the closed forms, and modulated
-squeezing runs through the Magnus propagator and the running integrals of
-its solutions, both read at each time by one partial step from the grid node
-before it.  Each stage runs once over the whole array of times, so a
+constants; a static Hamiltonian (squeezing d2 or its modulation frequency
+omega0 zero) takes the closed forms, and modulated squeezing runs through
+the Magnus propagator and the running integrals of its solutions, both read
+at each time by one partial step from the grid node before it.  Each stage runs once over the whole array of times, so a
 trajectory is one record whose fields are arrays over tau.
 
 The measure, its Araki-Lieb bounds and the subsystem eigenvalues all come
@@ -68,9 +68,16 @@ def evaluate_trajectory(system: SystemParams, init: InitialState, taus) -> State
     # past the float range the stages overflow in many places at once; the
     # check at the end reports it once, as NonFiniteError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # these scale functions that vanish at tau = 0, where inf * 0 would
+        # fault the finite initial state, so they are refused by name first
+        g, d1 = system.coupling
+        for name, value in (("g0^2", np.square(g)), ("|mu_c|^2", np.abs(init.mu_c) ** 2),
+                            ("g0*d1", np.multiply(g, d1))):
+            if not np.all(np.isfinite(value)):
+                raise NonFiniteError(f"{name} overflows the float range")
         if system.is_time_independent:
             d2 = system.squeezing.d2
-            coeffs = constant_coefficients(system.coupling.g, d2, taus, d1=system.coupling.drive)
+            coeffs = constant_coefficients(g, d2, taus, d1=d1)
             alpha, beta = constant_bogoliubov(d2, taus)
         else:
             sol = solve_quadratic(system.squeezing, float(np.max(taus, initial=1e-6)))

@@ -159,7 +159,7 @@ def default_dt(system: SystemParams, n_c: int) -> float:
     exactly as a per-block phase and sets no step."""
     rate_sq = 1.0 + 4.0 * abs(system.squeezing.d2)
     g_scale = abs(float(system.coupling.g)) * np.sqrt(n_c)
-    omega0 = abs(getattr(system.squeezing, "omega0", 0.0))  # modulated profiles only
+    omega0 = abs(system.squeezing.omega0)
     return 2.0 * np.pi / (25.0 * max(rate_sq, g_scale, omega0, 1.0))
 
 

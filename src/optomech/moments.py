@@ -71,16 +71,13 @@ def kick_overlap(coeffs: DecouplingCoefficients, mu_m: complex):
     """Expectation of the ordered photon-conditioned displacement product.
 
     Follows from composing the two Weyl displacement operators; its squared
-    magnitude is exp(-|number_displacement|^2) independently of mu_m.
+    magnitude is exp(-|number_displacement|^2) independently of mu_m, which
+    enters as the phase -2i Im(mu_m k).  Kept apart from the decay, that
+    phase cannot round it away at large |mu_m|.
     """
     k_n = coeffs.number_displacement
-    exponent = 0.5 * (
-        -abs(k_n) ** 2
-        - 2j * coeffs.num_mom * coeffs.num_pos
-        - 2.0 * mu_m * k_n
-        + 2.0 * np.conj(mu_m) * np.conj(k_n)
-    )
-    return np.exp(exponent)
+    phase = coeffs.num_mom * coeffs.num_pos + 2.0 * np.imag(mu_m * k_n)
+    return np.exp(-0.5 * abs(k_n) ** 2 - 1j * phase)
 
 
 def moments(coeffs: DecouplingCoefficients, alpha, beta, init: InitialState) -> MomentSet:
@@ -147,7 +144,8 @@ def squeezing_frame_excess(coeffs: DecouplingCoefficients, m: MomentSet) -> Cova
     the Bogoliubov pair.  In this frame the mechanical mode is
     b + conj(displacement) + conj(k) N with k the per-photon displacement,
     so each entry is a Poisson average over the photon number in closed
-    form, with no subtraction of large moments.
+    form, with no subtraction of large moments.  Factors 2 and 4 apply last
+    (the same rounding), so every entry is 0 at tau = 0 for any finite n_c.
     """
     nc = m.na
     a = m.a
@@ -160,9 +158,9 @@ def squeezing_frame_excess(coeffs: DecouplingCoefficients, m: MomentSet) -> Cova
     # the difference is taken from the moments themselves
     z = -1j * theta - k_sq + nc * eps**2
     big = z.real > 1.0
-    s13 = np.where(big, 2.0 * (m.a2 - a * a), 2.0 * a * a * np.expm1(np.where(big, 0.0, z)))
+    s13 = np.where(big, 2.0 * (m.a2 - a * a), 2.0 * (a * a * np.expm1(np.where(big, 0.0, z))))
     return CovarianceExcess(
-        e11=-2.0 * nc * np.expm1(-4.0 * nc * half_sin_sq - k_sq),
+        e11=-2.0 * (nc * np.expm1(-4.0 * (nc * half_sin_sq) - k_sq)),
         e22=2.0 * k_sq * nc,
         s12=2.0 * a * k * nc * eps,
         s13=s13,

@@ -49,10 +49,11 @@ def _require_physical(nu) -> None:
         raise DomainError(f"symplectic eigenvalue below 1 - {_CLAMP:g}: {np.min(nu):.9g}")
 
 
-def _entropy(up, dn):
-    # up*log(up) - dn*log(dn) with up = dn + 1, free of cancellation at large nu;
-    # the placeholder 1 keeps the dn = 0 term exactly 0
-    out = np.log(up) + dn * np.log1p(1.0 / np.where(dn > 0.0, dn, 1.0))
+def _entropy(dn):
+    # (dn + 1)*log(dn + 1) - dn*log(dn), free of cancellation at large nu and of
+    # the rounding of dn + 1 at small dn; the placeholder 1 keeps the dn = 0
+    # term exactly 0
+    out = np.log1p(dn) + dn * np.log1p(1.0 / np.where(dn > 0.0, dn, 1.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -65,7 +66,7 @@ def mode_entropy(nu):
     x = np.asarray(nu, dtype=float)
     _require_physical(x)
     x = np.maximum(x, 1.0)
-    return _entropy(0.5 * (x + 1.0), 0.5 * (x - 1.0))
+    return _entropy(0.5 * (x - 1.0))
 
 
 def _excess_entropy(e):
@@ -75,7 +76,7 @@ def _excess_entropy(e):
     nu = np.sqrt(1.0 + np.maximum(e, -1.0))
     _require_physical(nu)
     nu = np.maximum(nu, 1.0)
-    return _entropy(0.5 * (nu + 1.0), 0.5 * np.maximum(e, 0.0) / (nu + 1.0))
+    return _entropy(0.5 * np.maximum(e, 0.0) / (nu + 1.0))
 
 
 def _two_mode_excess(excess: CovarianceExcess, e_op, e_me):

@@ -7,22 +7,14 @@ omega_m.  Profile objects are immutable NamedTuples.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 
-class ConstantSqueezing(NamedTuple):
-    """Constant squeezing strength D2(tau) = d2."""
-
-    d2: float
-
-    def d2_at(self, tau):
-        return np.full(np.shape(np.asarray(tau, dtype=float)), float(self.d2))
-
-
 class ModulatedSqueezing(NamedTuple):
-    """Sinusoidally modulated squeezing D2(tau) = d2 * cos(omega0 * tau)."""
+    """Squeezing strength D2(tau) = d2 * cos(omega0 * tau); omega0 = 0 is
+    constant squeezing."""
 
     d2: float
     omega0: float
@@ -31,7 +23,9 @@ class ModulatedSqueezing(NamedTuple):
         return self.d2 * np.cos(self.omega0 * np.asarray(tau, dtype=float))
 
 
-SqueezingProfile = Union[ConstantSqueezing, ModulatedSqueezing]
+def ConstantSqueezing(d2: float) -> ModulatedSqueezing:
+    """Constant squeezing strength D2(tau) = d2: the modulation at omega0 = 0."""
+    return ModulatedSqueezing(d2, 0.0)
 
 
 class Coupling(NamedTuple):
@@ -55,10 +49,11 @@ class SystemParams(NamedTuple):
 
     omega_c: float = 1.0
     coupling: Coupling = Coupling()
-    squeezing: SqueezingProfile = ConstantSqueezing(0.0)
+    squeezing: ModulatedSqueezing = ModulatedSqueezing(0.0, 0.0)
 
     @property
     def is_time_independent(self) -> bool:
-        """Constant squeezing (the coupling and drive always are): the closed
-        forms and the oracle's exact propagation apply."""
-        return isinstance(self.squeezing, ConstantSqueezing)
+        """A static Hamiltonian (the coupling and drive always are; the
+        squeezing is when d2 or omega0 is 0): the closed forms and the
+        oracle's single exponential apply."""
+        return self.squeezing.d2 == 0 or self.squeezing.omega0 == 0

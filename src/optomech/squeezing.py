@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularFactorError, ValidityWarning
-from .profiles import SqueezingProfile
+from .profiles import ModulatedSqueezing
 
 # Grid: the fastest oscillation must stay well resolved because the
 # decoupling integrals step over this grid.  A modulated pass peaks near 115 B
@@ -37,9 +37,8 @@ _GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
 _STUMPFF_SERIES = np.array([[1.0 / math.factorial(2 * j + k) for j in range(10)] for k in range(4)])
 
 
-def oscillation_rate(profile: SqueezingProfile) -> float:
-    """Effective angular rate sqrt(1 + 4*max|D2|) used to size grids; d2 is
-    the amplitude of either profile."""
+def oscillation_rate(profile: ModulatedSqueezing) -> float:
+    """Effective angular rate sqrt(1 + 4*max|D2|) used to size grids."""
     return float(np.sqrt(1.0 + 4.0 * abs(profile.d2)))
 
 
@@ -62,7 +61,7 @@ def stumpff(d2: float, tau):
     return tuple(f[()] for f in c.reshape(4, *t.shape))
 
 
-def _magnus_step(profile: SqueezingProfile, start, length):
+def _magnus_step(profile: ModulatedSqueezing, start, length):
     """Entries (m00, m01, m10, m11) of the fourth-order Magnus step of
     y' = [[0, 1], [-w, 0]] y, w = 1 + 4*D2, from ``start`` over ``length``,
     elementwise (Blanes et al., Phys. Rep. 470, 151 (2009)).  The exponent
@@ -97,7 +96,7 @@ class QuadraticSolution(NamedTuple):
     cos_deriv: np.ndarray
     sin_sol: np.ndarray
     sin_deriv: np.ndarray
-    profile: SqueezingProfile
+    profile: ModulatedSqueezing
 
     @property
     def step(self) -> float:
@@ -136,7 +135,7 @@ class QuadraticSolution(NamedTuple):
         return alpha, beta
 
 
-def solve_quadratic(profile: SqueezingProfile, tau_max: float) -> QuadraticSolution:
+def solve_quadratic(profile: ModulatedSqueezing, tau_max: float) -> QuadraticSolution:
     """Solve the quadratic sector on [0, tau_max], a positive span.
 
     One fourth-order Magnus step per grid interval; their prefix product, a

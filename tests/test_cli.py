@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optomech import (ConstantSqueezing, Coupling, InitialState, ModulatedSqueezing,
-                      SystemParams, evaluate_point, solve_quadratic)
-from optomech.cli import (_ORACLE_LIMITS, _PARSERS, Axis, RunConfig, _fmt, _write_csv,
-                          build_config, main, parse_config_file)
+from optomech import (ConstantSqueezing, ConvergenceError, Coupling, InitialState,
+                      ModulatedSqueezing, SystemParams, evaluate_point, solve_quadratic)
+from optomech.cli import (_ORACLE_LIMITS, _PARSERS, Axis, RunConfig, _check_oracle_envelope,
+                          _fmt, _write_csv, build_config, main, parse_config_file)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -213,6 +213,33 @@ class TestConfig:
             got = _PARSERS[name](name, raw)
             assert got == want and type(got) is type(want), name
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [(["evolve", "--tau_max", "0"], "tau_max: must be positive"),
+         (["oracle-check", "--tau", "-1"], "tau: must be non-negative"),
+         (["evolve", "--tol", "0"], "tol: must be positive"),
+         (["sweep", "--axis2", "g0,0,1,2,linear"], "axis2: set axis1 before axis2"),
+         (["sweep"], "axis1: sweep mode needs at least one axis"),
+         (["sweep", "--axis1", "g0,0,1,2"], "axis1: expected 'name,start,stop,count,linear|log'"),
+         (["sweep", "--axis1", "mu_c,0,1,2,linear"], "axis1: axis name must be one of"),
+         (["sweep", "--axis1", "g0,0,1,2,cubic"], "axis1: spacing must be linear or log"),
+         (["sweep", "--axis1", "g0,0,1,1,linear"], "axis1: axis count must be >= 2"),
+         (["sweep", "--axis1", "g0,0,1,two,linear"], "axis1: expected an integer"),
+         (["sweep", "--axis1", "g0,zero,1,2,linear"], "axis1: expected a number"),
+         (["evolve", "--mu_c", "1,0,0"], "mu_c: expected 're,im'"),
+         (["evolve", "--config", "no-such.cfg"], "config: cannot read"),
+         (["evolve", "--config", "bad.cfg"], "config line 2: expected 'key = value'")],
+        ids=["tau_max", "tau", "tol", "axis2-alone", "no-axis", "axis-parts", "axis-name",
+             "axis-spacing", "axis-count", "axis-count-text", "axis-start-text",
+             "complex-3-parts", "config-unreadable", "config-no-equals"],
+    )
+    def test_refusal_names_its_key(self, tmp_path, capsys, monkeypatch, argv, err):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text("[system]\ng0 1.0\n")
+        assert main(argv + ["--out", "o.csv"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {err}")
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestEvolve:
     def test_header_and_initial_row(self, tmp_path):
@@ -290,22 +317,32 @@ class TestEvolve:
         )
 
     @pytest.mark.parametrize(
-        "argv, tau",
-        [(["evolve", "--mu_c", "1e160"], "0"),
-         (["evolve", "--g0", "1e160"], "0"),
-         (["evolve", "--mu_c", "1e160", "--squeezing", "modulated"], "0"),
-         (["evolve", "--g0", "1e160", "--squeezing", "modulated"], "0"),
-         (["sweep", "--axis1", "g0,0,1,2,linear", "--mu_c", "1e200"], "3.1415926535897931")],
-        ids=["mu_c", "g0", "modulated-mu_c", "modulated-g0", "sweep-mu_c"],
+        "argv, quantity",
+        [(["evolve", "--mu_c", "1e160"], "|mu_c|^2"),
+         (["evolve", "--g0", "1e160"], "g0^2"),
+         (["evolve", "--mu_c", "1e160", "--squeezing", "modulated"], "|mu_c|^2"),
+         (["evolve", "--g0", "1e160", "--squeezing", "modulated"], "g0^2"),
+         (["evolve", "--d1", "1e300", "--g0", "1e10"], "g0*d1"),
+         (["sweep", "--axis1", "g0,0,1,2,linear", "--mu_c", "1e200"], "|mu_c|^2")],
+        ids=["mu_c", "g0", "modulated-mu_c", "modulated-g0", "d1", "sweep-mu_c"],
     )
-    def test_square_past_the_float_range_exits_3(self, tmp_path, capsys, argv, tau):
-        # |mu_c|^2 and g0^2 overflow to inf, which the engine's one check reports
+    def test_square_past_the_float_range_exits_3(self, tmp_path, capsys, argv, quantity):
+        # |mu_c|^2, g0^2 and g0*d1 overflow to inf; each scales a function that
+        # is 0 at tau = 0, so the engine refuses it by name before the run
         out = tmp_path / "o.csv"
         assert main(argv + ["--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            f"error: non-finite moments or measure, first at tau = {tau}\n"
-        )
+        assert capsys.readouterr().err == f"error: {quantity} overflows the float range\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["evolve", "--mu_c", "1.2e154"], ["evolve", "--d1", "1e308"]],
+                             ids=["mu_c", "d1"])
+    def test_scale_near_the_float_range_names_a_later_tau(self, tmp_path, capsys, argv):
+        # |mu_c|^2 and g0*d1 are finite here but twice them is not; the factor
+        # 2 applies last, so the finite start at tau = 0 stays finite
+        assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        prefix = "error: non-finite moments or measure, first at tau = "
+        assert err.startswith(prefix) and float(err[len(prefix):]) > 0.0
 
     def test_resonant_modulation_grows_in_windowed_mean(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -424,6 +461,12 @@ class TestSweep:
                    "--axis2", "d2,0,1,2,linear", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
 
+    def test_log_axis_is_geometric(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--axis1", "g0,0.1,1,3,log", "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows[:, 0].tolist() == np.geomspace(0.1, 1.0, 3).tolist()
+
     def test_log_axis_validation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG)
         rc = main(["sweep", "--config", cfg, "--axis1", "g0,0,1,4,log",
@@ -538,6 +581,38 @@ class TestOracleCheck:
         rc = main(["oracle-check", "--g0", "5.0", "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         assert "envelope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, err",
+        [(["--d2", "1.5"], "d2=1.5 exceeds 1 for constant squeezing"),
+         (["--squeezing", "modulated", "--d2", "0.5"], "d2=0.5 exceeds 0.3 for modulated squeezing"),
+         (["--mu_m", "0,3"], "coherent amplitudes must stay within 2"),
+         (["--tau", "7"], "tau=7 exceeds 6.28319")],
+        ids=["d2-constant", "d2-modulated", "mu", "tau"],
+    )
+    def test_envelope_names_the_parameter(self, tmp_path, capsys, flags, err):
+        assert main(["oracle-check", *flags, "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "error: oracle-check refused, parameters outside the certified envelope: "
+            f"{err}\n"
+        )
+
+    def test_static_modulation_takes_the_constant_cap(self):
+        # at omega0 = 0 the Hamiltonian is static and takes one exponential,
+        # so the cap of constant squeezing applies
+        cfg = RunConfig("oracle-check", squeezing="modulated", omega0=0.0, d2=0.5, out="o")
+        _check_oracle_envelope(cfg)
+        with pytest.raises(ConvergenceError, match="exceeds 0.3 for modulated squeezing"):
+            _check_oracle_envelope(cfg._replace(omega0=2.0))
+
+    def test_halving_drift_exits_3_naming_the_moment(self, tmp_path, capsys, monkeypatch):
+        # a step of 0.6 is too coarse for the modulation: halving it moves <b^2>
+        from optomech import fock
+        monkeypatch.setattr(fock, "default_dt", lambda *args: 0.6)
+        rc = main(["oracle-check", "--squeezing", "modulated", "--d2", "0.1", "--g0", "0.4",
+                   "--tau", "1.2", "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: moment b2 moved by ")
 
     def test_only_the_failing_cutoff_grows(self, tmp_path, monkeypatch):
         # the inverted sector fills the mechanical tail alone: n_m doubles
@@ -717,7 +792,6 @@ _TRACED = {
     "optomech.fock": ("evolve", "build_hamiltonian", "measure_moments"),
     "optomech.squeezing:QuadraticSolution": ("bogoliubov",),
     "optomech.decoupling:DecouplingTables": ("__init__", "at"),
-    "optomech.profiles:ConstantSqueezing": ("d2_at",),
     "optomech.profiles:ModulatedSqueezing": ("d2_at",),
 }
 
@@ -738,6 +812,29 @@ def test_traced_names_resolve_and_main_returns(tmp_path):
                  ["oracle-check", "--g0", "0.3", "--d2", "0.1", "--tau", "0.5"]):
         rc = main(argv + ["--out", str(tmp_path / "o.csv")])
         assert type(rc) is int and rc == 0, argv
+
+
+@pytest.mark.parametrize(
+    "argv", [["evolve", "--omega0", "0", "--d2", "0.4"], ["oracle-check", "--d2", "0"]],
+    ids=["evolve-omega0-0", "oracle-check-d2-0"],
+)
+def test_static_modulation_writes_the_constant_bytes(tmp_path, monkeypatch, argv):
+    """d2 = 0 or omega0 = 0 makes the modulated Hamiltonian static: it takes
+    the closed forms and the oracle's single exponential, one stencil per
+    basis, and writes the bytes of constant squeezing."""
+    from optomech import fock
+
+    stencils = []
+    build = fock._stencil
+    monkeypatch.setattr(fock, "_stencil", lambda *args: stencils.append(args[3:]) or build(*args))
+    runs = {}
+    for squeezing in ("constant", "modulated"):
+        out = tmp_path / f"{squeezing}.csv"
+        stencils.clear()
+        assert main([*argv, "--squeezing", squeezing, "--out", str(out)]) == 0
+        runs[squeezing] = (out.read_bytes(), list(stencils))
+    assert runs["modulated"] == runs["constant"]
+    assert len(set(stencils)) == len(stencils)
 
 
 def test_cli_leaves_the_oracle_basis_to_fock():

@@ -4,30 +4,76 @@ import pytest
 from optomech import (
     ConstantSqueezing,
     Coupling,
+    DecouplingTables,
     InitialState,
     ModulatedSqueezing,
     SystemParams,
     displacement_amplitudes,
     evaluate_point,
     evaluate_trajectory,
+    moments,
+    non_gaussianity,
+    solve_quadratic,
+    squeezing_frame_excess,
 )
+from optomech import engine
 from reference import subsystem_eigenvalues_mp
+
+
+def numeric_route(profile, coupling, init, tau):
+    """The engine's numeric route at one time, run by hand: the grid solve,
+    its decoupling tables and its Bogoliubov pair, then moments and measure."""
+    sol = solve_quadratic(profile, tau)
+    coeffs = DecouplingTables(sol, coupling).at(tau)
+    m = moments(coeffs, *sol.bogoliubov(tau), init)
+    report = non_gaussianity(squeezing_frame_excess(coeffs, m),
+                             number_displacement=coeffs.number_displacement, mu_c=init.mu_c)
+    return m, report
 
 
 class TestClosedFormDispatch:
     def test_routes_agree(self):
-        # a modulation at omega0 = 0 is the same constant squeezing, but it
-        # takes the numeric route; compare against the closed-form dispatch
+        # a modulation at omega0 = 0 is the same constant squeezing; the engine
+        # takes the closed forms for it, and the numeric route, run by hand on
+        # that profile, agrees with them
         init = InitialState(1.0, 0.2 - 0.1j)
         for coupling in (Coupling(g=0.8), Coupling(g=0.8, drive=0.3)):
             closed = SystemParams(1.0, coupling, ConstantSqueezing(0.4))
-            numeric = SystemParams(1.0, coupling, ModulatedSqueezing(0.4, 0.0))
             for tau in (0.7, np.pi, 5.1):
                 a = evaluate_point(closed, init, tau)
-                b = evaluate_point(numeric, init, tau)
-                assert abs(a.moments.a - b.moments.a) < 1e-8
-                assert abs(a.moments.b - b.moments.b) < 1e-8
-                assert abs(a.report.delta - b.report.delta) < 1e-7
+                m, report = numeric_route(ModulatedSqueezing(0.4, 0.0), coupling, init, tau)
+                assert abs(a.moments.a - m.a) < 1e-8
+                assert abs(a.moments.b - m.b) < 1e-8
+                assert abs(a.report.delta - report.delta) < 1e-7
+
+    @pytest.mark.parametrize(
+        "profile, static",
+        [(ModulatedSqueezing(0.0, 2.0), True), (ModulatedSqueezing(0.4, 0.0), True),
+         (ConstantSqueezing(0.4), True), (ModulatedSqueezing(0.4, 2.0), False)],
+        ids=["d2-0", "omega0-0", "constant", "modulated"],
+    )
+    def test_the_hamiltonians_value_picks_the_route(self, profile, static, monkeypatch):
+        # d2 = 0 or omega0 = 0 is a static Hamiltonian, which takes the closed
+        # forms and no grid solve, whichever way the profile was built
+        system = SystemParams(1.0, Coupling(g=0.8), profile)
+        assert system.is_time_independent is static
+        solves = []
+        monkeypatch.setattr(engine, "solve_quadratic",
+                            lambda *args: solves.append(args) or solve_quadratic(*args))
+        evaluate_trajectory(system, InitialState(1.0), [0.0, 1.0, 2.0])
+        assert len(solves) == (0 if static else 1)
+
+    def test_mu_m_leaves_the_measure_and_the_optical_amplitude(self):
+        # the mechanical amplitude enters <a> as a pure phase, and the measure
+        # is invariant under the displacement; a phase rounded together with
+        # the decay moved delta by 4e-4 relative at |mu_m| 1e12
+        system = SystemParams(1.0, Coupling(g=0.3), ConstantSqueezing(0.2))
+        taus = np.linspace(0.1, 6.0, 60)
+        ref = evaluate_trajectory(system, InitialState(1.0, 0.0), taus)
+        for mag in (1e4, 1e12, 1e300):
+            rec = evaluate_trajectory(system, InitialState(1.0, mag * (0.6 + 0.8j)), taus)
+            assert np.allclose(rec.report.delta, ref.report.delta, rtol=1e-11, atol=0)
+            assert np.allclose(np.abs(rec.moments.a), np.abs(ref.moments.a), rtol=1e-14, atol=0)
 
     def test_record_consistency(self):
         system = SystemParams(1.0, Coupling(g=1.0), ConstantSqueezing(0.5))

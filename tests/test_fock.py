@@ -409,6 +409,20 @@ class TestEvolve:
         assert calls == [(16, n), (16, 2 * n), (32, 2 * n)]
         assert final.shape == (8, 32)
 
+    def test_norm_drift_refused(self):
+        # an unnormalised start has drifted by |psi|^2 - 1 = 3 by the end
+        psi0 = 2.0 * fock.product_coherent(InitialState(0.5, 0.0), 8, 16)
+        with pytest.raises(ConvergenceError, match="norm drifted by 3") as err:
+            fock.evolve(psi0, free_system(), 0.5)
+        assert err.value.diagnostics["norm_drift"] == pytest.approx(3.0)
+
+    def test_negative_time_refused_and_zero_time_is_the_start(self):
+        psi0 = fock.product_coherent(InitialState(0.5, 0.0), 8, 16)
+        with pytest.raises(DomainError, match="tau_final must be non-negative"):
+            fock.evolve(psi0, free_system(), -0.1)
+        final = fock.evolve(psi0, free_system(), 0.0)
+        assert np.array_equal(final, psi0) and final is not psi0
+
     def test_tail_window_sees_a_state_of_one_parity(self):
         # at g0 = 0 a squeezed vacuum fills only the even phonon levels; at
         # n_m 8 the top tenth rounds to the empty level 7 alone

@@ -25,7 +25,8 @@ from optomech import (
     squeezing_frame_excess,
 )
 from optomech.cli import main as cli_main
-from reference import squeezing_frame_report, subsystem_eigenvalues_mp, symplectic_eigenvalues
+from reference import (delta_mp, squeezing_frame_report, subsystem_eigenvalues_mp,
+                       symplectic_eigenvalues)
 
 TWO_LN_2 = 2 * np.log(2.0)
 
@@ -182,6 +183,13 @@ class TestSubsystemEigenvalues:
         assert abs(rec.report.nu_op - nu_op) <= 1e-10 * nu_op
         assert abs(rec.report.nu_me - nu_me) <= 1e-10 * nu_me
 
+    def test_correlation_with_a_pure_subsystem_escapes_the_bounds(self):
+        # s14 correlates the optical mode with a mechanical mode that k = 0
+        # makes pure, which no state does: the measure leaves its sandwich
+        excess = CovarianceExcess(e11=0.5, e22=0.0, s12=0.0, s13=0.0, s14=1.0, s24=0.0)
+        with pytest.raises(ValidationError, match="measure escapes its bounds"):
+            non_gaussianity(excess, number_displacement=0.0, mu_c=1.0)
+
     def test_optical_excess_above_its_bound_rejected(self):
         # nu_op = 1 + 2 n_c is the fully dephased mode; beyond it the excess
         # describes no state
@@ -243,6 +251,15 @@ class TestNonGaussianity:
             )
             assert rec.report.delta_min - 1e-9 <= rec.report.delta
             assert rec.report.delta <= rec.report.delta_max + 1e-9
+
+    @pytest.mark.parametrize("g0, rel", [(1e-2, 2e-11), (1e-3, 5e-10), (1e-4, 1e-7)])
+    def test_weak_coupling_matches_high_precision(self, g0, rel):
+        # delta ~ g0^4 is formed from nu - 1 ~ g0^4; log((nu + 1) / 2) rounded
+        # nu's half-excess and erred by 6e-11, 2e-6 and 8e-3 at these points
+        system = SystemParams(1.0, Coupling(g=g0), ConstantSqueezing(0.0))
+        rec = evaluate_point(system, InitialState(1.0, 0.0), 1.3)
+        want = delta_mp(rec.coeffs, 1.0)
+        assert abs(rec.report.delta - want) <= rel * want
 
     @pytest.mark.parametrize(
         "system",
