@@ -291,7 +291,7 @@ def run_mathieu(cfg: RunConfig) -> int:
     taus = np.linspace(0.0, cfg.tau_max, cfg.points)
     # as in evaluate_trajectory: an overflow is reported once, below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sol = solve_quadratic(ModulatedSqueezing(cfg.d2, cfg.omega0), cfg.tau_max)
+        sol = solve_quadratic(ModulatedSqueezing(cfg.d2, cfg.omega0), taus)
         cos_ts, sin_ts = two_scale_solution(cfg.d2, taus)
         xi = sol.mode(taus)
     rows = np.column_stack([taus, xi.real, -xi.imag, cos_ts, sin_ts])

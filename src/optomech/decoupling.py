@@ -7,9 +7,9 @@ and p = i(b^dag - b), and their photon-number-conditioned versions N*x and
 N*p.  Each exponential carries a real scalar coefficient: the constant
 coupling g and drive d1 scale one of three unit functions (g = 1, no drive),
 integrals of the mode function u of the quadratic sector.  The two-point
-Hermite rule gives them on the solver grid and its partial steps; for
-constant squeezing they close through its Stumpff functions, for any real
-squeezing strength.
+Hermite rule gives them at the solver's nodes, which include the times
+asked for; for constant squeezing they close through its Stumpff functions,
+for any real squeezing strength.
 """
 
 from __future__ import annotations
@@ -80,17 +80,16 @@ def _scaled(g, d1: float, u_pos, u_mom, u_sq) -> DecouplingCoefficients:
 class DecouplingTables:
     """Running integrals C = int c, S = int s and Q = int s*C of the
     cosine- and sine-like solutions at their nodes, by the two-point Hermite
-    rule on the solution's own values and derivatives ((s*C)' = s'*C + s*c).
-    At any tau the rule runs once more, from the node before to the
-    solution's partial step; the unit functions are -C, -S and -2Q, scaled
-    by the coupling and drive.
+    rule over each interval on the solution's own values and derivatives
+    ((s*C)' = s'*C + s*c).  The unit functions at a node are -C, -S and -2Q,
+    scaled by the coupling and drive.
     """
 
     def __init__(self, sol: QuadraticSolution, coupling: Coupling):
-        self._sol = sol
+        self._node = sol.node
         self._coupling = coupling
         c, dc, s, ds = sol.cos_sol, sol.cos_deriv, sol.sin_sol, sol.sin_deriv
-        h = sol.step
+        h = np.diff(sol.tau)
 
         def running(y, dy):
             out = np.zeros(y.size)
@@ -102,17 +101,9 @@ class DecouplingTables:
         self._int_sc = running(s * self._int_c, ds * self._int_c + s * c)
 
     def at(self, tau) -> DecouplingCoefficients:
-        """Coefficients at one time or, elementwise, at an array of times."""
-        sol = self._sol
-        j, rest, (c, dc, s, ds) = sol._partial_step(tau)
-        cj, dcj, sj, dsj = sol.cos_sol[j], sol.cos_deriv[j], sol.sin_sol[j], sol.sin_deriv[j]
-        int_cj = self._int_c[j]
-        int_c = int_cj + _hermite_rule(rest, cj, c, dcj, dc)
-        int_s = self._int_s[j] + _hermite_rule(rest, sj, s, dsj, ds)
-        int_sc = self._int_sc[j] + _hermite_rule(
-            rest, sj * int_cj, s * int_c, dsj * int_cj + sj * cj, ds * int_c + s * c
-        )
-        return _scaled(*self._coupling, -int_c, -int_s, -2.0 * int_sc)
+        """Coefficients at one solved time or, elementwise, at an array of them."""
+        j = self._node(tau)
+        return _scaled(*self._coupling, -self._int_c[j], -self._int_s[j], -2.0 * self._int_sc[j])
 
 
 def constant_coefficients(g0, d2: float, tau, *, d1: float = 0.0) -> DecouplingCoefficients:

@@ -5,9 +5,10 @@ decoupling coefficients, Bogoliubov pair, moments, covariance matrix and
 non-Gaussianity report on a time grid.  The coupling and drive are
 constants; a static Hamiltonian (squeezing d2 or its modulation frequency
 omega0 zero) takes the closed forms, and modulated squeezing runs through
-the Magnus propagator and the running integrals of its solutions, both read
-at each time by one partial step from the grid node before it.  Each stage runs once over the whole array of times, so a
-trajectory is one record whose fields are arrays over tau.
+the Magnus propagator and the running integrals of its solutions, on a grid
+whose nodes include the output times, so both are read there by index.
+Each stage runs once over the whole array of times, so a trajectory is one
+record whose fields are arrays over tau.
 
 The measure, its Araki-Lieb bounds and the subsystem eigenvalues all come
 from one source, the closed-form covariance excess sigma - I in the
@@ -80,7 +81,7 @@ def evaluate_trajectory(system: SystemParams, init: InitialState, taus) -> State
             coeffs = constant_coefficients(g, d2, taus, d1=d1)
             alpha, beta = constant_bogoliubov(d2, taus)
         else:
-            sol = solve_quadratic(system.squeezing, float(np.max(taus, initial=1e-6)))
+            sol = solve_quadratic(system.squeezing, taus)
             coeffs = DecouplingTables(sol, system.coupling).at(taus)
             alpha, beta = sol.bogoliubov(taus)
             del sol  # the grid-sized solution is not needed past this point

@@ -3,9 +3,9 @@
 The mechanical quadratic Hamiltonian reduces to the parametric-oscillator
 equation u'' + omega_sq(tau) * u = 0 with omega_sq = 1 + 4*D2(tau).  This
 module produces its cosine-like solution (u(0)=1, u'(0)=0) and sine-like
-solution (u(0)=0, u'(0)=1) at the nodes of a dense grid, and anywhere
-between by one partial Magnus step, with the complex mode function and the
-Bogoliubov coefficients of the induced Gaussian evolution.
+solution (u(0)=0, u'(0)=1) at the nodes of a dense grid laid through the
+times asked for, so that the complex mode function and the Bogoliubov
+coefficients of the induced Gaussian evolution are read at a node.
 Constant-squeezing closed forms go through the Stumpff functions of
 x = (1 + 4*d2)*tau^2, one form for the oscillating, free and inverted sectors.
 """
@@ -23,12 +23,11 @@ from .profiles import ModulatedSqueezing
 
 # Grid: the fastest oscillation must stay well resolved because the
 # decoupling integrals step over this grid.  A modulated pass peaks near 115 B
-# per node, so the largest grid affordable is about 1 GB.
+# per node, so the largest uniform grid, with up to 2**20 asked times on top
+# (the CLI's cap on outputs), stays near 1.1 GB.
 _SAMPLES_PER_UNIT = 256.0
 _MIN_POINTS = 4096
 _MAX_POINTS = 2**23
-# times this far past either end of the solved span still count as inside it
-_SPAN_SLACK = 1e-9
 
 # Gauss-Legendre nodes of a unit interval
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
@@ -69,16 +68,17 @@ def _magnus_step(profile: ModulatedSqueezing, start, length):
     its exponential is even*I + odd*exponent with s^2 = -det: cosh and
     sinh(s)/s for s^2 > 0, cos and sinc otherwise.  Length 0 gives I exactly."""
     length = np.asarray(length, dtype=float)
-    w = 1.0 + 4.0 * np.asarray(  # the Gauss-point times are freed once sampled
-        profile.d2_at(np.asarray(start, dtype=float)[..., None] + length[..., None] * _GAUSS),
-        dtype=float,
-    )
-    c = np.sqrt(3.0) / 12.0 * length * length * (w[..., 1] - w[..., 0])
-    lower = -0.5 * length * (w[..., 0] + w[..., 1])
+    # one Gauss point at a time, each temporary freed once used: fewer grid-sized arrays
+    w0, w1 = (1.0 + 4.0 * np.asarray(profile.d2_at(start + length * g), dtype=float)
+              for g in _GAUSS)
+    c = np.sqrt(3.0) / 12.0 * length * length * (w1 - w0)
+    lower = -0.5 * length * (w0 + w1)
+    del w0, w1
     s2 = c * c + length * lower
     s = np.sqrt(np.abs(s2))
     even = np.where(s2 > 0.0, np.cosh(s), np.cos(s))
     odd = np.where(s2 > 0.0, np.sinh(s) / np.where(s > 0.0, s, 1.0), np.sinc(s / np.pi))
+    del s2, s
     return even + odd * c, odd * length, odd * lower, even - odd * c
 
 
@@ -86,9 +86,8 @@ class QuadraticSolution(NamedTuple):
     """Fundamental solutions of the quadratic sector at the nodes of a grid.
 
     ``cos_sol``/``sin_sol`` carry the cosine-like and sine-like solutions
-    and ``cos_deriv``/``sin_deriv`` their derivatives at the nodes ``tau``;
-    ``profile`` is the squeezing they solve, from which one partial Magnus
-    step off the node before gives all four at any time in the span.
+    and ``cos_deriv``/``sin_deriv`` their derivatives at the nodes ``tau``,
+    which include every time the solve was asked for; only those are read.
     """
 
     tau: np.ndarray
@@ -96,66 +95,62 @@ class QuadraticSolution(NamedTuple):
     cos_deriv: np.ndarray
     sin_sol: np.ndarray
     sin_deriv: np.ndarray
-    profile: ModulatedSqueezing
 
-    @property
-    def step(self) -> float:
-        return float(self.tau[1] - self.tau[0])
-
-    @property
-    def tau_max(self) -> float:
-        return float(self.tau[-1])
-
-    def _partial_step(self, tau):
-        """The node j before each time, the remainder r = tau - tau[j] (zero
-        at a node), and (c, c', s, s') at tau: the node's values times one
-        partial Magnus step over r."""
+    def node(self, tau):
+        """Index of the node at each time; a time that is not a node, such
+        as one the solve was not asked for or a negative one, is refused."""
         t = np.asarray(tau, dtype=float)
-        if np.any(t < -_SPAN_SLACK) or np.any(t > self.tau_max + _SPAN_SLACK):
-            raise DomainError(f"tau outside the solved span [0, {self.tau_max:g}]")
-        j = np.clip(np.searchsorted(self.tau, t, side="right") - 1, 0, self.tau.size - 1)
-        rest = t - self.tau[j]
-        m00, m01, m10, m11 = _magnus_step(self.profile, self.tau[j], rest)
-        c, dc, s, ds = self.cos_sol[j], self.cos_deriv[j], self.sin_sol[j], self.sin_deriv[j]
-        return j, rest, (m00 * c + m01 * dc, m10 * c + m11 * dc,
-                         m00 * s + m01 * ds, m10 * s + m11 * ds)
+        j = np.minimum(np.searchsorted(self.tau, t), self.tau.size - 1)
+        missed = self.tau[j] != t
+        if np.any(missed):
+            raise DomainError(f"tau {np.extract(missed, t)[0]:g} was not solved for")
+        return j
 
     def mode(self, tau):
         """Complex mode function cos_sol(tau) - i * sin_sol(tau)."""
-        _, _, (c, _, s, _) = self._partial_step(tau)
-        return c - 1j * s
+        j = self.node(tau)
+        return self.cos_sol[j] - 1j * self.sin_sol[j]
 
     def bogoliubov(self, tau):
         """Bogoliubov coefficients (alpha, beta) of the quadratic evolution,
         from the mode function xi = c - i*s and its derivative."""
-        _, _, (c, dc, s, ds) = self._partial_step(tau)
-        xi, dxi = c - 1j * s, dc - 1j * ds
+        j = self.node(tau)
+        xi = self.cos_sol[j] - 1j * self.sin_sol[j]
+        dxi = self.cos_deriv[j] - 1j * self.sin_deriv[j]
         alpha = 0.5 * (xi + 1j * dxi)
         beta = 0.5 * (np.conj(xi) + 1j * np.conj(dxi))
         return alpha, beta
 
 
-def solve_quadratic(profile: ModulatedSqueezing, tau_max: float) -> QuadraticSolution:
-    """Solve the quadratic sector on [0, tau_max], a positive span.
+def solve_quadratic(profile: ModulatedSqueezing, taus) -> QuadraticSolution:
+    """Solve the quadratic sector at ``taus``, one non-negative time or an
+    array of them in any order, repeats allowed, on nodes that include them:
+    a uniform grid over [0, max(taus)] joined with the times (times all 0
+    give the one node 0 and the identity).
 
-    One fourth-order Magnus step per grid interval; their prefix product, a
-    Hillis-Steele scan (Commun. ACM 29, 1170 (1986)) over the four matrix
-    entries, gives the solution at every node, and one partial step from the
-    node before gives it anywhere between.  The grid is fixed: 256 nodes per
-    unit tau and per unit of the effective oscillation rate, at least 4096 in
-    all.  A finer one gains nothing, since past about twice that density the
-    rounding of the sequential step product outgrows the truncation error.
-    A span that needs more than _MAX_POINTS nodes is refused before any is
-    allocated, naming tau_max, the largest time asked for.
+    One fourth-order Magnus step per interval, over its own length; their
+    prefix product, a Hillis-Steele scan (Commun. ACM 29, 1170 (1986)) over
+    the four matrix entries, gives the solution at every node.  The uniform
+    grid has 256 nodes per unit tau and per unit of the effective
+    oscillation rate, at least 4096 in all.  A finer one gains nothing:
+    there the rounding of the step product already matches the truncation
+    error, as it does where asked times crowd the grid.  A span whose
+    uniform grid needs more than _MAX_POINTS nodes is refused before any is
+    allocated, naming the largest time asked for.
     """
-    if tau_max <= 0.0:
-        raise DomainError("tau_max must be positive")
+    taus = np.asarray(taus, dtype=float)
+    if np.any(taus < 0.0):
+        raise DomainError("times must be non-negative")
+    tau_max = float(np.max(taus, initial=0.0))
     # a float count, so that no span overflows it
     nodes = np.ceil(_SAMPLES_PER_UNIT * oscillation_rate(profile) * tau_max) + 1.0
     if nodes > _MAX_POINTS:
         raise DomainError(f"tau {tau_max:g} needs more than {_MAX_POINTS} solver grid points")
-    grid = np.linspace(0.0, tau_max, max(int(nodes), _MIN_POINTS))
-    steps = _magnus_step(profile, grid[:-1], grid[1] - grid[0])
+    # sorted, each value once; np.union1d would import numpy.ma, 13 ms a run
+    grid = np.sort(np.concatenate((np.linspace(0.0, tau_max, max(int(nodes), _MIN_POINTS)),
+                                   taus.ravel())))
+    grid = grid[np.diff(grid, prepend=-1.0) > 0.0]
+    steps = _magnus_step(profile, grid[:-1], np.diff(grid))
 
     # the steps' four entries as 1-d arrays, the identity first; an inclusive
     # prefix product in log2(n) passes, elementwise, leaves
@@ -172,9 +167,7 @@ def solve_quadratic(profile: ModulatedSqueezing, tau_max: float) -> QuadraticSol
             m10[k:] * p01 + m11[k:] * p11,
         )
         k *= 2
-    return QuadraticSolution(
-        tau=grid, cos_sol=m00, cos_deriv=m10, sin_sol=m01, sin_deriv=m11, profile=profile,
-    )
+    return QuadraticSolution(tau=grid, cos_sol=m00, cos_deriv=m10, sin_sol=m01, sin_deriv=m11)
 
 
 def constant_bogoliubov(d2: float, tau):

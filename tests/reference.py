@@ -68,12 +68,12 @@ class SixTables:
     """The six coefficients from six running integrals, each integrand
     multiplied by g or d1 before it is integrated: a second route to the
     (g, d1) scaling of the three unit tables in ``DecouplingTables``, by the
-    same two-point Hermite rule over the nodes and the partial step."""
+    same two-point Hermite rule over the intervals between nodes."""
 
     def __init__(self, sol, coupling):
         self._sol = sol
         self._g, self._d1 = map(float, coupling)
-        h = sol.step
+        h = np.diff(sol.tau)
         first = self._first(sol.cos_sol, sol.cos_deriv, sol.sin_sol, sol.sin_deriv)
 
         def running(y, dy):
@@ -106,21 +106,10 @@ class SixTables:
         }
 
     def at(self, tau) -> DecouplingCoefficients:
-        """Coefficients at one time or, elementwise, at an array of times."""
-        sol = self._sol
-        j, rest, here = sol._partial_step(tau)
-        first_j = self._first(sol.cos_sol[j], sol.cos_deriv[j], sol.sin_sol[j], sol.sin_deriv[j])
-        first = self._first(*here)
-
-        def step(tables, before, after):
-            return {k: tables[k][j] + _hermite_rule(rest, before[k][0], after[k][0],
-                                                    before[k][1], after[k][1])
-                    for k in tables}
-
-        cum1_j = {k: t[j] for k, t in self._first_tables.items()}
-        cum1 = step(self._first_tables, first_j, first)
-        cum2 = step(self._second_tables, self._second(first_j, cum1_j),
-                    self._second(first, cum1))
+        """Coefficients at one solved time or, elementwise, at an array of them."""
+        j = self._sol.node(tau)
+        cum1 = {k: t[j] for k, t in self._first_tables.items()}
+        cum2 = {k: t[j] for k, t in self._second_tables.items()}
         vals = {"num": 0.0, "pos": 0.0, "mom": 0.0}
         if self._d1 != 0.0:  # the drive's three are identically zero without a drive
             vals.update(num=cum2["num"], pos=cum1["d_re"], mom=-cum1["d_im"])

@@ -112,7 +112,7 @@ def test_c02_closed_form_agreement():
     worst_f = 0.0
     worst_nu = 0.0
     for d2 in (0.0, 0.5, 2.0):
-        sol = solve_quadratic(ConstantSqueezing(d2), 4 * np.pi)
+        sol = solve_quadratic(ConstantSqueezing(d2), taus)
         tables = DecouplingTables(sol, Coupling(g=1.0))
         for tau in taus:
             closed = constant_coefficients(1.0, d2, tau)
@@ -139,12 +139,12 @@ def test_c02_closed_form_agreement():
 def test_c03_mathieu_two_scale_bound(monkeypatch):
     start = time.perf_counter()
     profile = ModulatedSqueezing(0.05, 2.0)
-    sol = solve_quadratic(profile, 4 * np.pi)
+    taus = np.linspace(0.0, 4 * np.pi, 1200)
+    sol = solve_quadratic(profile, taus)
     # the refined reference grid: 600 samples per unit tau, over twice the fixed one
     monkeypatch.setattr(squeezing, "_SAMPLES_PER_UNIT",
                         600.0 / squeezing.oscillation_rate(profile))
-    fine = solve_quadratic(profile, 4 * np.pi)
-    taus = np.linspace(0.0, 4 * np.pi, 1200)
+    fine = solve_quadratic(profile, taus)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cos_ts, _ = two_scale_solution(0.05, taus)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from optomech import (
     ConstantSqueezing,
     Coupling,
+    DomainError,
     ModulatedSqueezing,
     constant_bogoliubov,
     constant_coefficients,
@@ -47,17 +48,18 @@ def stumpff_reference(k, x):
 
 class TestQuadratureRoute:
     def test_zero_couplings_vanish(self):
-        sol = solve_quadratic(ConstantSqueezing(0.3), TWO_PI)
+        sol = solve_quadratic(ConstantSqueezing(0.3), 4.0)
         got = DecouplingTables(sol, Coupling(g=0.0, drive=0.0)).at(4.0)
         assert all(getattr(got, f) == 0.0 for f in FIELDS)
 
-    def test_zero_drive_skips_its_tables(self, modulated_solution):
+    def test_zero_drive_skips_its_tables(self):
         # a zero drive leaves num, pos and mom the scalar 0; a drive of 1e-300
         # scales the unit tables into arrays over the times, and leaves the
         # coupling's fields bit for bit as they were
-        taus = np.linspace(0.0, modulated_solution.tau_max, 101)
-        bare = DecouplingTables(modulated_solution, Coupling(0.7, 0.0)).at(taus)
-        full = DecouplingTables(modulated_solution, Coupling(0.7, 1e-300)).at(taus)
+        taus = np.linspace(0.0, TWO_PI, 101)
+        sol = solve_quadratic(ModulatedSqueezing(0.1, 2.0), taus)
+        bare = DecouplingTables(sol, Coupling(0.7, 0.0)).at(taus)
+        full = DecouplingTables(sol, Coupling(0.7, 1e-300)).at(taus)
         for name in ("num", "pos", "mom"):
             assert np.ndim(getattr(bare, name)) == 0 and getattr(bare, name) == 0.0
             assert np.shape(getattr(full, name)) == taus.shape
@@ -75,8 +77,8 @@ class TestQuadratureRoute:
     def test_unit_scaling_matches_six_tables(self, profile, g, d1):
         # the scaled unit tables against the six tables integrated with g
         # and d1 inside, to rounding of each field's largest value
-        sol = solve_quadratic(profile, TWO_PI)
-        taus = np.linspace(0.0, sol.tau_max, 201)
+        taus = np.linspace(0.0, TWO_PI, 201)
+        sol = solve_quadratic(profile, taus)
         got = DecouplingTables(sol, Coupling(g, d1)).at(taus)
         want = SixTables(sol, Coupling(g, d1)).at(taus)
         for name in FIELDS:
@@ -86,30 +88,54 @@ class TestQuadratureRoute:
                 continue
             assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y)), name
 
-    def test_matches_an_independent_ode_solve(self):
-        # the partial step and the Hermite rule against one DOP853 solve of
+    @pytest.mark.parametrize(
+        "profile, tau_max, points, bound",
+        [(ModulatedSqueezing(0.1, 2.0), 20 * np.pi, 1001, 1e-10),
+         (ModulatedSqueezing(0.3, 2.0), 30.0, 2001, 1e-10),
+         # the grid is sized by sqrt(1 + 4*d2), not by omega0, so a modulation
+         # 5x faster than the oscillation leaves a truncation error of 1.9e-10
+         (ModulatedSqueezing(0.2, 7.0), 40.0, 3001, 3e-10),
+         (ModulatedSqueezing(0.05, 0.5), 60.0, 1501, 1e-10)],
+        ids=["resonant", "strong", "fast", "slow"],
+    )
+    def test_matches_an_independent_ode_solve(self, profile, tau_max, points, bound):
+        # the Magnus nodes and the Hermite rule against one DOP853 solve of
         # the solutions and their integrals, relative to each largest value;
         # the Kerr phase 2*(u_sq + u_pos*u_mom) sets the optical dephasing
-        profile = ModulatedSqueezing(0.1, 2.0)
-        taus = np.linspace(0.0, 20 * np.pi, 1001)
-        sol = solve_quadratic(profile, taus[-1])
+        taus = np.linspace(0.0, tau_max, points)
+        sol = solve_quadratic(profile, taus)
         got = DecouplingTables(sol, Coupling(1.0)).at(taus)
         xi = sol.mode(taus)
         c, s, u_pos, u_mom, u_sq = ode_unit_functions(profile, taus)
         for x, y in ((xi.real, c), (-xi.imag, s), (got.num_pos, u_pos), (got.num_mom, u_mom),
                      (got.num_sq, u_sq)):
-            assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+            assert np.max(np.abs(x - y)) <= bound * np.max(np.abs(y))
         kerr = 2.0 * (u_sq + u_pos * u_mom)
         assert np.max(np.abs(got.kerr_phase - kerr)) <= 3e-9 * np.max(np.abs(kerr))
 
+    def test_dense_outputs_match_an_independent_ode_solve(self):
+        # 1e5 output times sit 6.2e-4 apart, five times closer than the
+        # uniform grid's 3.3e-3: every one is a node, so the step product
+        # runs over 1.2e5 intervals, and its rounding must stay far below the
+        # bound (1.5e-13 measured)
+        profile = ModulatedSqueezing(0.1, 2.0)
+        taus = np.linspace(0.0, 62.0, 100_000)
+        sol = solve_quadratic(profile, taus)
+        got = DecouplingTables(sol, Coupling(1.0)).at(taus)
+        c, s, u_pos, u_mom, u_sq = ode_unit_functions(profile, taus)
+        xi = sol.mode(taus)
+        assert np.max(np.abs(xi - (c - 1j * s))) <= 1e-10 * np.max(np.abs(c - 1j * s))
+        for x, y in ((got.num_pos, u_pos), (got.num_mom, u_mom), (got.num_sq, u_sq)):
+            assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+
     def test_node_times_read_the_running_integrals(self, modulated_solution):
-        # at a node the partial interval has length 0, so each coefficient
-        # is the node's running integral, summed here from the same rule
+        # each coefficient is the node's running integral, summed here from
+        # the same rule over the same intervals
         sol = modulated_solution
         c, dc, s, ds = sol.cos_sol, sol.cos_deriv, sol.sin_sol, sol.sin_deriv
 
         def running(y, dy):
-            parts = _hermite_rule(sol.step, y[:-1], y[1:], dy[:-1], dy[1:])
+            parts = _hermite_rule(np.diff(sol.tau), y[:-1], y[1:], dy[:-1], dy[1:])
             return np.concatenate(([0.0], np.cumsum(parts)))
 
         int_c, int_s = running(c, dc), running(s, ds)
@@ -120,6 +146,16 @@ class TestQuadratureRoute:
         for name, y in want.items():
             np.testing.assert_allclose(getattr(got, name), y, rtol=1e-15, atol=0.0, err_msg=name)
 
+    def test_time_not_solved_for_rejected(self):
+        # the tables hold running integrals at the nodes only; a time between
+        # them is refused, not stepped to
+        sol = solve_quadratic(ModulatedSqueezing(0.1, 2.0), [0.25, 1.0])
+        tables = DecouplingTables(sol, Coupling(g=0.7, drive=0.3))
+        assert tables.at(0.25).num_pos != 0.0
+        for tau in (0.5, [0.25, 0.5], -0.25):
+            with pytest.raises(DomainError):
+                tables.at(tau)
+
     def test_all_zero_at_start(self, modulated_solution):
         got = DecouplingTables(modulated_solution, Coupling(g=1.0, drive=0.3)).at(0.0)
         assert all(getattr(got, f) == 0.0 for f in FIELDS)
@@ -128,7 +164,7 @@ class TestQuadratureRoute:
         # oscillating, free (d2 = -1/4) and inverted (d2 < -1/4) sectors,
         # undriven and driven: the drive's num, pos and mom are nonzero
         for d2 in (0.5, -0.25, -0.4, -1.0):
-            sol = solve_quadratic(ConstantSqueezing(d2), TWO_PI)
+            sol = solve_quadratic(ConstantSqueezing(d2), [np.pi, TWO_PI])
             for g, d1 in ((1.0, 0.0), (0.7, 0.45)):
                 tables = DecouplingTables(sol, Coupling(g=g, drive=d1))
                 closed = constant_coefficients(g, d2, np.pi, d1=d1)
@@ -146,7 +182,7 @@ class TestQuadratureRoute:
 
     def test_drive_only_coefficients(self):
         # with no light-matter coupling only the bare drive terms survive
-        sol = solve_quadratic(ConstantSqueezing(0.0), TWO_PI)
+        sol = solve_quadratic(ConstantSqueezing(0.0), [np.pi, TWO_PI])
         got = DecouplingTables(sol, Coupling(g=0.0, drive=0.25)).at(np.pi)
         assert got.pos == pytest.approx(0.25 * np.sin(np.pi), abs=1e-9)
         assert got.mom == pytest.approx(0.25 * (1.0 - np.cos(np.pi)), abs=1e-9)
@@ -154,10 +190,11 @@ class TestQuadratureRoute:
 
     def test_cross_validation_grid(self):
         # quadrature route against the closed form across d2 values and times
+        taus = np.linspace(0.0, TWO_PI, 25)
         for d2 in (0.0, 0.5, 2.0):
-            sol = solve_quadratic(ConstantSqueezing(d2), TWO_PI)
+            sol = solve_quadratic(ConstantSqueezing(d2), taus)
             tables = DecouplingTables(sol, Coupling(g=1.0))
-            for tau in np.linspace(0.0, TWO_PI, 25):
+            for tau in taus:
                 got = tables.at(tau)
                 diff = max_component_diff(got, constant_coefficients(1.0, d2, tau))
                 assert diff < 1e-7

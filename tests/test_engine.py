@@ -16,7 +16,7 @@ from optomech import (
     solve_quadratic,
     squeezing_frame_excess,
 )
-from optomech import engine
+from optomech import engine, squeezing
 from reference import subsystem_eigenvalues_mp
 
 
@@ -95,6 +95,17 @@ class TestClosedFormDispatch:
         assert abs(drive_shift) > 0.0
         assert rec.moments.na == 1.0
         assert rec.report.delta_min - 1e-9 <= rec.report.delta <= rec.report.delta_max + 1e-9
+
+    def test_one_magnus_pass_per_modulated_trajectory(self, monkeypatch):
+        # the solve steps every interval once; the tables and the Bogoliubov
+        # pair then read its nodes by index, with no partial step of their own
+        calls = []
+        step = squeezing._magnus_step
+        monkeypatch.setattr(squeezing, "_magnus_step",
+                            lambda *args: calls.append(args) or step(*args))
+        system = SystemParams(1.0, Coupling(g=0.7, drive=0.2), ModulatedSqueezing(0.1, 2.0))
+        evaluate_trajectory(system, InitialState(1.0), np.linspace(0.0, 3.0, 11))
+        assert len(calls) == 1
 
 
 def _rel_close(got, want, rel):

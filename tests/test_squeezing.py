@@ -95,8 +95,8 @@ class TestSolveQuadratic:
         # the reference multiplies the same steps one at a time, in order
         profile = ModulatedSqueezing(d2, 2.0)
         sol = solve_quadratic(profile, tau_max)
-        h = sol.step
-        w = 1.0 + 4.0 * profile.d2_at(sol.tau[:-1, None] + h * (0.5 + np.array([-1, 1]) * np.sqrt(3.0) / 6.0))
+        h = np.diff(sol.tau)
+        w = 1.0 + 4.0 * profile.d2_at(sol.tau[:-1, None] + h[:, None] * (0.5 + np.array([-1, 1]) * np.sqrt(3.0) / 6.0))
         c = np.sqrt(3.0) / 12.0 * h * h * (w[:, 1] - w[:, 0])
         lower = -0.5 * h * (w[:, 0] + w[:, 1])
         s2 = c * c + h * lower
@@ -122,9 +122,34 @@ class TestSolveQuadratic:
         assert np.max(np.abs(sol.cos_sol - np.cos(sol.tau))) < 1e-8
         assert np.max(np.abs(sol.sin_sol - np.sin(sol.tau))) < 1e-8
 
-    def test_nonpositive_horizon_rejected(self):
-        with pytest.raises(DomainError):
-            solve_quadratic(ConstantSqueezing(0.0), 0.0)
+    def test_negative_time_rejected(self):
+        for taus in (-1e-300, [0.0, 2.0, -0.5]):
+            with pytest.raises(DomainError):
+                solve_quadratic(ConstantSqueezing(0.0), taus)
+
+    @pytest.mark.parametrize("taus", [0.0, [0.0, -0.0, 0.0], []], ids=["0-d", "repeated", "empty"])
+    def test_zero_times_give_one_node_identity(self, taus):
+        sol = solve_quadratic(ModulatedSqueezing(0.1, 2.0), taus)
+        for got, want in zip(sol, (0.0, 1.0, 0.0, 0.0, 1.0)):
+            np.testing.assert_array_equal(got, [want])
+        alpha, beta = sol.bogoliubov(taus)
+        np.testing.assert_array_equal(alpha, np.ones(np.shape(taus)))
+        np.testing.assert_array_equal(beta, np.zeros(np.shape(taus)))
+
+    @pytest.mark.parametrize("taus", [np.pi / 3, [5.0, 0.1, 5.0, 2.0, 0.1], [[1.5, 0.0], [7.3, 1.5]]],
+                             ids=["0-d", "unsorted-repeated", "2-d"])
+    def test_every_asked_time_is_a_node(self, taus):
+        # the nodes are the uniform grid over [0, max(taus)] joined with the
+        # times; each reader returns the shape of the times it is given
+        sol = solve_quadratic(ModulatedSqueezing(0.1, 2.0), taus)
+        assert np.all(np.diff(sol.tau) > 0.0) and sol.tau[0] == 0.0
+        assert sol.tau[-1] == np.max(taus)
+        assert set(np.ravel(taus)) <= set(sol.tau)
+        j = sol.node(taus)
+        assert np.shape(j) == np.shape(taus)
+        np.testing.assert_array_equal(sol.tau[j], taus)
+        alpha, _ = sol.bogoliubov(taus)
+        assert np.shape(alpha) == np.shape(sol.mode(taus)) == np.shape(taus)
 
     def test_unaffordable_grid_refused_before_allocation(self, monkeypatch):
         # the node count is a float, so even a span near the float limit is
@@ -146,11 +171,11 @@ class TestSolveQuadratic:
         # deviation is dominated by the perturbative truncation, not the
         # integrator: a grid of 600 samples per unit tau must not move it
         profile = ModulatedSqueezing(0.1, 2.0)
-        sol = solve_quadratic(profile, 4 * np.pi)
+        taus = np.linspace(0, 4 * np.pi, 800)
+        sol = solve_quadratic(profile, taus)
         monkeypatch.setattr(squeezing, "_SAMPLES_PER_UNIT",
                             600.0 / squeezing.oscillation_rate(profile))
-        fine = solve_quadratic(profile, 4 * np.pi)
-        taus = np.linspace(0, 4 * np.pi, 800)
+        fine = solve_quadratic(profile, taus)
         with pytest.warns(ValidityWarning):
             c_ts, _ = two_scale_solution(0.1, taus)
         dev = np.max(np.abs(np.real(sol.mode(taus)) - c_ts))
@@ -164,11 +189,22 @@ class TestModeFunction:
         assert modulated_solution.mode(0.0) == pytest.approx(1.0)
 
     def test_constant_closed_form(self):
-        sol = solve_quadratic(ConstantSqueezing(0.5), TWO_PI)
+        taus = (0.3, 1.7, 5.9)
+        sol = solve_quadratic(ConstantSqueezing(0.5), taus)
         z = np.sqrt(3.0)
-        for tau in (0.3, 1.7, 5.9):
+        for tau in taus:
             want = np.cos(z * tau) - 1j * np.sin(z * tau) / z
             assert sol.mode(tau) == pytest.approx(want, abs=1e-9)
+
+    def test_time_not_solved_for_rejected(self):
+        # 0.5 lies inside the solved span but is no node: nothing is read
+        # off the grid between nodes
+        sol = solve_quadratic(ModulatedSqueezing(0.1, 2.0), [0.25, 1.0])
+        assert 0.5 not in sol.tau
+        for read in (sol.node, sol.mode, sol.bogoliubov):
+            for tau in (0.5, [0.25, 0.5], np.nextafter(1.0, 2.0), np.nan):
+                with pytest.raises(DomainError):
+                    read(tau)
 
     def test_outside_span_rejected(self, modulated_solution):
         with pytest.raises(DomainError):
@@ -188,8 +224,9 @@ class TestModeFunction:
 
 class TestBogoliubov:
     def test_free_evolution(self):
-        sol = solve_quadratic(ConstantSqueezing(0.0), TWO_PI)
-        for tau in (0.4, 2.2, 6.0):
+        taus = (0.4, 2.2, 6.0)
+        sol = solve_quadratic(ConstantSqueezing(0.0), taus)
+        for tau in taus:
             alpha, beta = sol.bogoliubov(tau)
             assert alpha == pytest.approx(np.exp(-1j * tau), abs=1e-10)
             assert beta == pytest.approx(0.0, abs=1e-10)
@@ -221,10 +258,10 @@ class TestBogoliubov:
         assert beta == pytest.approx(0.0 - 0.6674662951452535j, abs=1e-7)
 
     def test_node_times_read_the_node_values(self, modulated_solution):
-        # a partial step of length 0 is the identity, so at every node the
+        # a Magnus step of length 0 is the identity, and at every node the
         # pair is built from the node's own values, bit for bit
         sol = modulated_solution
-        steps = squeezing._magnus_step(sol.profile, sol.tau, 0.0)
+        steps = squeezing._magnus_step(ModulatedSqueezing(0.1, 2.0), sol.tau, 0.0)
         for got, want in zip(steps, (1.0, 0.0, 0.0, 1.0)):
             np.testing.assert_array_equal(got, np.full(sol.tau.shape, want))
         xi = sol.cos_sol - 1j * sol.sin_sol
