@@ -220,16 +220,20 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    rows = np.asarray(rows, dtype=float)
-    # one %-template per block of rows: the same text as _fmt per value;
-    # Python floats format faster than numpy scalars
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write the table given by its columns: a column of str as it is, any
+    other as floats in the text of _fmt.  Rows are stacked _CSV_BLOCK_ROWS
+    at a time, so no copy of the whole table is made."""
+    columns = [np.asarray(c, dtype=object if isinstance(c[0], str) else float)
+               for c in columns]
+    # one %-template per block of rows; Python floats format faster than
+    # numpy scalars
+    line = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            handle.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+            handle.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def run_evolve(cfg: RunConfig) -> int:
@@ -239,20 +243,8 @@ def run_evolve(cfg: RunConfig) -> int:
     _write_csv(
         cfg.out,
         ["tau", "re_a", "im_a", "x1", "p1", "nu_op", "nu_me", "delta", "delta_min", "delta_max"],
-        np.column_stack(
-            [
-                rec.tau,
-                a.real,
-                a.imag,
-                np.sqrt(2.0) * a.real,
-                np.sqrt(2.0) * a.imag,
-                r.nu_op,
-                r.nu_me,
-                r.delta,
-                r.delta_min,
-                r.delta_max,
-            ]
-        ),
+        [rec.tau, a.real, a.imag, np.sqrt(2.0) * a.real, np.sqrt(2.0) * a.imag,
+         r.nu_op, r.nu_me, r.delta, r.delta_min, r.delta_max],
     )
     return _EXIT_OK
 
@@ -270,17 +262,15 @@ def run_sweep(cfg: RunConfig) -> int:
     g0, d2, tau = (cells.get(k, np.full(grid[0].size, getattr(cfg, k))) for k in _SWEEP_AXES)
 
     # cells sharing d2 share one solve, which g0 only scales: one pass each
-    measures = np.empty((grid[0].size, 3))
+    measures = np.empty((3, grid[0].size))
     for value in dict.fromkeys(d2.tolist()):
         mask = d2 == value
-        rec = evaluate_trajectory(
+        r = evaluate_trajectory(
             cfg._replace(g0=g0[mask], d2=value).system(), cfg.initial_state(), tau[mask]
-        )
-        measures[mask] = np.column_stack([rec.report.delta, rec.report.delta_min,
-                                          rec.report.delta_max])
+        ).report
+        measures[:, mask] = r.delta, r.delta_min, r.delta_max
 
-    _write_csv(cfg.out, names + ["delta", "delta_min", "delta_max"],
-               np.column_stack([*grid, measures]))
+    _write_csv(cfg.out, names + ["delta", "delta_min", "delta_max"], [*grid, *measures])
     return _EXIT_OK
 
 
@@ -294,12 +284,12 @@ def run_mathieu(cfg: RunConfig) -> int:
         sol = solve_quadratic(ModulatedSqueezing(cfg.d2, cfg.omega0), taus)
         cos_ts, sin_ts = two_scale_solution(cfg.d2, taus)
         xi = sol.mode(taus)
-    rows = np.column_stack([taus, xi.real, -xi.imag, cos_ts, sin_ts])
-    finite = np.all(np.isfinite(rows), axis=1)
+    finite = np.isfinite(xi) & np.isfinite(cos_ts) & np.isfinite(sin_ts)
     if not np.all(finite):
         first = taus[np.argmin(finite)]
         raise NonFiniteError(f"non-finite solution, first at tau = {first:.17g}")
-    _write_csv(cfg.out, ["tau", "cos_sol", "sin_sol", "cos_two_scale", "sin_two_scale"], rows)
+    _write_csv(cfg.out, ["tau", "cos_sol", "sin_sol", "cos_two_scale", "sin_two_scale"],
+               [taus, xi.real, -xi.imag, cos_ts, sin_ts])
     dev_cos = np.max(np.abs(xi.real - cos_ts))
     dev_sin = np.max(np.abs(-xi.imag - sin_ts))
     print(
@@ -348,14 +338,10 @@ def run_oracle_check(cfg: RunConfig) -> int:
         ok = abs_err <= max(cfg.tol * abs(ana), 1e-6)
         all_ok &= ok
         print(f"oracle-check {name}: {'PASS' if ok else 'FAIL'} rel_err={rel_err:.3e}")
-        rows.append([ana.real, ana.imag, orc.real, orc.imag, abs_err, rel_err])
+        rows.append((name, ana.real, ana.imag, orc.real, orc.imag, abs_err, rel_err))
 
-    header = ["analytic_re", "analytic_im", "oracle_re", "oracle_im", "abs_err", "rel_err"]
-    lines = ["moment," + ",".join(header)]
-    for name, row in zip(measured._fields, rows):
-        lines.append(name + "," + ",".join(_fmt(v) for v in row))
-    with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_csv(cfg.out, ["moment", "analytic_re", "analytic_im", "oracle_re", "oracle_im",
+                         "abs_err", "rel_err"], zip(*rows))
     return _EXIT_OK if all_ok else _EXIT_MISMATCH
 
 

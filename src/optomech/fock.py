@@ -172,15 +172,15 @@ def _step_count(system: SystemParams, tau_final: float, n_c: int) -> int:
 
 
 def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
-               n_steps: int) -> tuple[np.ndarray, float]:
+               n_steps: int) -> np.ndarray | None:
     """Propagate psi over [0, tau_final] by one schedule of exponentials of
     H_n - omega_c*n: one at D2(0) over the span if n_steps is 0, else the
     2*n_steps CF4 exponentials over dt/2, in step order.  Each is a Taylor
     series of the stencil on every block at once, in substeps of at most
-    _TAYLOR_REACH over the largest Gershgorin magnitude.  Also returns the
-    largest mechanical tail fraction at a substep's end, returning at the
-    first past _TAIL_TOL: an overflowing state is reflected off the top level
-    and can end with an empty tail."""
+    _TAYLOR_REACH over the largest Gershgorin magnitude.  Returns None at the
+    first substep whose mechanical tail fraction passes _TAIL_TOL: an
+    overflowing state is reflected off the top level and can end with an
+    empty tail."""
     g, d1 = map(float, system.coupling)
     if n_steps == 0:
         span, d2s = tau_final, [float(system.squeezing.d2_at(0.0))]
@@ -199,7 +199,6 @@ def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
     levels = pads[:, :, 2:-2]
     total = pads[2]
     levels[2] = psi
-    tail = 0.0
     for d2 in d2s:
         w = _stencil(d2, g, d1, n_c, n_m)
         lo, hi = spectral_bounds(w)
@@ -214,10 +213,9 @@ def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
                 k += 1
                 pads[k % 2] *= 1.0 / k
                 total += pads[k % 2]
-            tail = max(tail, tail_fractions(levels[2])[1])
-            if tail > _TAIL_TOL:
-                return levels[2].copy(), tail
-    return levels[2].copy(), tail
+            if tail_fractions(levels[2])[1] > _TAIL_TOL:
+                return None
+    return levels[2].copy()
 
 
 def evolve(psi0: np.ndarray, system: SystemParams, tau_final: float) -> np.ndarray:
@@ -255,12 +253,10 @@ def evolve(psi0: np.ndarray, system: SystemParams, tau_final: float) -> np.ndarr
         raise ConvergenceError(f"{n_steps} time steps exceed the limit of {_STEP_CAP}")
     runs = []
     for steps in (n_steps, 2 * n_steps) if n_steps else (0,):
-        while True:
-            _require_within_cap(*psi.shape)
-            run, tail = _run_steps(psi, system, tau_final, steps)
-            if tail <= _TAIL_TOL:
-                break
+        _require_within_cap(*psi.shape)
+        while (run := _run_steps(psi, system, tau_final, steps)) is None:
             psi = np.pad(psi, ((0, 0), (0, psi.shape[1])))
+            _require_within_cap(*psi.shape)
         runs.append(run)
     if len(runs) == 2:
         coarse, refined = (measure_moments(run, 0.0, tau_final) for run in runs)

@@ -175,11 +175,12 @@ def covariance(m: MomentSet) -> np.ndarray:
     of times it has shape (n, 4, 4).
 
     Entries follow sigma_nm = <{X_n, X_m^dag}> - 2 <X_n><X_m^dag>; the
-    remaining elements are filled by Hermitian symmetry.
+    remaining elements are filled by Hermitian symmetry.  The diagonal takes
+    the variance before the vacuum term, so a bright coherent state keeps it.
     """
     a, b = m.a, m.b
-    s11 = 1.0 + 2.0 * m.na - 2.0 * abs(a) ** 2
-    s22 = 1.0 + 2.0 * m.nb - 2.0 * abs(b) ** 2
+    s11 = 1.0 + 2.0 * (m.na - abs(a) ** 2)
+    s22 = 1.0 + 2.0 * (m.nb - abs(b) ** 2)
     s13 = 2.0 * m.a2 - 2.0 * a * a
     s24 = 2.0 * m.b2 - 2.0 * b * b
     s12 = 2.0 * m.ab_dag - 2.0 * a * np.conj(b)

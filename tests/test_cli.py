@@ -3,6 +3,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 from optomech import (ConstantSqueezing, ConvergenceError, Coupling, InitialState,
                       ModulatedSqueezing, SystemParams, evaluate_point, solve_quadratic)
+from optomech import cli
 from optomech.cli import (_ORACLE_LIMITS, _PARSERS, Axis, RunConfig, _check_oracle_envelope,
                           _fmt, _write_csv, build_config, main, parse_config_file)
 
@@ -777,7 +779,7 @@ def test_csv_bytes_match_per_value_formatting(tmp_path):
     values += list(np.geomspace(1e-300, 1e300, 61)) + list(-np.geomspace(1e-300, 1e300, 61))
     rows = np.array(values[:130]).reshape(13, 10)
     path = tmp_path / "o.csv"
-    _write_csv(str(path), [f"c{j}" for j in range(10)], rows)
+    _write_csv(str(path), [f"c{j}" for j in range(10)], list(rows.T))
     expected = ",".join(f"c{j}" for j in range(10)) + "\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows
     )
@@ -849,6 +851,28 @@ def test_cli_leaves_the_oracle_basis_to_fock():
     assert set(_ORACLE_LIMITS) == {"g0", "d2_constant", "d2_modulated", "mu", "tau"}
 
 
+def test_cli_has_one_csv_writer():
+    """Every mode's CSV goes through ``_write_csv``: it is the one place that
+    opens a file for writing, and ``_fmt`` formats only ``mathieu``'s stdout
+    line."""
+    tree = ast.parse(Path(SRC, "optomech", "cli.py").read_text())
+    funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def calls(node, name):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name) and call.func.id == name]
+
+    def writes(call):
+        modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+        return any(set(ast.literal_eval(mode)) & set("wax+") for mode in modes)
+
+    writers = [call for call in calls(tree, "open") if writes(call)]
+    assert writers and writers == [call for call in calls(funcs["_write_csv"], "open")
+                                   if writes(call)]
+    summary = [call for line in calls(funcs["run_mathieu"], "print") for call in calls(line, "_fmt")]
+    assert summary and len(summary) == len(calls(tree, "_fmt"))
+
+
 def test_public_api_exports_only_what_runs():
     """Star import works, every ``__all__`` entry resolves, and no name that
     moved to the test references or was deleted is exported."""
@@ -871,9 +895,44 @@ def test_csv_blocks_join_to_per_value_formatting(tmp_path):
     rows = rng.standard_normal((1000, 3)) * 10.0 ** rng.integers(-40, 40, (1000, 3))
     rows[0, 0], rows[511, 1], rows[999, 2] = -0.0, 1e-300, -1e-300
     path = tmp_path / "o.csv"
-    _write_csv(str(path), ["x", "y", "z"], rows)
+    _write_csv(str(path), ["x", "y", "z"], list(rows.T))
     expected = "x,y,z\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows.tolist())
     assert path.read_bytes() == expected.encode()
+
+
+def test_csv_text_column_beside_floats(tmp_path):
+    # the oracle-check layout: a column of moment names, then float columns
+    # whose edge values must read as _fmt writes them
+    names = ["a", "b", "a2", "b2", "na", "nb", "ab", "ab_dag"]
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-300, 0.1, -1.0 / 3.0])
+    columns = [names, values, values[::-1], np.roll(values, 3)]
+    path = tmp_path / "o.csv"
+    _write_csv(str(path), ["moment", "x", "y", "z"], columns)
+    expected = "moment,x,y,z\n" + "".join(
+        ",".join([name, *(_fmt(v) for v in row)]) + "\n"
+        for name, row in zip(names, zip(*(c.tolist() for c in columns[1:])))
+    )
+    assert path.read_bytes() == expected.encode()
+
+
+def test_evolve_writes_without_a_copy_of_the_table(tmp_path, monkeypatch):
+    """The writer stacks a block of rows at a time from the columns: with the
+    engine's record cached, writing 1e5 points of 10 columns, 8 MB as one
+    float table, peaks under 4 MB."""
+    flags = {"squeezing": "modulated", "d2": "0.1", "omega0": "2", "g0": "0.7",
+             "tau_max": "62", "points": "100000"}
+    out = str(tmp_path / "o.csv")
+    cfg = build_config("evolve", {}, flags, out)
+    rec = cli.evaluate_trajectory(cfg.system(), cfg.initial_state(),
+                                  np.linspace(0.0, cfg.tau_max, cfg.points))
+    monkeypatch.setattr(cli, "evaluate_trajectory", lambda *args: rec)
+    tracemalloc.start()
+    try:
+        assert main(["evolve", *(f"--{k}={v}" for k, v in flags.items()), "--out", out]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def _src_env() -> dict[str, str]:

@@ -72,7 +72,7 @@ def block_matrix(system, tau, n_c, n_m):
 def run_steps(psi0, system, tau, n_steps):
     """The lab-frame state after n_steps CF4 steps, with no basis growth and
     no half-step re-run."""
-    psi, _ = fock._run_steps(psi0, system, tau, n_steps)
+    psi = fock._run_steps(psi0, system, tau, n_steps)
     return np.exp(-1j * system.omega_c * tau * np.arange(psi0.shape[0]))[:, None] * psi
 
 
@@ -399,8 +399,8 @@ class TestEvolve:
 
         def overflowing_once(psi, system, tau_final, n_steps):
             calls.append((psi.shape[1], n_steps))
-            out, tail = run_steps(psi, system, tau_final, n_steps)
-            return out, 2.0 * fock._TAIL_TOL if len(calls) == 2 else tail
+            out = run_steps(psi, system, tau_final, n_steps)
+            return None if len(calls) == 2 else out
 
         monkeypatch.setattr(fock, "_run_steps", overflowing_once)
         system = SystemParams(1.0, Coupling(g=0.3), ModulatedSqueezing(0.1, 2.0))

@@ -148,6 +148,15 @@ class TestCovariance:
         assert m.a == pytest.approx(init.mu_c)
         assert m.b == pytest.approx(init.mu_m)
 
+    @pytest.mark.parametrize("mu_c", [1e7, 1e10, 1e153])
+    def test_bright_cavity_keeps_the_vacuum_term(self, mu_c):
+        # <N> - |<a>|^2 is 0 exactly at tau = 0, so sigma_11 is the vacuum's
+        # 1 however bright the cavity; adding 1 to 2<N> first rounds it away
+        # once <N> passes 1e16
+        system = SystemParams(1.0, Coupling(g=1e-9), ConstantSqueezing(0.0))
+        sigma = evaluate_trajectory(system, InitialState(mu_c, 0.0), np.array([0.0])).covariance
+        assert sigma[0, 0, 0] == sigma[0, 2, 2] == 1.0
+
     def test_mechanical_variance_without_kicks(self):
         # beta = 0 and no per-photon displacement leave the mechanics at
         # vacuum noise
