@@ -3,9 +3,9 @@
 A state is a complex (n_c, n_m) array of amplitudes psi[n_photons, n_phonons].
 The Hamiltonian conserves the photon number, so the state evolves as one
 mechanical block per photon number n, with omega_c*n an exact phase.  The
-Hamiltonian has one form, an (n_c, n_m, 5) array of real weights: the
-pentadiagonal stencil of every block.  Every exponential is applied to all
-blocks at once by a Taylor series of that stencil; no dense block is formed.
+Hamiltonian is H_n - omega_c*n = W + D2*S, real pentadiagonal stencils built
+once per run; each exponential applies W + d2*S to all blocks at once by a
+Taylor series, and no dense block is formed.
 Every run is one schedule of exponentials (``_run_steps``): a static system
 takes one over the whole span; a time-dependent one takes ``_step_count``
 fourth-order commutator-free Magnus steps (CF4) at ``default_dt``, two
@@ -16,9 +16,9 @@ measured, into the same ``MomentSet`` record.
 The oracle sets its own accuracy: a half-step re-run checks the step, and
 ``evolve`` owns the basis: n_m doubles until its tail stays empty along every
 run it keeps, the half-step re-run included, from a start that
-``product_coherent`` sizes from the initial state alone.  Each basis tail is
-checked where it can fill: the optical one once, at the start, and the
-mechanical one after every Taylor substep.
+``product_coherent`` sizes from the initial state alone.  A basis tail, the
+top tenth of its levels (``_tail_start``), is checked where it can fill: both
+on the start's factors, and the mechanical one after every Taylor substep.
 Nothing here reads the analytic chain (``moments`` lends only its input
 and output records), so the oracle stays an independent referee.  Only the
 small-parameter envelope is certified; large couplings blow past any
@@ -56,17 +56,10 @@ _CF4_A1, _CF4_A2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0))
 _CF4_MIX = 2.0 * np.array([[_CF4_A2, _CF4_A1], [_CF4_A1, _CF4_A2]])
 
 
-def tail_fractions(psi: np.ndarray) -> tuple[float, float]:
-    """Occupation fractions of psi[n_photons, n_phonons] in the top 10% of
-    each index, and at least in the last two mechanical levels, which no
-    state of one parity skips."""
-    n_c, n_m = psi.shape
-    p = np.abs(psi) ** 2
-    total = max(np.sum(p), 1e-300)
-    # photon numbers are Poisson, so the last optical level alone will do
-    c_edge = min(int(np.ceil((1.0 - _TAIL_FRACTION) * n_c)), n_c - 1)
-    m_edge = min(int(np.ceil((1.0 - _TAIL_FRACTION) * n_m)), n_m - 2)
-    return float(np.sum(p[c_edge:, :]) / total), float(np.sum(p[:, m_edge:]) / total)
+def _tail_start(n: int, least: int) -> int:
+    """First level of the basis tail of n levels: the top tenth, and at
+    least the last ``least`` levels."""
+    return min(int(np.ceil((1.0 - _TAIL_FRACTION) * n)), n - least)
 
 
 def coherent_amplitudes(mu: complex, n: int) -> np.ndarray:
@@ -99,14 +92,18 @@ def product_coherent(init: InitialState, n_c: int = 0, n_m: int = 0) -> np.ndarr
     n_c, n_m = (n or int(np.ceil(abs(mu) ** 2 + 6.0 * abs(mu) + 8.0))
                 for n, mu in ((n_c, init.mu_c), (n_m, init.mu_m)))
     _require_within_cap(n_c, n_m)
-    psi = np.outer(coherent_amplitudes(init.mu_c, n_c), coherent_amplitudes(init.mu_m, n_m))
-    c_tail, m_tail = tail_fractions(psi)
+    factors = coherent_amplitudes(init.mu_c, n_c), coherent_amplitudes(init.mu_m, n_m)
+    # a product's tails are its factors', and one minus the weight kept also
+    # counts the norm cut off; the optical tail may be the last level (photon
+    # numbers are Poisson), the mechanical one spans two (a state of one parity)
+    kept = (f[:_tail_start(f.size, least)] for f, least in zip(factors, (1, 2)))
+    c_tail, m_tail = (1.0 - float(np.vdot(k, k).real) for k in kept)
     if c_tail > _TAIL_TOL or m_tail > _TAIL_TOL:
         raise CutoffInsufficientError(
             f"basis tail occupied (optical {c_tail:.3g}, mechanical {m_tail:.3g}); "
             f"increase the cutoffs ({n_c}, {n_m})",
             optical_tail=c_tail, mechanical_tail=m_tail, n_c=n_c, n_m=n_m)
-    return psi
+    return np.outer(*factors)
 
 
 def _ladder_roots(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,29 +113,30 @@ def _ladder_roots(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(m), np.sqrt(m[:-1] * m[1:])
 
 
-def _stencil(d2: float, g: float, d1: float, n_c: int, n_m: int) -> np.ndarray:
-    """The Hamiltonian at squeezing d2, coupling g and drive d1, split by
-    photon number, as (n_c, n_m, 5) real weights.
+def _stencil(g: float, d1: float, n_c: int, n_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Hamiltonian at coupling g and drive d1, split by photon number,
+    as real weights W (n_c, n_m, 5) of its static part and S (n_m, 5) of
+    X @ X, X = b + b^dag: the stencil at squeezing d2 is W + d2*S.
 
     H commutes with the photon number, so H = sum_n |n><n| x H_n with the
-    mechanical block H_n = omega_c*n + diag + (d1 - g*n)*X + d2*(b^2 + b^dag^2),
-    X = b + b^dag.  (H_n - omega_c*n) psi_n at level m is the sum over k of
+    mechanical block H_n = omega_c*n + N + (d1 - g*n)*X + d2*X@X.
+    (H_n - omega_c*n) psi_n at level m is the sum over k of
     w[n, m, k] * psi_n[m + k - 2] (zero off the basis); no block is laid out
-    densely, and the cavity term is a phase on each block.  ``diag`` is
-    N + d2 times the diagonal of the truncated X @ X (2m+1, and m at the last
-    level), so every block equals the truncation of the full Hamiltonian.
+    densely, and the cavity term is a phase on each block.  S is the
+    truncated X @ X (2m+1 on the diagonal, and m at the last level), so
+    every block equals the truncation of the full Hamiltonian.
     """
     if n_c < 2 or n_m < 2:
         raise DomainError("Fock cutoffs must be at least 2")
     m = np.arange(n_m, dtype=float)
-    pos_sq_diag = 2.0 * m + 1.0
-    pos_sq_diag[-1] = m[-1]
     root1, root2 = _ladder_roots(n_m)
-    w = np.zeros((n_c, n_m, 5))
-    w[:, :, 2] = m + d2 * pos_sq_diag
-    w[:, 1:, 1] = w[:, :-1, 3] = np.outer(d1 - g * np.arange(n_c, dtype=float), root1)
-    w[:, 2:, 0] = w[:, :-2, 4] = d2 * root2
-    return w
+    static, squeeze = np.zeros((n_c, n_m, 5)), np.zeros((n_m, 5))
+    static[:, :, 2] = m
+    static[:, 1:, 1] = static[:, :-1, 3] = np.outer(d1 - g * np.arange(n_c, dtype=float), root1)
+    squeeze[:, 2] = 2.0 * m + 1.0
+    squeeze[-1, 2] = m[-1]
+    squeeze[2:, 0] = squeeze[:-2, 4] = root2
+    return static, squeeze
 
 
 def spectral_bounds(w: np.ndarray) -> tuple[float, float]:
@@ -148,9 +146,9 @@ def spectral_bounds(w: np.ndarray) -> tuple[float, float]:
 
 
 def build_hamiltonian(system: SystemParams, tau: float, n_c: int, n_m: int) -> np.ndarray:
-    """The stencil of the Hamiltonian at time tau on the truncated space."""
-    g, d1 = map(float, system.coupling)
-    return _stencil(float(system.squeezing.d2_at(tau)), g, d1, n_c, n_m)
+    """The stencil W + D2(tau)*S of the Hamiltonian at time tau."""
+    static, squeeze = _stencil(*map(float, system.coupling), n_c, n_m)
+    return static + float(system.squeezing.d2_at(tau)) * squeeze
 
 
 def default_dt(system: SystemParams, n_c: int) -> float:
@@ -176,12 +174,11 @@ def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
     """Propagate psi over [0, tau_final] by one schedule of exponentials of
     H_n - omega_c*n: one at D2(0) over the span if n_steps is 0, else the
     2*n_steps CF4 exponentials over dt/2, in step order.  Each is a Taylor
-    series of the stencil on every block at once, in substeps of at most
-    _TAYLOR_REACH over the largest Gershgorin magnitude.  Returns None at the
-    first substep whose mechanical tail fraction passes _TAIL_TOL: an
-    overflowing state is reflected off the top level and can end with an
-    empty tail."""
-    g, d1 = map(float, system.coupling)
+    series of its stencil W + d2*S (``_stencil``, built once per run) on
+    every block at once, in substeps of at most _TAYLOR_REACH over the
+    largest Gershgorin magnitude.  Returns None at the first substep whose
+    mechanical tail holds more than _TAIL_TOL of the state's norm: an
+    overflowing state is reflected off its top and can end with an empty tail."""
     if n_steps == 0:
         span, d2s = tau_final, [float(system.squeezing.d2_at(0.0))]
     else:
@@ -194,26 +191,29 @@ def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
     # strided view, and since the padding stays zero, norms, scalings and
     # sums can run over whole contiguous buffers
     n_c, n_m = psi.shape
+    static, squeeze = _stencil(*map(float, system.coupling), n_c, n_m)
     pads = np.zeros((3, n_c, n_m + 4), dtype=complex)
     windows = sliding_window_view(pads, 5, axis=2)
     levels = pads[:, :, 2:-2]
     total = pads[2]
+    tail = levels[2, :, _tail_start(n_m, 2):]
     levels[2] = psi
+    norm = np.vdot(total, total).real
     for d2 in d2s:
-        w = _stencil(d2, g, d1, n_c, n_m)
+        w = static + d2 * squeeze
         lo, hi = spectral_bounds(w)
         n_sub = max(int(np.ceil(span * max(-lo, hi) / _TAYLOR_REACH)), 1)
         weights = (-1j * span / n_sub) * w
         for _ in range(n_sub):
-            floor = _TAYLOR_TOL**2 * np.vdot(total, total).real
             pads[0] = total
             k = 0
-            while np.vdot(pads[k % 2], pads[k % 2]).real > floor:
+            while np.vdot(pads[k % 2], pads[k % 2]).real > _TAYLOR_TOL**2 * norm:
                 np.einsum("cmk,cmk->cm", windows[k % 2], weights, out=levels[(k + 1) % 2])
                 k += 1
                 pads[k % 2] *= 1.0 / k
                 total += pads[k % 2]
-            if tail_fractions(levels[2])[1] > _TAIL_TOL:
+            norm = np.vdot(total, total).real
+            if np.vdot(tail, tail).real > _TAIL_TOL * norm:
                 return None
     return levels[2].copy()
 
@@ -242,8 +242,8 @@ def evolve(psi0: np.ndarray, system: SystemParams, tau_final: float) -> np.ndarr
     state is returned.  Norm drift raises a flagged-run error with
     diagnostics.
     """
-    if tau_final < 0.0:
-        raise DomainError("tau_final must be non-negative")
+    if not 0.0 <= tau_final < np.inf:
+        raise DomainError("tau_final must be non-negative and finite")
     if tau_final == 0.0:
         return psi0.copy()
 

@@ -123,10 +123,10 @@ class QuadraticSolution(NamedTuple):
 
 
 def solve_quadratic(profile: ModulatedSqueezing, taus) -> QuadraticSolution:
-    """Solve the quadratic sector at ``taus``, one non-negative time or an
-    array of them in any order, repeats allowed, on nodes that include them:
-    a uniform grid over [0, max(taus)] joined with the times (times all 0
-    give the one node 0 and the identity).
+    """Solve the quadratic sector at ``taus``, one finite non-negative time
+    or an array of them in any order, repeats allowed, on nodes that include
+    them: a uniform grid over [0, max(taus)] joined with the times (times
+    all 0 give the one node 0 and the identity).
 
     One fourth-order Magnus step per interval, over its own length; their
     prefix product, a Hillis-Steele scan (Commun. ACM 29, 1170 (1986)) over
@@ -139,8 +139,8 @@ def solve_quadratic(profile: ModulatedSqueezing, taus) -> QuadraticSolution:
     allocated, naming the largest time asked for.
     """
     taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0.0):
-        raise DomainError("times must be non-negative")
+    if not np.all((0.0 <= taus) & (taus < np.inf)):
+        raise DomainError("times must be non-negative and finite")
     tau_max = float(np.max(taus, initial=0.0))
     # a float count, so that no span overflows it
     nodes = np.ceil(_SAMPLES_PER_UNIT * oscillation_rate(profile) * tau_max) + 1.0

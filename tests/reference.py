@@ -10,7 +10,7 @@ import numpy as np
 from optomech import (DecouplingCoefficients, InitialState, ValidationError, ValidityWarning,
                       moments, non_gaussianity, squeezing_frame_excess)
 from optomech.decoupling import _hermite_rule
-from optomech.fock import _TAIL_TOL, coherent_amplitudes, tail_fractions
+from optomech.fock import _TAIL_TOL, _tail_start, coherent_amplitudes
 from optomech.squeezing import stumpff
 
 _HERMITIAN_TOL = 1e-8
@@ -407,6 +407,10 @@ def analytic_ket(
             * phase_lin[k]
             * (gauss @ coherent_amplitudes(branch, n_m))
         )
-    c_tail, m_tail = tail_fractions(amplitudes)
+    # the ket is not a product, so both tails are read off the 2-D weights
+    p = np.abs(amplitudes) ** 2
+    total = np.sum(p)
+    c_tail = np.sum(p[_tail_start(n_c, 1):]) / total
+    m_tail = np.sum(p[:, _tail_start(n_m, 2):]) / total
     assert max(c_tail, m_tail) <= _TAIL_TOL, f"basis tail occupied ({c_tail:.3g}, {m_tail:.3g})"
     return amplitudes

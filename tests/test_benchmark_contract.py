@@ -5,8 +5,9 @@ traced.  Each run must exit 0, end its stdout with the JSON result, report
 ``correct``, and carry exactly the metric names that ``BENCHMARK.json``
 declares: the end-to-end names untraced, the per-layer names traced.  A
 metric that vanishes, or any output written after the result, fails here.
-The traced ``trajectory`` run must also see the numeric route's layers run:
-a refactor that bypasses a traced name keeps the name, and its count reads 0.
+The traced ``trajectory`` run must also see the numeric route's layers run,
+and the traced ``oracle`` run the Fock oracle's: a refactor that bypasses a
+traced name keeps the name, and its count reads 0.
 The runs write their scratch files to ``.perfbench/`` in the checkout.
 """
 
@@ -21,8 +22,10 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 NAMES = {0: {m["name"] for m in BENCHMARK["end_to_end"]},
          1: {m["name"] for m in BENCHMARK["per_layer"]}}
-NUMERIC_ROUTE = ("squeezing.solve_quadratic.calls", "decoupling.tables_build.calls",
-                 "decoupling.coefficients.calls", "squeezing.bogoliubov.calls")
+# the layers each traced workload must be seen to run
+RUNS = {"trajectory": ("squeezing.solve_quadratic.calls", "decoupling.tables_build.calls",
+                       "decoupling.coefficients.calls", "squeezing.bogoliubov.calls"),
+        "oracle": ("fock.evolve.calls", "fock.measure_moments.calls")}
 
 
 @pytest.mark.parametrize("trace", [0, 1])
@@ -40,8 +43,9 @@ def test_run_reports_the_declared_metrics(workload, trace):
     result = json.loads(lines[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
     assert set(result["metrics"]) == NAMES[trace]
-    if trace and workload == "trajectory":
-        # every other invocation is modulated, so eleven include the numeric route
-        assert result["attempted"] >= 11
-        for name in NUMERIC_ROUTE:
+    if trace:
+        if workload == "trajectory":
+            # every other invocation is modulated, so eleven include the numeric route
+            assert result["attempted"] >= 11
+        for name in RUNS[workload]:
             assert result["metrics"][name]["value"] > 0, name

@@ -688,24 +688,24 @@ class TestOracleCheck:
         assert calls == runs
 
     def test_overflowing_run_stops_at_its_first_overflow(self, tmp_path, monkeypatch):
-        # one stencil per exponential: the coarse runs of 13 steps take 26,
-        # so the rungs that overflow stop short, and the settled basis runs
-        # the coarse and the half-step schedules in full
+        # one Gershgorin bound per exponential: the coarse runs of 13 steps
+        # take 26, so the rungs that overflow stop short, and the settled
+        # basis runs the coarse and the half-step schedules in full
         from optomech import fock
 
         runs = []
-        run_steps, stencil = fock._run_steps, fock._stencil
+        run_steps, bounds = fock._run_steps, fock.spectral_bounds
 
         def counted_run(psi, *args):
             runs.append([psi.shape[1], 0])
             return run_steps(psi, *args)
 
-        def counted_stencil(*args):
+        def counted_bounds(*args):
             runs[-1][1] += 1
-            return stencil(*args)
+            return bounds(*args)
 
         monkeypatch.setattr(fock, "_run_steps", counted_run)
-        monkeypatch.setattr(fock, "_stencil", counted_stencil)
+        monkeypatch.setattr(fock, "spectral_bounds", counted_bounds)
         rc = main(["oracle-check", "--squeezing", "modulated", *self.BENCHMARK_POINT,
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 0
@@ -828,7 +828,7 @@ def test_static_modulation_writes_the_constant_bytes(tmp_path, monkeypatch, argv
 
     stencils = []
     build = fock._stencil
-    monkeypatch.setattr(fock, "_stencil", lambda *args: stencils.append(args[3:]) or build(*args))
+    monkeypatch.setattr(fock, "_stencil", lambda *args: stencils.append(args[2:]) or build(*args))
     runs = {}
     for squeezing in ("constant", "modulated"):
         out = tmp_path / f"{squeezing}.csv"

@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
+from scipy.stats import poisson
 
 from optomech import (
     ConstantSqueezing,
@@ -187,6 +190,26 @@ class TestProductCoherent:
         assert fock.product_coherent(init).shape == shape
         assert fock.product_coherent(init, 0, 48).shape == (shape[0], 48)
 
+    @settings(max_examples=300, deadline=None)
+    @given(mu_c=st.complex_numbers(max_magnitude=3.0) | st.just(30.0),
+           mu_m=st.complex_numbers(max_magnitude=3.0) | st.just(30.0),
+           n_c=st.integers(2, 40), n_m=st.integers(2, 40))
+    def test_refused_exactly_when_a_poisson_tail_is_occupied(self, mu_c, mu_m, n_c, n_m):
+        # each factor's level weights are Poisson in |mu|^2, so its exact tail
+        # is the survival function from the tail start; at mu 30 the
+        # amplitudes underflow, which must read as a full tail, not an empty one
+        tails = [poisson.sf(fock._tail_start(n, least) - 1, abs(mu) ** 2)
+                 for mu, n, least in ((mu_c, n_c, 1), (mu_m, n_m, 2))]
+        assume(all(abs(tail - fock._TAIL_TOL) > 1e-2 * fock._TAIL_TOL for tail in tails))
+        refused = max(tails) > fock._TAIL_TOL
+        try:
+            psi = fock.product_coherent(InitialState(mu_c, mu_m), n_c, n_m)
+        except CutoffInsufficientError:
+            assert refused
+        else:
+            assert not refused
+            assert abs(np.vdot(psi, psi).real - 1.0) <= 2.0 * fock._TAIL_TOL
+
 
 class TestEvolve:
     def test_vacuum_is_stationary_up_to_phase(self):
@@ -269,8 +292,9 @@ class TestEvolve:
         # the stencil exponential holds a few state-sized buffers and the
         # five-point weights; a dense n_m x n_m block per photon number
         # would take ~50 states here
+        # (13 photon levels: on 12, mu_c 1's Poisson tail from level 11 is 1.005e-8)
         system = SystemParams(1.0, Coupling(g=0.3), ConstantSqueezing(0.2))
-        psi0 = fock.product_coherent(InitialState(1.0, 0.0), 12, 400)
+        psi0 = fock.product_coherent(InitialState(1.0, 0.0), 13, 400)
         tracemalloc.start()
         try:
             fock.evolve(psi0, system, 1.0)
@@ -368,16 +392,16 @@ class TestEvolve:
         assert err.value.diagnostics == {"n_c": 15, "n_m": 456}
 
     def test_step_count_refused_before_any_exponential(self, monkeypatch):
-        # every exponential builds its own stencil; the step is patched to
-        # put the run one step past the limit, then at it
+        # every exponential takes its own Gershgorin bounds; the step is
+        # patched to put the run one step past the limit, then at it
         calls = []
-        stencil = fock._stencil
+        bounds = fock.spectral_bounds
 
         def counted(*args):
             calls.append(args)
-            return stencil(*args)
+            return bounds(*args)
 
-        monkeypatch.setattr(fock, "_stencil", counted)
+        monkeypatch.setattr(fock, "spectral_bounds", counted)
         system = SystemParams(1.0, Coupling(g=0.3), ModulatedSqueezing(0.1, 2.0))
         psi0 = fock.product_coherent(InitialState(0.5, 0.0), 8, 16)
         monkeypatch.setattr(fock, "default_dt", lambda *args: 1.0 / 500.5)
@@ -389,6 +413,22 @@ class TestEvolve:
         monkeypatch.setattr(fock, "default_dt", lambda *args: 1.0 / 500.0)
         fock.evolve(psi0, system, 1.0)
         assert len(calls) == 1000 + 2000
+
+    @pytest.mark.parametrize(
+        "squeezing, n_runs", [(ConstantSqueezing(0.2), 1), (ModulatedSqueezing(0.1, 2.0), 2)],
+        ids=["static", "stepped"])
+    def test_stencil_built_once_per_run(self, monkeypatch, squeezing, n_runs):
+        # W and S hold for the whole run; only d2 changes between exponentials
+        runs, stencils = [], []
+        run_steps, stencil = fock._run_steps, fock._stencil
+        monkeypatch.setattr(fock, "_run_steps",
+                            lambda *args: runs.append(args[0].shape) or run_steps(*args))
+        monkeypatch.setattr(fock, "_stencil",
+                            lambda *args: stencils.append(args[2:]) or stencil(*args))
+        system = SystemParams(1.0, Coupling(g=0.3), squeezing)
+        fock.evolve(fock.product_coherent(InitialState(0.5, 0.0), 8, 16), system, 0.5)
+        assert runs == [(8, 16)] * n_runs
+        assert stencils == runs
 
     def test_half_step_overflow_grows_the_basis(self, monkeypatch):
         # the half-step run is the state returned, so its tail counts like the
@@ -418,17 +458,22 @@ class TestEvolve:
 
     def test_negative_time_refused_and_zero_time_is_the_start(self):
         psi0 = fock.product_coherent(InitialState(0.5, 0.0), 8, 16)
-        with pytest.raises(DomainError, match="tau_final must be non-negative"):
-            fock.evolve(psi0, free_system(), -0.1)
+        for tau in (-0.1, np.nan, np.inf):
+            with pytest.raises(DomainError, match="tau_final must be non-negative and finite"):
+                fock.evolve(psi0, free_system(), tau)
         final = fock.evolve(psi0, free_system(), 0.0)
         assert np.array_equal(final, psi0) and final is not psi0
 
     def test_tail_window_sees_a_state_of_one_parity(self):
         # at g0 = 0 a squeezed vacuum fills only the even phonon levels; at
-        # n_m 8 the top tenth rounds to the empty level 7 alone
+        # n_m 8 the top tenth rounds to the empty level 7 alone, so the
+        # window reaches down to level 6
+        assert fock._tail_start(8, 2) == 6
         amplitudes = np.zeros((2, 8), dtype=complex)
         amplitudes[0, [0, 2, 4, 6]] = np.sqrt([0.4, 0.2, 0.1, 0.3])
-        assert fock.tail_fractions(amplitudes) == (0.0, pytest.approx(0.3))
+        assert fock._run_steps(amplitudes, free_system(), 0.1, 0) is None
+        amplitudes[0, [4, 6]] = np.sqrt([0.4, 0.0])
+        assert fock._run_steps(amplitudes, free_system(), 0.1, 0) is not None
 
     def test_undersized_basis_flagged(self):
         with pytest.raises(CutoffInsufficientError) as err:

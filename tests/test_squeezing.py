@@ -123,8 +123,8 @@ class TestSolveQuadratic:
         assert np.max(np.abs(sol.sin_sol - np.sin(sol.tau))) < 1e-8
 
     def test_negative_time_rejected(self):
-        for taus in (-1e-300, [0.0, 2.0, -0.5]):
-            with pytest.raises(DomainError):
+        for taus in (-1e-300, [0.0, 2.0, -0.5], np.nan, [1.0, np.inf]):
+            with pytest.raises(DomainError, match="times must be non-negative and finite"):
                 solve_quadratic(ConstantSqueezing(0.0), taus)
 
     @pytest.mark.parametrize("taus", [0.0, [0.0, -0.0, 0.0], []], ids=["0-d", "repeated", "empty"])
