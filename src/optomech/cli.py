@@ -203,10 +203,11 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"tol: must be positive, got {cfg.tol:g}")
     if cfg.squeezing not in ("constant", "modulated"):
         raise ConfigError(f"squeezing: unknown profile {cfg.squeezing!r} (constant|modulated)")
-    if cfg.mode == "mathieu" and cfg.omega0 * cfg.omega0 in (0.0, math.inf):
+    square = cfg.omega0 * cfg.omega0
+    if cfg.mode == "mathieu" and not (0.0 < square < math.inf and 4.0 / square < math.inf):
         raise ConfigError(
-            f"omega0: mathieu mode needs a modulation frequency with a nonzero, finite "
-            f"square, got {cfg.omega0:g}"
+            f"omega0: mathieu mode needs a modulation frequency whose Mathieu "
+            f"a = 4/omega0^2 is finite and nonzero, got {cfg.omega0:g}"
         )
     if cfg.axis2 is not None and cfg.axis1 is None:
         raise ConfigError("axis2: set axis1 before axis2")

@@ -32,7 +32,7 @@ from .decoupling import (
     DecouplingTables,
     constant_coefficients,
 )
-from .errors import NonFiniteError
+from .errors import DomainError, NonFiniteError
 from .moments import (
     InitialState,
     MomentSet,
@@ -61,10 +61,11 @@ class StateRecord(NamedTuple):
 
 def evaluate_trajectory(system: SystemParams, init: InitialState, taus) -> StateRecord:
     """Evaluate the full pipeline at the requested times, all at once; a 0-d
-    ``taus`` gives scalar fields."""
+    ``taus`` gives scalar fields.  A negative, nan or inf time is refused
+    before any stage runs."""
     taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0.0):
-        raise ValueError("times must be non-negative")
+    if not np.all((0.0 <= taus) & (taus < np.inf)):
+        raise DomainError("times must be non-negative and finite")
 
     # past the float range the stages overflow in many places at once; the
     # check at the end reports it once, as NonFiniteError

@@ -3,9 +3,9 @@
 A state is a complex (n_c, n_m) array of amplitudes psi[n_photons, n_phonons].
 The Hamiltonian conserves the photon number, so the state evolves as one
 mechanical block per photon number n, with omega_c*n an exact phase.  The
-Hamiltonian is H_n - omega_c*n = W + D2*S, real pentadiagonal stencils built
-once per run; each exponential applies W + d2*S to all blocks at once by a
-Taylor series, and no dense block is formed.
+Hamiltonian is H_n - omega_c*n = W + D2*S, real pentadiagonal stencils that
+``build_hamiltonian`` builds once per run; each exponential applies W + d2*S
+to all blocks at once by a Taylor series, and no dense block is formed.
 Every run is one schedule of exponentials (``_run_steps``): a static system
 takes one over the whole span; a time-dependent one takes ``_step_count``
 fourth-order commutator-free Magnus steps (CF4) at ``default_dt``, two
@@ -113,10 +113,10 @@ def _ladder_roots(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(m), np.sqrt(m[:-1] * m[1:])
 
 
-def _stencil(g: float, d1: float, n_c: int, n_m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Hamiltonian at coupling g and drive d1, split by photon number,
-    as real weights W (n_c, n_m, 5) of its static part and S (n_m, 5) of
-    X @ X, X = b + b^dag: the stencil at squeezing d2 is W + d2*S.
+def build_hamiltonian(system: SystemParams, n_c: int, n_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Hamiltonian of ``system`` split by photon number, as real weights
+    W (n_c, n_m, 5) of its static part and S (n_m, 5) of X @ X,
+    X = b + b^dag: the stencil at time tau is W + D2(tau)*S.
 
     H commutes with the photon number, so H = sum_n |n><n| x H_n with the
     mechanical block H_n = omega_c*n + N + (d1 - g*n)*X + d2*X@X.
@@ -128,6 +128,7 @@ def _stencil(g: float, d1: float, n_c: int, n_m: int) -> tuple[np.ndarray, np.nd
     """
     if n_c < 2 or n_m < 2:
         raise DomainError("Fock cutoffs must be at least 2")
+    g, d1 = map(float, system.coupling)
     m = np.arange(n_m, dtype=float)
     root1, root2 = _ladder_roots(n_m)
     static, squeeze = np.zeros((n_c, n_m, 5)), np.zeros((n_m, 5))
@@ -145,16 +146,11 @@ def spectral_bounds(w: np.ndarray) -> tuple[float, float]:
     return float(np.min(w[:, :, 2] - radius)), float(np.max(w[:, :, 2] + radius))
 
 
-def build_hamiltonian(system: SystemParams, tau: float, n_c: int, n_m: int) -> np.ndarray:
-    """The stencil W + D2(tau)*S of the Hamiltonian at time tau."""
-    static, squeeze = _stencil(*map(float, system.coupling), n_c, n_m)
-    return static + float(system.squeezing.d2_at(tau)) * squeeze
-
-
 def default_dt(system: SystemParams, n_c: int) -> float:
     """Fourth-order steps, 25 per period of the fastest mechanical scale,
-    the squeezing modulation's included; the cavity frequency is applied
-    exactly as a per-block phase and sets no step."""
+    the squeezing modulation's included (1 + 4|d2| bounds the mechanical
+    rate sqrt(1 + 4|D2|) above); the cavity frequency, an exact per-block
+    phase, sets no step."""
     rate_sq = 1.0 + 4.0 * abs(system.squeezing.d2)
     g_scale = abs(float(system.coupling.g)) * np.sqrt(n_c)
     omega0 = abs(system.squeezing.omega0)
@@ -162,11 +158,15 @@ def default_dt(system: SystemParams, n_c: int) -> float:
 
 
 def _step_count(system: SystemParams, tau_final: float, n_c: int) -> int:
-    """The uniform CF4 steps over [0, tau_final] at default_dt; a
-    time-independent system takes none."""
+    """The uniform CF4 steps over [0, tau_final] at default_dt, refused past
+    _STEP_CAP; a time-independent system takes none."""
     if system.is_time_independent:
         return 0
-    return max(int(np.ceil(tau_final / default_dt(system, n_c) - 1e-12)), 1)
+    with np.errstate(divide="ignore", over="ignore"):  # a step of 0.0 counts inf
+        count = max(np.ceil(np.float64(tau_final) / default_dt(system, n_c) - 1e-12), 1.0)
+    if count > _STEP_CAP:
+        raise ConvergenceError(f"{count:.6g} time steps exceed the limit of {_STEP_CAP}")
+    return int(count)
 
 
 def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
@@ -174,8 +174,8 @@ def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
     """Propagate psi over [0, tau_final] by one schedule of exponentials of
     H_n - omega_c*n: one at D2(0) over the span if n_steps is 0, else the
     2*n_steps CF4 exponentials over dt/2, in step order.  Each is a Taylor
-    series of its stencil W + d2*S (``_stencil``, built once per run) on
-    every block at once, in substeps of at most _TAYLOR_REACH over the
+    series of its stencil W + d2*S (one ``build_hamiltonian`` call per run)
+    on every block at once, in substeps of at most _TAYLOR_REACH over the
     largest Gershgorin magnitude.  Returns None at the first substep whose
     mechanical tail holds more than _TAIL_TOL of the state's norm: an
     overflowing state is reflected off its top and can end with an empty tail."""
@@ -191,7 +191,7 @@ def _run_steps(psi: np.ndarray, system: SystemParams, tau_final: float,
     # strided view, and since the padding stays zero, norms, scalings and
     # sums can run over whole contiguous buffers
     n_c, n_m = psi.shape
-    static, squeeze = _stencil(*map(float, system.coupling), n_c, n_m)
+    static, squeeze = build_hamiltonian(system, n_c, n_m)
     pads = np.zeros((3, n_c, n_m + 4), dtype=complex)
     windows = sliding_window_view(pads, 5, axis=2)
     levels = pads[:, :, 2:-2]
@@ -249,8 +249,6 @@ def evolve(psi0: np.ndarray, system: SystemParams, tau_final: float) -> np.ndarr
 
     psi = np.ascontiguousarray(psi0, dtype=complex)
     n_steps = _step_count(system, tau_final, psi.shape[0])
-    if n_steps > _STEP_CAP:
-        raise ConvergenceError(f"{n_steps} time steps exceed the limit of {_STEP_CAP}")
     runs = []
     for steps in (n_steps, 2 * n_steps) if n_steps else (0,):
         _require_within_cap(*psi.shape)

@@ -207,6 +207,7 @@ def two_scale_solution(d2: float, tau):
 def mathieu_params(d2: float, omega0: float):
     """Map the modulated sector onto the canonical Mathieu parameters (a, q)."""
     square = omega0 * omega0
-    if square in (0.0, math.inf):
-        raise DomainError("modulation frequency omega0 must have a nonzero, finite square")
+    if not (0.0 < square < math.inf and 4.0 / square < math.inf):
+        raise DomainError("modulation frequency omega0 must give a finite, nonzero "
+                          "Mathieu a = 4/omega0^2")
     return 4.0 / square, -8.0 * d2 / square

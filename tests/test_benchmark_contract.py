@@ -25,7 +25,8 @@ NAMES = {0: {m["name"] for m in BENCHMARK["end_to_end"]},
 # the layers each traced workload must be seen to run
 RUNS = {"trajectory": ("squeezing.solve_quadratic.calls", "decoupling.tables_build.calls",
                        "decoupling.coefficients.calls", "squeezing.bogoliubov.calls"),
-        "oracle": ("fock.evolve.calls", "fock.measure_moments.calls")}
+        "oracle": ("fock.evolve.calls", "fock.build_hamiltonian.calls",
+                   "fock.measure_moments.calls")}
 
 
 @pytest.mark.parametrize("trace", [0, 1])

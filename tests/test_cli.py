@@ -512,9 +512,10 @@ class TestMathieu:
         assert main(["evolve", "--squeezing", "modulated", "--omega0", "0", "--d2", "0.1",
                      "--points", "3", "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("omega0", ["1e-300", "1e160"])
+    @pytest.mark.parametrize("omega0", ["1e-300", "1e160", "1e-160"])
     def test_modulation_frequency_square_past_the_float_range(self, tmp_path, capsys, omega0):
-        # omega0**2 underflows to 0 or overflows to inf: refused by name
+        # omega0**2 underflows to 0 or overflows to inf, or a = 4/omega0**2
+        # overflows: refused by name
         out = tmp_path / "m.csv"
         rc = main(["mathieu", "--squeezing", "modulated", "--omega0", omega0, "--out", str(out)])
         assert rc == 2
@@ -711,11 +712,17 @@ class TestOracleCheck:
         assert rc == 0
         assert runs == [[8, 4], [16, 12], [32, 20], [64, 26], [64, 52]]
 
-    @pytest.mark.parametrize("flags, dt, steps", [(["--omega0", "1000"], None, 23874),
-                                                  ([], 1e-4, 60000)],
-                             ids=["fast-modulation", "tiny-dt"])
+    @pytest.mark.parametrize(
+        "flags, dt, steps",
+        [(["--omega0", "1000"], None, "23874"), ([], 1e-4, "60000"),
+         # past 25 * omega0 = 1.8e308 the step is 0.0 and the count unbounded
+         (["--omega0", "1e306", "--tau", "1"], None, "3.97887e+306"),
+         (["--omega0", "1e307", "--tau", "1"], None, "inf"),
+         (["--omega0", "1.7e308", "--tau", "1"], None, "inf")],
+        ids=["fast-modulation", "tiny-dt", "omega0-1e306", "omega0-1e307", "omega0-1.7e308"])
     def test_step_count_refused_up_front(self, tmp_path, capsys, monkeypatch, flags, dt, steps):
-        # fock.evolve counts the steps and refuses before its first step
+        # fock.evolve counts the steps and refuses before its first step, in
+        # one short line
         from optomech import fock
 
         def no_steps(*args, **kwargs):
@@ -727,7 +734,7 @@ class TestOracleCheck:
         rc = main(["oracle-check", "--squeezing", "modulated", "--d2", "0.1", "--g0", "0.3",
                    "--tau", "6", *flags, "--out", str(tmp_path / "o.csv")])
         assert rc == 3
-        assert f"{steps} time steps exceed the limit of 500" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {steps} time steps exceed the limit of 500\n"
 
     @pytest.mark.parametrize(
         "flags",
@@ -827,8 +834,9 @@ def test_static_modulation_writes_the_constant_bytes(tmp_path, monkeypatch, argv
     from optomech import fock
 
     stencils = []
-    build = fock._stencil
-    monkeypatch.setattr(fock, "_stencil", lambda *args: stencils.append(args[2:]) or build(*args))
+    build = fock.build_hamiltonian
+    monkeypatch.setattr(fock, "build_hamiltonian",
+                        lambda *args: stencils.append(args[1:]) or build(*args))
     runs = {}
     for squeezing in ("constant", "modulated"):
         out = tmp_path / f"{squeezing}.csv"

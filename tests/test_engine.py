@@ -5,6 +5,7 @@ from optomech import (
     ConstantSqueezing,
     Coupling,
     DecouplingTables,
+    DomainError,
     InitialState,
     ModulatedSqueezing,
     SystemParams,
@@ -82,10 +83,19 @@ class TestClosedFormDispatch:
         assert rec.covariance.shape == (3, 4, 4)
         assert rec.report.nu_full.shape == (3, 2)
 
-    def test_negative_time_rejected(self):
-        system = SystemParams(1.0, Coupling(g=1.0), ConstantSqueezing(0.0))
-        with pytest.raises(ValueError):
-            evaluate_trajectory(system, InitialState(1.0), [-1.0])
+    def test_negative_time_rejected(self, monkeypatch):
+        # a negative, nan or inf time is refused once, up front, the same way
+        # on both routes
+        def unreached(*args, **kwargs):
+            raise AssertionError("a stage ran on a refused time")
+
+        monkeypatch.setattr(engine, "constant_coefficients", unreached)
+        monkeypatch.setattr(engine, "solve_quadratic", unreached)
+        for profile in (ConstantSqueezing(0.1), ModulatedSqueezing(0.1, 2.0)):
+            system = SystemParams(1.0, Coupling(g=0.3), profile)
+            for tau in (-1.0, np.nan, np.inf):
+                with pytest.raises(DomainError, match="times must be non-negative and finite"):
+                    evaluate_point(system, InitialState(1.0), tau)
 
     def test_drive_runs_through_numeric_route(self):
         # a real drive shifts the mechanics; photon number stays put

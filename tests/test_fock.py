@@ -66,9 +66,15 @@ def kron_hamiltonian(system, tau, n_c, n_m):
     return h.tocsr()
 
 
+def stencil_at(system, tau, n_c, n_m):
+    """The stencil W + D2(tau)*S of the Hamiltonian at time tau."""
+    static, squeeze = fock.build_hamiltonian(system, n_c, n_m)
+    return static + float(system.squeezing.d2_at(tau)) * squeeze
+
+
 def block_matrix(system, tau, n_c, n_m):
     """block_diag(omega_c*n + H_n) from the photon-number blocks."""
-    h = fock.build_hamiltonian(system, tau, n_c, n_m)
+    h = stencil_at(system, tau, n_c, n_m)
     return block_diag(*(dense_block(h, n) + system.omega_c * n * np.eye(n_m) for n in range(n_c)))
 
 
@@ -110,7 +116,7 @@ class TestBuildHamiltonian:
 
     def test_hermitian(self):
         system = SystemParams(1.2, Coupling(g=0.5, drive=0.2), ConstantSqueezing(0.3))
-        h = fock.build_hamiltonian(system, 0.0, 6, 8)
+        h = stencil_at(system, 0.0, 6, 8)
         for n in range(6):
             block = dense_block(h, n)
             assert block.dtype == float
@@ -139,7 +145,7 @@ class TestBuildHamiltonian:
         system = SystemParams(1.0, Coupling(g=0.5), ConstantSqueezing(0.3))
 
         def ground(n_m):
-            h = fock.build_hamiltonian(system, 0.0, 6, n_m)
+            h = stencil_at(system, 0.0, 6, n_m)
             return min(
                 np.linalg.eigvalsh(dense_block(h, n))[0] + system.omega_c * n for n in range(6)
             )
@@ -148,7 +154,7 @@ class TestBuildHamiltonian:
 
     def test_tiny_cutoffs_rejected(self):
         with pytest.raises(DomainError):
-            fock.build_hamiltonian(free_system(), 0.0, 1, 8)
+            fock.build_hamiltonian(free_system(), 1, 8)
 
 
 def test_fock_imports_nothing_from_the_analytic_chain():
@@ -322,7 +328,7 @@ class TestEvolve:
         if dt is not None:
             # each exponential spans half a step, and that is long enough
             # that the Taylor series must substep
-            lo, hi = fock.spectral_bounds(fock.build_hamiltonian(system, 0.25, 12, n_m))
+            lo, hi = fock.spectral_bounds(stencil_at(system, 0.25, 12, n_m))
             assert 0.5 * dt * max(-lo, hi) > fock._TAYLOR_REACH
         want = cf4_expm_multiply(psi0, system, tau, n_steps)
         assert np.max(np.abs(run_steps(psi0, system, tau, n_steps) - want)) <= 1e-12
@@ -420,11 +426,11 @@ class TestEvolve:
     def test_stencil_built_once_per_run(self, monkeypatch, squeezing, n_runs):
         # W and S hold for the whole run; only d2 changes between exponentials
         runs, stencils = [], []
-        run_steps, stencil = fock._run_steps, fock._stencil
+        run_steps, build = fock._run_steps, fock.build_hamiltonian
         monkeypatch.setattr(fock, "_run_steps",
                             lambda *args: runs.append(args[0].shape) or run_steps(*args))
-        monkeypatch.setattr(fock, "_stencil",
-                            lambda *args: stencils.append(args[2:]) or stencil(*args))
+        monkeypatch.setattr(fock, "build_hamiltonian",
+                            lambda *args: stencils.append(args[1:]) or build(*args))
         system = SystemParams(1.0, Coupling(g=0.3), squeezing)
         fock.evolve(fock.product_coherent(InitialState(0.5, 0.0), 8, 16), system, 0.5)
         assert runs == [(8, 16)] * n_runs

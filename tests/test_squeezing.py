@@ -319,9 +319,10 @@ class TestMathieuParams:
         with pytest.raises(DomainError):
             mathieu_params(0.1, 0.0)
 
-    @pytest.mark.parametrize("omega0", [1e-300, -1e-200, 1e160])
+    @pytest.mark.parametrize("omega0", [1e-300, -1e-200, 1e160, 1e-160])
     def test_square_out_of_float_range_rejected(self, omega0):
-        # omega0**2 underflows to 0 or overflows to inf
+        # omega0**2 underflows to 0 or overflows to inf, or a = 4/omega0**2
+        # overflows
         with pytest.raises(DomainError):
             mathieu_params(0.1, omega0)
 
