@@ -172,9 +172,9 @@ def parse_config_file(path: str) -> dict[str, str]:
             continue
         if text.startswith("[") and text.endswith("]"):
             continue
-        if "=" not in text:
+        key, eq, value = text.partition("=")
+        if not eq or not key.strip():
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {text!r}")
-        key, value = text.split("=", 1)
         raw[key.strip().lower()] = value.split("#", 1)[0].strip()
     return raw
 
@@ -368,9 +368,9 @@ def main(argv: list[str] | None = None) -> int:
         flags: dict[str, str] = {}
         while rest:
             arg = rest.pop(0)
-            if not arg.startswith("--"):
-                raise ConfigError(f"expected --key value or --key=value, got {arg!r}")
             key, eq, value = arg[2:].partition("=")
+            if not arg.startswith("--") or not key:
+                raise ConfigError(f"expected --key value or --key=value, got {arg!r}")
             if not eq and rest and not rest[0].startswith("--"):
                 value = rest.pop(0)
             flags[key.lower()] = value

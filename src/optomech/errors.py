@@ -15,7 +15,9 @@ class SingularFactorError(OptomechError):
 
 
 class ValidationError(OptomechError):
-    """A supplied or computed object violates a required identity."""
+    """A supplied object violates a required identity.  No engine stage
+    raises it: the test reference raises it for a malformed covariance
+    matrix, and the benchmark's tracer reads it to count failed measures."""
 
 
 class NonFiniteError(OptomechError):

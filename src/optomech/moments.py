@@ -17,10 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .decoupling import DecouplingCoefficients
-from .errors import ValidationError
-
-# relative to |alpha|^2 + |beta|^2, which grows without bound at resonance
-_BOGOLIUBOV_TOL = 1e-6
 
 
 class InitialState(NamedTuple):
@@ -52,14 +48,9 @@ def displacement_amplitudes(alpha, beta, coeffs: DecouplingCoefficients):
 
     The Heisenberg-picture mechanical mode reads
     b(tau) = alpha*b + beta*b^dag + drive_shift + photon_shift * N.
+    The pair is taken as given: the engine's closed form and Magnus scan
+    keep |alpha|^2 - |beta|^2 = 1 by construction, and the tests check it.
     """
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    residual = abs(abs(alpha) ** 2 - abs(beta) ** 2 - 1.0)
-    if np.any(residual > _BOGOLIUBOV_TOL * norm):
-        raise ValidationError(
-            f"Bogoliubov identity violated by {np.max(residual / norm):.3g} relative; "
-            "alpha/beta inconsistent"
-        )
     plus = alpha + beta
     minus = alpha - beta
     drive_shift = plus * coeffs.mom - 1j * minus * coeffs.pos

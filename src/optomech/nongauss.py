@@ -20,12 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .moments import CovarianceExcess
 
 _CLAMP = 1e-6
-# relative to the bound (absolute below 1): the measure reaches tens of nats
-_BOUND_SLACK = 1e-9
 
 
 class NonGaussianityReport(NamedTuple):
@@ -44,16 +42,11 @@ class NonGaussianityReport(NamedTuple):
     nu_me: float
 
 
-def _require_physical(nu) -> None:
-    if np.any(nu < 1.0 - _CLAMP):
-        raise DomainError(f"symplectic eigenvalue below 1 - {_CLAMP:g}: {np.min(nu):.9g}")
-
-
 def _entropy(dn):
     # (dn + 1)*log(dn + 1) - dn*log(dn), free of cancellation at large nu and of
     # the rounding of dn + 1 at small dn; the placeholder 1 keeps the dn = 0
-    # term exactly 0
-    out = np.log1p(dn) + dn * np.log1p(1.0 / np.where(dn > 0.0, dn, 1.0))
+    # term exactly 0 and the dn = inf term inf
+    out = np.log1p(dn) + dn * np.log1p(1.0 / np.where((dn > 0.0) & (dn < np.inf), dn, 1.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -61,21 +54,21 @@ def mode_entropy(nu):
     """Entropy of a bosonic mode with symplectic eigenvalue nu, in nats.
 
     Values in [1 - 1e-6, 1) are clamped to 1; smaller values are rejected as
-    unphysical.
+    unphysical.  An infinite nu has infinite entropy.
     """
     x = np.asarray(nu, dtype=float)
-    _require_physical(x)
+    if np.any(x < 1.0 - _CLAMP):
+        raise DomainError(f"symplectic eigenvalue below 1 - {_CLAMP:g}: {np.min(x):.9g}")
     x = np.maximum(x, 1.0)
     return _entropy(0.5 * (x - 1.0))
 
 
 def _excess_entropy(e):
     """:func:`mode_entropy` of nu = sqrt(1 + e), with (nu - 1)/2 taken as
-    e / (2(nu + 1)) so that nu - 1 is never formed by subtraction."""
+    e / (2(nu + 1)) so that nu - 1 is never formed by subtraction; nu is
+    clamped to 1 from below, as the engine's own excess rounds there."""
     e = np.asarray(e, dtype=float)
-    nu = np.sqrt(1.0 + np.maximum(e, -1.0))
-    _require_physical(nu)
-    nu = np.maximum(nu, 1.0)
+    nu = np.maximum(np.sqrt(1.0 + np.maximum(e, -1.0)), 1.0)
     return _entropy(0.5 * np.maximum(e, 0.0) / (nu + 1.0))
 
 
@@ -118,24 +111,19 @@ def non_gaussianity(
     Any frame related to the lab frame by a local Gaussian unitary gives the
     same report; the engine passes the closed-form squeezing frame.  The
     mechanical subsystem excess is 4 |k|^2 |mu_c|^2 in every frame; the
-    optical one is read from the optical block and may not exceed that of
-    the fully dephased mode, 4 n_c (1 + n_c) with n_c = |mu_c|^2.
+    optical one is read from the optical block.  For every state it stays
+    within that of the fully dephased mode, 4 n_c (1 + n_c) with
+    n_c = |mu_c|^2, and delta within [delta_min, delta_max]; neither is
+    re-checked here, and the engine's property test holds both.
     """
     nc = np.abs(complex(mu_c)) ** 2
     e_op = excess.e11 * (excess.e11 + 2.0) - abs(excess.s13) ** 2
     e_me = 4.0 * abs(number_displacement) ** 2 * nc
-    bound = 4.0 * nc * (1.0 + nc)
-    if np.any(e_op - bound > _BOUND_SLACK * max(bound, 1.0)):
-        raise ValidationError(f"optical excess {np.max(e_op):.12g} exceeds its bound {bound:.12g}")
     e_full = np.stack(_two_mode_excess(excess, e_op, e_me), axis=-1)
     delta = np.sum(_excess_entropy(e_full), axis=-1)
     s_op = _excess_entropy(e_op)
     s_me = _excess_entropy(e_me)
     delta_min, delta_max = abs(s_op - s_me), s_op + s_me
-
-    escape = np.maximum(delta_min - delta, delta - delta_max)
-    if np.any(escape > _BOUND_SLACK * np.maximum(delta_max, 1.0)):
-        raise ValidationError(f"measure escapes its bounds by {np.max(escape):.3g}")
     return NonGaussianityReport(
         delta=delta,
         delta_min=delta_min,

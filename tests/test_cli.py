@@ -181,8 +181,11 @@ class TestConfig:
          (["evolve", "stray", "--out", "o.csv"],
           "expected --key value or --key=value, got 'stray'"),
          (["evolve", "--squeezing", "x", "--out", "o.csv"],
-          "squeezing: unknown profile 'x' (constant|modulated)")],
-        ids=["no-mode", "bad-mode", "no-out", "no-value", "positional", "squeezing"],
+          "squeezing: unknown profile 'x' (constant|modulated)"),
+         (["evolve", "--", "--out", "o.csv"], "expected --key value or --key=value, got '--'"),
+         (["evolve", "--=5", "--out", "o.csv"], "expected --key value or --key=value, got '--=5'")],
+        ids=["no-mode", "bad-mode", "no-out", "no-value", "positional", "squeezing", "empty-key",
+             "empty-key-value"],
     )
     def test_bad_argv_returns_2(self, tmp_path, capsys, monkeypatch, argv, err):
         # in process, main returns its exit code and never raises SystemExit
@@ -230,14 +233,17 @@ class TestConfig:
          (["sweep", "--axis1", "g0,zero,1,2,linear"], "axis1: expected a number"),
          (["evolve", "--mu_c", "1,0,0"], "mu_c: expected 're,im'"),
          (["evolve", "--config", "no-such.cfg"], "config: cannot read"),
-         (["evolve", "--config", "bad.cfg"], "config line 2: expected 'key = value'")],
+         (["evolve", "--config", "bad.cfg"], "config line 2: expected 'key = value'"),
+         (["evolve", "--config", "no-key.cfg"],
+          "config line 2: expected 'key = value', got '= 5'\n")],
         ids=["tau_max", "tau", "tol", "axis2-alone", "no-axis", "axis-parts", "axis-name",
              "axis-spacing", "axis-count", "axis-count-text", "axis-start-text",
-             "complex-3-parts", "config-unreadable", "config-no-equals"],
+             "complex-3-parts", "config-unreadable", "config-no-equals", "config-no-key"],
     )
     def test_refusal_names_its_key(self, tmp_path, capsys, monkeypatch, argv, err):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.cfg").write_text("[system]\ng0 1.0\n")
+        (tmp_path / "no-key.cfg").write_text("[system]\n= 5\n")
         assert main(argv + ["--out", "o.csv"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {err}")
         assert not (tmp_path / "o.csv").exists()

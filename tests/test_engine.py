@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optomech import (
     ConstantSqueezing,
@@ -8,6 +10,7 @@ from optomech import (
     DomainError,
     InitialState,
     ModulatedSqueezing,
+    NonFiniteError,
     SystemParams,
     displacement_amplitudes,
     evaluate_point,
@@ -167,3 +170,75 @@ class TestTrajectory:
         nu_op, nu_me = subsystem_eigenvalues_mp(rec.coeffs, init.mu_c)
         assert _rel_close(rec.report.nu_op, nu_op, 1e-12)
         assert _rel_close(rec.report.nu_me, nu_me, 1e-12)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda x: 10.0**x)
+
+
+def _either_sign(magnitude):
+    return st.tuples(magnitude, st.sampled_from((1.0, -1.0))).map(lambda p: p[0] * p[1])
+
+
+def _zero_or(magnitude):
+    # exactly 0 on about one draw in four
+    return st.tuples(st.integers(0, 3), magnitude).map(lambda p: p[1] if p[0] else 0.0)
+
+
+_PROFILES = st.one_of(
+    st.builds(ConstantSqueezing, _either_sign(_log_uniform(1e-4, 10.0))),
+    st.builds(ModulatedSqueezing, _either_sign(_log_uniform(1e-3, 1.0)),
+              _log_uniform(0.01, 100.0)),
+)
+_COUPLINGS = st.builds(
+    Coupling,
+    g=_zero_or(_log_uniform(1e-8, 1e3)),
+    drive=_zero_or(_either_sign(_log_uniform(0.01, 1e3))),
+)
+_STATES = st.builds(
+    InitialState,
+    st.builds(lambda r, phase: r * np.exp(1j * phase), _log_uniform(1e-3, 1e3),
+              st.floats(0.0, 2 * np.pi)),
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+)
+
+
+class TestInvariantsOverTheAcceptedDomain:
+    def test_every_record_keeps_the_identities_of_its_construction(self):
+        # identities that the engine's construction keeps and does not
+        # re-check: the Bogoliubov identity, nu >= 1, the optical bound of the
+        # fully dephased mode, the Araki-Lieb sandwich, and delta = 0 at g0 = 0
+        returned = []
+
+        @settings(max_examples=200, deadline=None)
+        @given(profile=_PROFILES, coupling=_COUPLINGS, init=_STATES,
+               tau_max=st.floats(0.1, 60 * np.pi))
+        def check(profile, coupling, init, tau_max):
+            system = SystemParams(1.0, coupling, profile)
+            try:
+                rec = evaluate_trajectory(system, init, np.linspace(0.0, tau_max, 64))
+            except (NonFiniteError, DomainError):
+                returned.append(False)
+                return
+            returned.append(True)
+            # |alpha|^2 - |beta|^2 - 1 relative to |alpha|^2 + |beta|^2, in
+            # units of the larger modulus so that neither square overflows
+            scale = np.maximum(np.abs(rec.alpha), np.abs(rec.beta))
+            a, b = np.abs(rec.alpha) / scale, np.abs(rec.beta) / scale
+            residual = np.abs((a - b) * (a + b) - (1.0 / scale) ** 2) / (a**2 + b**2)
+            assert np.max(residual) <= 1e-8
+            r = rec.report
+            for nu in (r.nu_full, r.nu_op, r.nu_me):
+                assert np.min(nu) >= 1.0 - 1e-6
+            nc = abs(init.mu_c) ** 2
+            bound = 4.0 * nc * (1.0 + nc)
+            assert np.max(r.nu_op**2 - 1.0) <= bound + 1e-9 * max(bound, 1.0)
+            slack = 1e-9 * np.maximum(r.delta_max, 1.0)
+            assert np.all(r.delta_min - r.delta <= slack)
+            assert np.all(r.delta - r.delta_max <= slack)
+            if coupling.g == 0.0:
+                assert np.all(r.delta == 0.0)
+
+        check()
+        assert len(returned) >= 200
+        assert sum(returned) >= 0.9 * len(returned)

@@ -101,6 +101,12 @@ class TestModeEntropy:
     def test_clamp_window(self):
         assert mode_entropy(1.0 - 5e-7) == 0.0
 
+    def test_infinite_nu_has_infinite_entropy(self):
+        # inf * log1p(1/inf) would be inf * 0; the limit is inf, with no
+        # RuntimeWarning (the suite turns one into an error)
+        assert mode_entropy(np.inf) == np.inf
+        assert mode_entropy(np.array([1.0, np.inf])).tolist() == [0.0, np.inf]
+
     def test_below_window_rejected(self):
         with pytest.raises(DomainError):
             mode_entropy(0.9)
@@ -182,20 +188,6 @@ class TestSubsystemEigenvalues:
         nu_op, nu_me = subsystem_eigenvalues_mp(rec.coeffs, 30.0)
         assert abs(rec.report.nu_op - nu_op) <= 1e-10 * nu_op
         assert abs(rec.report.nu_me - nu_me) <= 1e-10 * nu_me
-
-    def test_correlation_with_a_pure_subsystem_escapes_the_bounds(self):
-        # s14 correlates the optical mode with a mechanical mode that k = 0
-        # makes pure, which no state does: the measure leaves its sandwich
-        excess = CovarianceExcess(e11=0.5, e22=0.0, s12=0.0, s13=0.0, s14=1.0, s24=0.0)
-        with pytest.raises(ValidationError, match="measure escapes its bounds"):
-            non_gaussianity(excess, number_displacement=0.0, mu_c=1.0)
-
-    def test_optical_excess_above_its_bound_rejected(self):
-        # nu_op = 1 + 2 n_c is the fully dephased mode; beyond it the excess
-        # describes no state
-        assert _decoupled_report(3.0, mu_c=1.0).nu_op == 3.0
-        with pytest.raises(ValidationError, match="optical excess"):
-            _decoupled_report(3.0 + 1e-6, mu_c=1.0)
 
 
 class TestNonGaussianity:
