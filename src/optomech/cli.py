@@ -44,8 +44,8 @@ _SWEEP_AXES = ("g0", "d2", "tau")
 
 # rows formatted per write: the text of one block stays small
 _CSV_BLOCK_ROWS = 256
-# most output times (or sweep cells) in one run: a pass holds about 650 B
-# per output time, so this is about 0.7 GB
+# most output times (or sweep cells) in one run: a pass holds about 370 B
+# per output time, so this is about 0.4 GB
 _MAX_OUTPUTS = 2**20
 
 # certified envelope for the brute-force oracle

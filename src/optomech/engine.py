@@ -1,8 +1,8 @@
 """End-to-end evaluation pipeline.
 
 Given system parameters and an initial coherent state, produce the
-decoupling coefficients, Bogoliubov pair, moments, covariance matrix and
-non-Gaussianity report on a time grid.  The coupling and drive are
+decoupling coefficients, Bogoliubov pair, moments and non-Gaussianity
+report on a time grid.  The coupling and drive are
 constants; a static Hamiltonian (squeezing d2 or its modulation frequency
 omega0 zero) takes the closed forms, and modulated squeezing runs through
 the Magnus propagator and the running integrals of its solutions, on a grid
@@ -17,8 +17,8 @@ the image of that frame's mode under the Bogoliubov map (alpha, beta), a
 local Gaussian unitary, so both frames share their symplectic spectrum; but
 the lab-frame entries grow like |beta|^2 under parametric resonance, and the
 closed form keeps each squeezing-frame entry free of differences of large
-moments.  The lab-frame moments are what the CLI reports; the lab-frame
-covariance stays on the record.
+moments.  The lab-frame moments are what the CLI reports; the record builds
+the lab-frame covariance from them only when it is read.
 """
 
 from __future__ import annotations
@@ -47,16 +47,19 @@ from .squeezing import constant_bogoliubov, solve_quadratic
 
 class StateRecord(NamedTuple):
     """Everything the pipeline knows about the state, at one time or as
-    arrays over a grid of times (``covariance`` then has shape (n, 4, 4)).
-    ``tau`` is the one copy of the times."""
+    arrays over a grid of times.  ``tau`` is the one copy of the times."""
 
     tau: float
     coeffs: DecouplingCoefficients
     alpha: complex
     beta: complex
     moments: MomentSet
-    covariance: np.ndarray
     report: NonGaussianityReport
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The lab-frame covariance, (n, 4, 4) or (4, 4), built from ``moments`` when read."""
+        return covariance(self.moments)
 
 
 def evaluate_trajectory(system: SystemParams, init: InitialState, taus) -> StateRecord:
@@ -96,9 +99,9 @@ def evaluate_trajectory(system: SystemParams, init: InitialState, taus) -> State
         # finite entropies imply finite eigenvalues and a finite delta_min
         finite = np.isfinite(m.a) & np.isfinite(report.delta) & np.isfinite(report.delta_max)
         if not np.all(finite):
-            first = np.atleast_1d(taus)[np.argmin(np.atleast_1d(finite))]
+            first = np.ravel(taus)[np.argmin(np.ravel(finite))]
             raise NonFiniteError(f"non-finite moments or measure, first at tau = {first:.17g}")
-        return StateRecord(taus, coeffs, alpha, beta, m, covariance(m), report)
+        return StateRecord(taus, coeffs, alpha, beta, m, report)
 
 
 def evaluate_point(system: SystemParams, init: InitialState, tau: float) -> StateRecord:

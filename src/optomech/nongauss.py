@@ -53,12 +53,12 @@ def _entropy(dn):
 def mode_entropy(nu):
     """Entropy of a bosonic mode with symplectic eigenvalue nu, in nats.
 
-    Values in [1 - 1e-6, 1) are clamped to 1; smaller values are rejected as
-    unphysical.  An infinite nu has infinite entropy.
+    Values in [1 - 1e-6, 1) are clamped to 1; smaller values and nan are
+    rejected as unphysical.  An infinite nu has infinite entropy.
     """
     x = np.asarray(nu, dtype=float)
-    if np.any(x < 1.0 - _CLAMP):
-        raise DomainError(f"symplectic eigenvalue below 1 - {_CLAMP:g}: {np.min(x):.9g}")
+    if not np.all(x >= 1.0 - _CLAMP):
+        raise DomainError(f"symplectic eigenvalue not at least 1 - {_CLAMP:g}: {np.min(x):.9g}")
     x = np.maximum(x, 1.0)
     return _entropy(0.5 * (x - 1.0))
 

@@ -54,6 +54,8 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
     "excess-entropy-half": [(NONGAUSS, "/ (nu + 1.0))", "/ (nu + 1.001))")],
     "s24-conj-dropped": [(MOMENTS, "s24=2.0 * np.conj(k) ** 2 * nc", "s24=2.0 * k ** 2 * nc")],
     "e22-2.2": [(MOMENTS, "e22=2.0 * k_sq * nc", "e22=2.2 * k_sq * nc")],
+    "covariance-s14-sign": [(MOMENTS, "s14 = 2.0 * m.ab - 2.0 * a * b",
+                             "s14 = 2.0 * m.ab + 2.0 * a * b")],
 }
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from optomech import (
     ModulatedSqueezing,
     NonFiniteError,
     SystemParams,
+    covariance,
     displacement_amplitudes,
     evaluate_point,
     evaluate_trajectory,
@@ -119,6 +122,53 @@ class TestClosedFormDispatch:
         system = SystemParams(1.0, Coupling(g=0.7, drive=0.2), ModulatedSqueezing(0.1, 2.0))
         evaluate_trajectory(system, InitialState(1.0), np.linspace(0.0, 3.0, 11))
         assert len(calls) == 1
+
+    def test_first_non_finite_time_is_named_for_any_array_shape(self):
+        # constant d2 = -1 grows without bound and overflows by tau = 200
+        system = SystemParams(1.0, Coupling(0.5), ConstantSqueezing(-1.0))
+        for taus in ([0.0, 1.0, 2.0, 200.0], [[0.0, 1.0], [2.0, 200.0]]):
+            with pytest.raises(NonFiniteError, match=r"first at tau = 200$"):
+                evaluate_trajectory(system, InitialState(1.0), np.array(taus))
+
+
+class TestCovarianceOnRead:
+    """The pass leaves the lab-frame covariance to the record, which builds
+    it from its moments each time it is read."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "covariance", lambda m: calls.append(m) or covariance(m))
+        return calls
+
+    @pytest.mark.parametrize("profile", [ConstantSqueezing(0.3), ModulatedSqueezing(0.1, 2.0)],
+                             ids=["closed-form", "numeric"])
+    def test_built_only_when_read(self, calls, profile):
+        system = SystemParams(1.0, Coupling(g=0.7, drive=0.2), profile)
+        init = InitialState(1.0 - 0.3j, 0.4)
+        rec = evaluate_trajectory(system, init, np.linspace(0.0, 5.0, 64))
+        assert calls == []
+        sigma = rec.covariance
+        assert len(calls) == 1
+        assert sigma.shape == (64, 4, 4)
+        assert np.array_equal(sigma, covariance(rec.moments))
+        point = evaluate_point(system, init, 5.0)
+        assert len(calls) == 1
+        assert point.covariance.shape == (4, 4)
+        assert np.array_equal(point.covariance, covariance(point.moments))
+
+    def test_pass_peak_memory(self):
+        # the pass peaks at 36.8 MB over 1e5 times; the complex (n, 4, 4)
+        # covariance alone would add 25.6 MB
+        system = SystemParams(1.0, Coupling(g=0.7), ConstantSqueezing(0.3))
+        taus = np.linspace(0.0, 62.0, 100_000)
+        tracemalloc.start()
+        try:
+            evaluate_trajectory(system, InitialState(1.0), taus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 def _rel_close(got, want, rel):

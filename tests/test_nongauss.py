@@ -114,6 +114,10 @@ class TestModeEntropy:
             mode_entropy(1.0 - 1.01e-6)
         with pytest.raises(DomainError):
             mode_entropy(np.array([1.0, 1.0 - 2e-6]))
+        with pytest.raises(DomainError):
+            mode_entropy(np.nan)
+        with pytest.raises(DomainError):
+            mode_entropy(np.array([1.0, np.nan]))
 
     @settings(max_examples=60, deadline=None)
     @given(nu=st.floats(1.0, 50.0), bump=st.floats(1e-6, 5.0))
